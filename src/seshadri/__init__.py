@@ -7,7 +7,6 @@ provided for cross-validation.
 """
 from . import cm, cross_section, nocm, oracle
 from .cross_section import CrossSection, candidate_curves
-from .kernels import backend_name
 from .lattice import (
     NSClass,
     Surface,
@@ -33,7 +32,6 @@ __all__ = [
     "CrossSection",
     "NSClass",
     "Surface",
-    "backend_name",
     "candidate_curves",
     "cm",
     "cross_section",

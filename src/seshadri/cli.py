@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from . import cm, nocm, oracle
 from .cross_section import CrossSection, cross_section
-from .kernels import backend_name
 from .lattice import (
     NSClass,
     Surface,
@@ -47,6 +46,10 @@ class DomainError(Exception):
     pass
 
 
+class UsageError(Exception):
+    pass
+
+
 def _fmt(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -55,13 +58,12 @@ def _parse_coeffs(text: str, surface: Surface) -> NSClass:
     try:
         values = [int(v) for v in text.split(",")]
     except ValueError:
-        raise SystemExit(USAGE_ERROR)
+        raise UsageError(f"--coeffs must be comma-separated integers, got {text!r}")
     if len(values) != surface.rank:
-        sys.stderr.write(
+        raise UsageError(
             f"expected {surface.rank} coefficients for {surface.value}, "
-            f"got {len(values)}\n"
+            f"got {len(values)}"
         )
-        raise SystemExit(USAGE_ERROR)
     return ns_class(surface, values)
 
 
@@ -159,7 +161,7 @@ def _parse_ratio(text: str) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError):
-        raise SystemExit(USAGE_ERROR)
+        raise UsageError(f"--lambda must be an integer or P/Q with Q != 0, got {text!r}")
 
 
 def _section_rows(section: CrossSection):
@@ -169,6 +171,8 @@ def _section_rows(section: CrossSection):
 
 
 def _cmd_cross_section(args) -> int:
+    if args.samples < 0:
+        raise UsageError(f"--samples must be at least 0, got {args.samples}")
     lam = _parse_ratio(args.slope_ratio)
     if not 0 < lam <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
@@ -268,6 +272,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
+    if args.bound < 0:
+        raise UsageError(f"--bound must be at least 0, got {args.bound}")
     surface = surface_from_name(args.surface)
     bound = args.bound if args.bound else (50 if surface is Surface.NO_CM else 8)
     classes = random_ample_classes(surface, args.count, bound, args.seed)
@@ -292,7 +300,6 @@ def _cmd_check(args) -> int:
                 "seed": args.seed,
                 "coeff_bound": bound,
                 "all_match": True,
-                "backend": backend_name(),
             }
         )
     )
@@ -360,6 +367,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(_normalize_argv(list(argv)))
     try:
         return args.func(args)
+    except UsageError as exc:
+        sys.stderr.write(f"seshadri: error: {exc}\n")
+        return USAGE_ERROR
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return DOMAIN_ERROR

@@ -90,7 +90,8 @@ def degree_vector(t: Tuple4, kind: Surface) -> Tuple4:
             (a - c) ** 2 + (a - c) * (b - d) + (b - d) ** 2,
             u * u + u * v + v * v,
         )
-    assert all(x % dd == 0 for x in raw)
+    if any(x % dd for x in raw):
+        raise ArithmeticError("D does not divide the raw degrees")
     return tuple(x // dd for x in raw)
 
 
@@ -140,13 +141,7 @@ def search_bound(L: NSClass) -> Fraction:
 
 def degree_value(L: NSClass, t: Tuple4) -> int:
     """The quartic degree expression (undivided by D) at an integer tuple."""
-    return _value(_KIND[L.surface], *L.coeffs, t)
-
-
-def _value(kind: int, a1: int, a2: int, a3: int, a4: int, t: Tuple4) -> int:
-    from ._kernels_py import _value as impl
-
-    return impl(kind, a1, a2, a3, a4, *t)
+    return kernels._value(_KIND[L.surface], *L.coeffs, *t)
 
 
 def unit_orbit(t: Tuple4, kind: Surface) -> tuple[Tuple4, ...]:
@@ -183,12 +178,7 @@ class CMSeshadriResult:
     witnesses: tuple[CMWitness, ...]
 
 
-def seshadri_constant(
-    L: NSClass,
-    prune: bool = True,
-    backend: str | None = None,
-    workers: int | None = None,
-) -> CMSeshadriResult:
+def seshadri_constant(L: NSClass, prune: bool = True) -> CMSeshadriResult:
     """Minimum curve degree over the bounded box, with all computing curves.
 
     The scan covers a in [0, B], b, c, d in [-B, B] with B the floor of
@@ -204,17 +194,16 @@ def seshadri_constant(
 
     warm = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0),
             (1, 0, 1, 0), (1, 0, 0, 1)]
-    a1, a2, a3, a4 = L.coeffs
-    best0 = min(_value(kind, a1, a2, a3, a4, t) for t in warm)
+    best0 = min(kernels._value(kind, *L.coeffs, *t) for t in warm)
 
-    best, mins = kernels.minimize_quartic(
-        kind, L.coeffs, radius, best0, prune=prune, backend=backend, workers=workers
-    )
-    assert best > 0 and mins, "ample classes have a positive minimum in the box"
+    best, mins = kernels.minimize_quartic(kind, L.coeffs, radius, best0, prune=prune)
+    if not (best > 0 and mins):
+        raise ArithmeticError("ample classes have a positive minimum in the box")
 
     by_degrees: dict[Tuple4, Tuple4] = {}
     for t in mins:
-        assert gcd(*t) == 1, "a minimizer is always primitive"
+        if gcd(*t) != 1:
+            raise ArithmeticError("a minimizer is always primitive")
         rep = canonical_tuple(reduce_tuple(t, L.surface), L.surface)
         vec = degree_vector(rep, L.surface)
         cur = by_degrees.get(vec)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from ._kernels_py import _lin_window
+from .kernels import _lin_window
 from .nocm import GENERATOR_PAIRS, Pair, pair_sort_key
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from ._kernels_py import _quad_window
+from .kernels import _quad_window
 from .lattice import NSClass, Surface, require_ample, self_intersection
 
 Pair = tuple[int, int]

@@ -80,6 +80,10 @@ def _expected_degvecs(entries) -> frozenset:
     return frozenset(vecs)
 
 
+def _sign_canonical(t):
+    return min(t, tuple(-v for v in t))
+
+
 @pytest.fixture(scope="module")
 def nocm_sample():
     return random_ample_classes(Surface.NO_CM, 500, 50, seed=20260809)
@@ -129,16 +133,28 @@ def test_criterion_2_rank4_table():
         assert {w.degrees for w in result.witnesses} == _expected_degvecs(computing), coeffs
     pruned = time.perf_counter() - start
 
-    # Naive-box reference pass.  The pure fallback needs about an hour for
-    # the radius-100 row, so without the compiled kernels only the small
-    # boxes are re-run here; the pruned/naive parity on random inputs is
-    # covered separately in test_kernels.
-    max_radius = 100 if kernels.HAVE_COMPILED else 16
+    # Every row's pruned minimizer set against the certified oracle's, up to
+    # sign (the scan sees only the half-box a >= 0).
+    start = time.perf_counter()
+    for coeffs, *_ in TABLE2:
+        L = ns_class(GAUSS, coeffs)
+        radius = cm.search_bound(L)
+        best0 = cm.degree_value(L, (1, 0, 0, 0))
+        _, mins = kernels.minimize_quartic(kernels.GAUSSIAN, L.coeffs, int(radius), best0)
+        report = oracle.min_quadratic_form(cm.degree_form(L))
+        assert {_sign_canonical(t) for t in mins} == {
+            _sign_canonical(t) for t in report.minimizers
+        }, coeffs
+    certified = time.perf_counter() - start
+
+    # Naive-box reference pass.  The naive scan of the radius-100 row takes
+    # about an hour, so only the small boxes are re-run here; the pruned/naive
+    # parity on random inputs is covered separately in test_kernels.
     start = time.perf_counter()
     checked = 0
     for coeffs, _, value, computing in TABLE2:
         L = ns_class(GAUSS, coeffs)
-        if cm.search_bound(L) > max_radius:
+        if cm.search_bound(L) > 16:
             continue
         checked += 1
         result = cm.seshadri_constant(L, prune=False)
@@ -147,9 +163,9 @@ def test_criterion_2_rank4_table():
     naive = time.perf_counter() - start
     _report(
         "criterion 2 (12 rank-4 rows exact)",
-        pruned + naive,
-        f"pruned {pruned:.2f}s, naive box {naive:.2f}s on {checked}/12 rows, "
-        f"backend {kernels.backend_name()}",
+        pruned + certified + naive,
+        f"pruned {pruned:.2f}s, oracle minimizers {certified:.2f}s on 12/12 rows, "
+        f"naive box {naive:.2f}s on {checked}/12 rows",
     )
 
 

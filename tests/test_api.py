@@ -10,9 +10,5 @@ def test_dispatch_by_surface():
     assert [w.degrees for w in rank4.witnesses] == [(1, 2, 1, 5)]
 
 
-def test_backend_reported():
-    assert seshadri.backend_name() in ("compiled", "pure")
-
-
 def test_version():
     assert seshadri.__version__

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seshadri import oracle
+from seshadri import kernels, oracle
 from seshadri.cm import (
+    GENERATOR_TUPLES,
     canonical_tuple,
     congruence_solution_count,
     degree_form,
@@ -171,6 +172,24 @@ def test_seshadri_examples(coeffs, value, degvecs):
     result = seshadri_constant(ns_class(GAUSS, coeffs))
     assert result.value == value
     assert {w.degrees for w in result.witnesses} == degvecs
+
+
+def test_large_eisenstein_class_matches_oracle():
+    # the box's c-window discriminant (~5.6e20) is past any 64-bit budget
+    L = ns_class(EISEN, (9609, 7679, 3911, 9587))
+    result = seshadri_constant(L)
+    assert result.value == 21177 == oracle.cm_seshadri(L)
+    f1 = degree_vector(GENERATOR_TUPLES["F1"], EISEN)
+    assert [w.degrees for w in result.witnesses] == [f1]
+
+
+def test_empty_minimizer_set_raises(monkeypatch):
+    # a real check, not an assert, so it survives python -O
+    monkeypatch.setattr(
+        kernels, "minimize_quartic", lambda kind, coeffs, radius, best, prune: (best, [])
+    )
+    with pytest.raises(ArithmeticError, match="positive minimum"):
+        seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
 
 
 def test_seshadri_witness_representatives_are_reduced():
