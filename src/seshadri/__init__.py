@@ -6,7 +6,7 @@ the two self-products whose factor has an automorphism of order 4 or 6
 provided for cross-validation.
 """
 from . import cm, cross_section, nocm, oracle
-from .cross_section import CrossSection, candidate_curves
+from .cross_section import CrossSection
 from .lattice import (
     NSClass,
     Surface,
@@ -32,7 +32,6 @@ __all__ = [
     "CrossSection",
     "NSClass",
     "Surface",
-    "candidate_curves",
     "cm",
     "cross_section",
     "generator_classes",

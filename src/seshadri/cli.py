@@ -6,8 +6,10 @@ built-in example tables as CSV), `check` (randomized cross-validation
 against the brute-force oracle).
 
 Exit codes: 0 success, 2 domain error (non-ample input, parameter out of
-range), 3 oracle mismatch, 64 usage error.  Rationals are always printed as
-"num/den"; floats never appear in any output.
+range), 3 oracle mismatch, 64 usage error, 70 internal invariant violated
+(an exact result failed its own consistency check, which is a bug).
+Rationals are always printed as "num/den"; floats never appear in any
+output.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from .sampling import random_ample_classes
 USAGE_ERROR = 64
 DOMAIN_ERROR = 2
 ORACLE_MISMATCH = 3
+INTERNAL_ERROR = 70  # EX_SOFTWARE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -373,6 +376,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return DOMAIN_ERROR
+    except ArithmeticError as exc:
+        sys.stderr.write(f"seshadri: internal error: {exc}\n")
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

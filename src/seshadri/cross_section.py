@@ -5,15 +5,23 @@ for mu up to t/(1+t), and the Seshadri constant is the pointwise minimum of
 the finitely many affine functions mu -> L . N over the curves that can be
 submaximal somewhere on the ray.  The envelope is computed exactly over the
 rationals.
+
+For t = p/q, a curve N_{c,d} off the basis and the exact ratio can touch the
+envelope only if c/(c+d) approximates q/(p+q) to better than 1/(c+d)^2, so
+the candidates are convergents and intermediate fractions of the continued
+fraction of q/(p+q).  They are enumerated level by level, O(1) work per
+partial quotient and O(log q) in all, instead of a walk over every c + d up
+to (p+q)/sqrt(2).
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import chain
+from math import isqrt
 
-from .kernels import _lin_window
+from .kernels import _quad_window
 from .nocm import GENERATOR_PAIRS, Pair, pair_sort_key
 
 
@@ -54,55 +62,45 @@ class CrossSection:
         return self.segments[bisect_left(self.breakpoints, mu)].witness
 
 
-def _check_ratio(lam, lo_open: bool) -> Fraction:
+def _check_ratio(lam) -> Fraction:
     lam = Fraction(lam)
-    if lam > 1 or lam < 0 or (lo_open and lam == 0):
+    if not 0 < lam <= 1:
         raise ValueError("lambda out of range")
     return lam
 
 
-def candidate_curves(lam) -> frozenset[Pair]:
+def _envelope_curves(lam: Fraction) -> set[Pair]:
     """Curve pairs that can be weakly submaximal somewhere on the ray.
 
-    Contains the basis curves, the exact-ratio pair (q, p) for lam = p/q,
-    and every coprime positive pair with 2 (c+d)^2 <= (q+p)^2: outside that
-    range the necessary inequality (q+p)^2 >= 2 (qd-pc)^2 (c+d)^2 fails for
-    every mu, so nothing is lost and dominated extras cost nothing.
-    """
-    lam = _check_ratio(lam, lo_open=False)
-    p, q = lam.numerator, lam.denominator
-    pairs: set[Pair] = set(GENERATOR_PAIRS)
-    if p >= 1:
-        pairs.add((q, p))
-    s_max = isqrt((q + p) ** 2 // 2)
-    for s in range(2, s_max + 1):
-        if 2 * s * s > (q + p) ** 2:
-            break
-        for c in range(1, s):
-            if gcd(c, s - c) == 1:
-                pairs.add((c, s - c))
-    return frozenset(pairs)
-
-
-def _envelope_curves(lam: Fraction) -> set[Pair]:
-    """The subset of candidates that can be weakly submaximal on the ray.
-
-    A pair off the exact ratio needs 2 (qd - pc)^2 (c+d)^2 <= (q+p)^2, which
-    pins c to a near-empty window for each value of c + d; curves failing it
-    sit strictly above the envelope everywhere, so dropping them changes
-    nothing while keeping the line count linear in q + p.
+    Besides the basis curves, a pair (c, d) with c, d >= 1 can only touch
+    the envelope if 2 k^2 s^2 <= S^2, where S = p + q, s = c + d and
+    k = |q s - S c|; every other curve sits strictly above the envelope
+    everywhere.  k = 0 is the exact-ratio pair (q, p), the last convergent
+    of q/S.  For k >= 1 the bound gives |q/S - c/s| < 1/s^2, so c/s is a
+    convergent or an intermediate fraction (h2 + j h1) / (t2 + j t1),
+    1 <= j <= a, of the continued fraction of q/S (Legendre; Hardy &
+    Wright, ch. X), and such fractions are already in lowest terms.  Along
+    one level k = A - j B falls and s rises linearly in j, so k s is concave
+    and the j breaking the bound form one exact integer window: the
+    survivors are the two ends of [1, a] outside it.  The cost is O(1) per
+    partial quotient, O(log q) in all.
     """
     p, q = lam.numerator, lam.denominator
+    S = p + q
+    M = isqrt(S * S // 2)  # k s <= M  <=>  2 k^2 s^2 <= S^2
     pairs: set[Pair] = set(GENERATOR_PAIRS)
-    pairs.add((q, p))
-    limit = (q + p) ** 2
-    s = 2
-    while 2 * s * s <= limit:
-        clo, chi = _lin_window(p + q, -q * s, limit // (2 * s * s))
-        for c in range(max(clo, 1), min(chi, s - 1) + 1):
-            if gcd(c, s - c) == 1:
-                pairs.add((c, s - c))
-        s += 1
+    # Convergents h2/t2, h1/t1 of q/S, seeded with 0/1 and 1/0.
+    h2, t2, h1, t1 = 0, 1, 1, 0
+    num, den = q, S
+    while den:
+        a, (num, den) = num // den, (den, num % den)
+        if t1:
+            A, B = abs(q * t2 - S * h2), abs(q * t1 - S * h1)
+            lo, hi = _quad_window(B * t1, B * t2 - A * t1, M + 1 - A * t2)
+            for j in chain(range(1, min(lo, a + 1)), range(max(hi, 0) + 1, a + 1)):
+                c = h2 + j * h1
+                pairs.add((c, t2 + j * t1 - c))
+        h2, t2, h1, t1 = h1, t1, h2 + a * h1, t2 + a * t1
     return pairs
 
 
@@ -113,7 +111,7 @@ def _line(lam: Fraction, pair: Pair) -> tuple[Fraction, Fraction]:
 
 def cross_section(lam) -> CrossSection:
     """Exact lower envelope of the candidate degree lines on the ray."""
-    lam = _check_ratio(lam, lo_open=True)
+    lam = _check_ratio(lam)
     mu_max = lam / (1 + lam)
 
     by_slope: dict[Fraction, tuple[Fraction, Pair]] = {}
@@ -150,5 +148,8 @@ def cross_section(lam) -> CrossSection:
         hull.pop()
 
     section = CrossSection(lam, mu_max, tuple(starts), tuple(hull))
-    assert section.value_at(mu_max) == 0
+    if section.value_at(mu_max) != 0:
+        raise ArithmeticError(
+            f"envelope of lambda = {lam} does not vanish at mu_max = {mu_max}"
+        )
     return section

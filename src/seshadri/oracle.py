@@ -195,9 +195,9 @@ def nocm_seshadri(L: NSClass) -> int:
     a1, a2, a3 = L.coeffs
     gram = ((a2 + a3, a3), (a3, a1 + a3))
     report = min_quadratic_form(gram)
-    assert all(gcd(p[0], p[1]) == 1 for p in report.minimizers)
-    assert report.minimum.denominator == 1
-    return int(report.minimum)
+    if any(gcd(p[0], p[1]) != 1 for p in report.minimizers):
+        raise ArithmeticError(f"imprimitive form minimizer for {L.coeffs}")
+    return _integral_minimum(report, L)
 
 
 def cm_seshadri(L: NSClass) -> int:
@@ -207,8 +207,14 @@ def cm_seshadri(L: NSClass) -> int:
     require_ample(L)
     if not L.surface.is_cm:
         raise ValueError("surface mismatch")
-    report = min_quadratic_form(cm.degree_form(L))
-    assert report.minimum.denominator == 1
+    return _integral_minimum(min_quadratic_form(cm.degree_form(L)), L)
+
+
+def _integral_minimum(report: ShellSearchReport, L: NSClass) -> int:
+    if report.minimum.denominator != 1:
+        raise ArithmeticError(
+            f"non-integral form minimum {report.minimum} for {L.coeffs}"
+        )
     return int(report.minimum)
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import seshadri
+from seshadri import cross_section as xs
 from seshadri.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -86,6 +91,45 @@ def test_bad_input_exits_64_with_message(capsys, argv):
     assert code == 64
     assert out == ""
     assert err.startswith("seshadri: error: ") and err.count("\n") == 1
+
+
+def test_internal_error_exits_70(capsys, monkeypatch):
+    # Without the exact-ratio curve the envelope cannot reach 0 at mu_max,
+    # which the cross-section checks on every call.
+    envelope_curves = xs._envelope_curves
+
+    def without_ratio_curve(lam):
+        return envelope_curves(lam) - {(lam.denominator, lam.numerator)}
+
+    monkeypatch.setattr(xs, "_envelope_curves", without_ratio_curve)
+    code, out, err = run_cli(capsys, "cross-section", "--lambda", "8/11")
+    assert code == 70
+    assert out == ""
+    assert err.startswith("seshadri: internal error: ") and err.count("\n") == 1
+
+
+def _run_module(*flags_and_argv):
+    env = dict(os.environ)
+    src = str(Path(seshadri.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags_and_argv], capture_output=True, text=True,
+        env=env, check=True,
+    ).stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cross-section", "--lambda", "8/11"),
+        ("epsilon", "--surface", "cm-eisenstein", "--coeffs", "9609,7679,3911,9587"),
+    ],
+)
+def test_results_survive_python_O(argv):
+    # `python -O` strips assert statements; no result may depend on them.
+    plain = _run_module("-m", "seshadri.cli", *argv)
+    optimized = _run_module("-O", "-m", "seshadri.cli", *argv)
+    assert plain and optimized == plain
 
 
 def test_unknown_command_exits_64(capsys):

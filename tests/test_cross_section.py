@@ -1,35 +1,93 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from seshadri.cross_section import candidate_curves, cross_section
+from seshadri import cross_section as xs
+from seshadri.cross_section import _envelope_curves, cross_section
+from seshadri.kernels import _lin_window
 from seshadri.lattice import Surface, ns_class
-from seshadri.nocm import seshadri_constant
+from seshadri.nocm import GENERATOR_PAIRS, seshadri_constant
+
+
+def _linear_walk(lam):
+    """Reference for `_envelope_curves`: every s = c + d up to (p+q)/sqrt(2).
+
+    For each s the filter 2 (qd - pc)^2 (c+d)^2 <= (q+p)^2 pins c to one
+    exact window; coprime pairs in it are kept.  O(p+q) per call.
+    """
+    p, q = lam.numerator, lam.denominator
+    pairs = set(GENERATOR_PAIRS)
+    pairs.add((q, p))
+    limit = (q + p) ** 2
+    s = 2
+    while 2 * s * s <= limit:
+        clo, chi = _lin_window(p + q, -q * s, limit // (2 * s * s))
+        for c in range(max(clo, 1), min(chi, s - 1) + 1):
+            if gcd(c, s - c) == 1:
+                pairs.add((c, s - c))
+        s += 1
+    return pairs
+
+
+def _assert_matches_linear_walk(ratios, monkeypatch):
+    reference = {lam: _linear_walk(lam) for lam in ratios}
+    sections = {lam: cross_section(lam) for lam in ratios}
+    for lam in ratios:
+        assert _envelope_curves(lam) == reference[lam], lam
+    monkeypatch.setattr(xs, "_envelope_curves", reference.__getitem__)
+    for lam in ratios:
+        assert cross_section(lam) == sections[lam], lam
 
 
 def test_candidates_lambda_one():
-    got = candidate_curves(F(1))
-    assert {(1, 0), (0, 1), (1, -1), (1, 1)} <= got
+    assert _envelope_curves(F(1)) == {(1, 0), (0, 1), (1, -1), (1, 1)}
 
 
-def test_candidates_eight_elevenths_cover_the_known_six():
-    got = candidate_curves(F(8, 11))
-    assert {(1, 1), (2, 1), (3, 2), (4, 3), (7, 5), (11, 8)} <= got
-    assert {(1, 0), (0, 1), (1, -1)} <= got
+def test_candidates_eight_elevenths():
+    # N_{2,1} is not a candidate: k = |11*3 - 19*2| = 5 and 2 k^2 s^2 = 450
+    # exceeds 19^2, so it is not even weakly submaximal on this ray.
+    assert _envelope_curves(F(8, 11)) == {
+        (1, 0), (0, 1), (1, -1), (1, 1), (3, 2), (4, 3), (7, 5), (11, 8)
+    }
 
 
-def test_candidates_lambda_zero():
-    assert candidate_curves(F(0)) == frozenset({(1, 0), (0, 1), (1, -1)})
+def test_section_range_check():
+    for lam in (F(3, 2), F(-1, 4), F(0)):
+        with pytest.raises(ValueError, match="lambda out of range"):
+            cross_section(lam)
 
 
-def test_candidates_range_check():
-    with pytest.raises(ValueError, match="lambda out of range"):
-        candidate_curves(F(3, 2))
-    with pytest.raises(ValueError, match="lambda out of range"):
-        candidate_curves(F(-1, 4))
-    with pytest.raises(ValueError, match="lambda out of range"):
-        cross_section(F(0))
+def test_envelope_curves_match_linear_walk_small(monkeypatch):
+    ratios = [F(p, q) for q in range(1, 61) for p in range(1, q + 1) if gcd(p, q) == 1]
+    _assert_matches_linear_walk(ratios, monkeypatch)
+
+
+def test_envelope_curves_match_linear_walk_seeded(monkeypatch):
+    rng = random.Random(12)
+    ratios = set()
+    while len(ratios) < 200:
+        q = rng.randint(61, 10**4)
+        ratios.add(F(rng.randint(1, q), q))
+    _assert_matches_linear_walk(sorted(ratios), monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "lam", [F(618033988749, 10**12), F(1, 10**12), F(10**12 - 1, 10**12)]
+)
+def test_scale_denominator_10_to_12(lam):
+    # Far beyond the reach of a walk over c + d.  The golden-ratio slope has
+    # 37 segments, witnessed by N_{1,1} .. N_{514229,317811} (consecutive
+    # Fibonacci pairs) and then by the later convergents.
+    s = cross_section(lam)
+    p, q = lam.numerator, lam.denominator
+    m_max = (q * p - 1) // (q + p)  # largest m with (q, p, -m) ample
+    ms = {-10**6, 0, m_max // 2, m_max}
+    ms.update(q * b.numerator // b.denominator for b in s.breakpoints)
+    for m in sorted(ms):
+        L = ns_class(Surface.NO_CM, (q, p, -m))
+        assert q * s.value_at(F(m, q)) == seshadri_constant(L).value, m
 
 
 def test_section_lambda_one():

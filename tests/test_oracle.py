@@ -118,6 +118,19 @@ def test_reference_rejects_non_ample():
         oracle.cm_seshadri(ns_class(Surface.CM_GAUSSIAN, (0, 0, 0, 1)))
 
 
+@pytest.mark.parametrize(
+    "report",
+    [
+        oracle.ShellSearchReport(F(3, 2), ((1, 0),), 1, True),
+        oracle.ShellSearchReport(F(4), ((2, 0),), 1, True),
+    ],
+)
+def test_reference_invariant_violation_raises(monkeypatch, report):
+    monkeypatch.setattr(oracle, "min_quadratic_form", lambda gram: report)
+    with pytest.raises(ArithmeticError):
+        oracle.nocm_seshadri(ns_class(Surface.NO_CM, (7, 6, -3)))
+
+
 @pytest.mark.parametrize("a,b,expected", [(1, 0, 1), (1, 1, 2), (2, 1, 5)])
 def test_division_point_examples(a, b, expected):
     assert oracle.division_point_count(a, b) == expected
