@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -309,6 +310,7 @@ def _cmd_check(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use, not at import
 def _build_parser() -> _Parser:
     parser = _Parser(prog="seshadri", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

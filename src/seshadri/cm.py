@@ -279,31 +279,14 @@ def _eisenstein_step(t: Tuple4, dd: int) -> Tuple4 | None:
     return None
 
 
-def _brute_reduce(t: Tuple4, kind: Surface) -> Tuple4:
-    """Bounded search for a reduced tuple with the target invariants."""
-    dd = tuple_gcd(t, kind)
-    target = tuple(v // dd for v in invariants(t, kind))
-    m = max(abs(v) for v in t)
-    rng = range(-m, m + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    cand = (a, b, c, d)
-                    if not any(cand) or gcd(*cand) != 1:
-                        continue
-                    if invariants(cand, kind) == target and tuple_gcd(cand, kind) == 1:
-                        return cand
-    raise ValueError(f"no reduced tuple found for {t}")
-
-
 def reduce_tuple(t: Tuple4, kind: Surface) -> Tuple4:
     """A primitive tuple of the same curve whose gcd invariant is 1.
 
     Repeatedly multiplies the parametrisation by (x + y*i)/D (resp. the
     hexagonal analogue) with x = 1 and y solving the kernel congruences;
     every step strictly decreases D.  The output is verified against the
-    target identities, with a bounded brute-force fallback.
+    target identities; a step that fails to decrease D or a result that
+    misses them raises `ArithmeticError`.
     """
     _require_cm(kind)
     _require_primitive(t)
@@ -320,8 +303,8 @@ def reduce_tuple(t: Tuple4, kind: Surface) -> Tuple4:
             else _eisenstein_step(cur, dd)
         )
         if step is None or tuple_gcd(_primitive(step), kind) >= dd:
-            return _brute_reduce(t, kind)
+            raise ArithmeticError(f"reduction step failed to decrease D at {cur}")
         cur = _primitive(step)
     if invariants(cur, kind) != target:
-        return _brute_reduce(t, kind)
+        raise ArithmeticError(f"reduction of {t} missed the target invariants")
     return cur

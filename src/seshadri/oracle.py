@@ -3,27 +3,39 @@
 Everything here validates the closed-form results by direct search: certified
 minimization of positive-definite quadratic forms over the integer lattice,
 and literal counting of congruence solutions.  The searches share no formula
-code with the closed-form modules beyond the Gram constructor of the rank-4
+code with the closed-form modules: this module imports nothing from
+`kernels`, `nocm` or `cross_section`, its search windows are its own, and the
+only shared code is the Gram constructor `cm.degree_form` of the rank-4
 surfaces, which is itself cross-checked against hand-expanded polynomials in
 the tests.
+
+The search is a Fincke-Pohst enumeration in integers only.  The Gram matrix
+is scaled by the lcm s of its denominators, and Bareiss's fraction-free
+elimination of the integer matrix gives its leading minors D_0 = 1, D_1, ...,
+D_n and integer rows B with
+
+    s * Q(x) = sum_i (D_{i+1} x_i + N_i)^2 / (D_i D_{i+1}),
+    N_i = sum_{j>i} B_ij x_j.
+
+Multiplying by P = lcm_i(D_i D_{i+1}) makes every partial sum, the running
+best and the budget an integer, and each level's window an exact `isqrt`.
 
 Certification: outside a box of radius r every lattice vector x satisfies
 Q(x) >= lam * |x|^2 >= lam * (r+1)^2 for any exact lower bound lam > 0 on the
 smallest eigenvalue, so once lam * (r+1)^2 exceeds the best value found the
 search is provably complete.  We use the larger of the Gershgorin bound and
-det(G) / (max row sum)^(n-1); the latter is always positive for a definite
-form, so the expanding search terminates.
+det / (max row sum)^(n-1), both taken on the scaled integer matrix with
+det = D_n; the latter is always positive for a definite form, so the
+expanding search terminates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .lattice import NSClass, Surface, require_ample
-
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -34,118 +46,97 @@ class ShellSearchReport:
     certified: bool
 
 
-def _to_matrix(gram: Sequence[Sequence]) -> Matrix:
-    rows = tuple(tuple(Fraction(v) for v in row) for row in gram)
+def _integer_gram(gram: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """(s, s * gram) with s the lcm of the entries' denominators."""
+    rows = [[Fraction(v) for v in row] for row in gram]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("gram matrix must be square")
-    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(n)):
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         raise ValueError("gram matrix must be symmetric")
-    return rows
+    s = lcm(*(v.denominator for row in rows for v in row))
+    return s, [[v.numerator * (s // v.denominator) for v in row] for row in rows]
 
 
-def _det(m: Matrix) -> Fraction:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1 :] for row in m[1:])
-        term = m[0][j] * _det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+def _bareiss(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Leading minors [D_0 = 1, D_1, ...] and the rows B of Bareiss elimination.
+
+    Row i of the result holds B_ij for j >= i, with B_ii = D_{i+1}.  Every
+    division is exact (Sylvester's identity) while the previous pivot is
+    nonzero, so elimination stops after the first zero pivot.
+    """
+    n = len(a)
+    work = [row[:] for row in a]
+    minors = [1]
+    for k in range(n):
+        pivot, prev = work[k][k], minors[-1]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        row_k = work[k]
+        for i in range(k + 1, n):
+            row_i = work[i]
+            f = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
+    return minors, work
 
 
 def leading_minors(gram: Sequence[Sequence]) -> list[Fraction]:
-    m = _to_matrix(gram)
-    return [_det(tuple(row[: k + 1] for row in m[: k + 1])) for k in range(len(m))]
+    """Leading principal minors of `gram`, all but the last nonzero."""
+    s, a = _integer_gram(gram)
+    minors = _bareiss(a)[0]
+    if len(minors) <= len(a):
+        raise ValueError("a leading minor other than the last vanishes")
+    return [Fraction(d, s**k) for k, d in enumerate(minors) if k]
 
 
 def is_positive_definite(gram: Sequence[Sequence]) -> bool:
-    return all(mk > 0 for mk in leading_minors(gram))
-
-
-def _min_eigenvalue_bound(m: Matrix) -> Fraction:
-    n = len(m)
-    gersh = min(m[i][i] - sum(abs(m[i][j]) for j in range(n) if j != i) for i in range(n))
-    row_max = max(sum(abs(v) for v in row) for row in m)
-    det = _det(m)
-    return max(gersh, det / row_max ** (n - 1))
-
-
-def _ldl(m: Matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Decompose Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2."""
-    n = len(m)
-    work = [list(row) for row in m]
-    diag: list[Fraction] = []
-    upper = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d = work[i][i]
-        diag.append(d)
-        for j in range(i + 1, n):
-            upper[i][j] = work[i][j] / d
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                work[r][c] -= work[i][r] * work[i][c] / d
-    return diag, upper
-
-
-def _floor_shift(c: Fraction, budget: Fraction) -> int:
-    """floor(-c + sqrt(budget)) computed exactly, budget >= 0."""
-    lo = floor(-c)
-    hi = lo + isqrt(floor(budget)) + 2
-    # t <= -c + sqrt(budget)  <=>  t + c <= 0 or (t + c)^2 <= budget,
-    # which is monotone in t, unlike the raw budget test.
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        s = mid + c
-        if s <= 0 or s * s <= budget:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _window(center: Fraction, budget: Fraction) -> tuple[int, int]:
-    """Integer t range with (t + center)^2 <= budget (may be empty)."""
-    if budget < 0:
-        return 1, 0
-    return -_floor_shift(-center, budget), _floor_shift(center, budget)
+    # an early stop leaves the zero pivot last in the list
+    return all(d > 0 for d in _bareiss(_integer_gram(gram)[1])[0])
 
 
 def _search_box(
-    diag: list[Fraction],
-    upper: list[list[Fraction]],
+    minors: list[int],
+    rows: list[list[int]],
+    weights: list[int],
     radius: int,
-    best: Fraction,
-) -> tuple[Fraction, list[tuple[int, ...]]]:
-    """All x in [-radius, radius]^n with Q(x) <= best, via exact windows."""
-    n = len(diag)
+    best: int,
+) -> tuple[int, list[tuple[int, ...]]]:
+    """All x in [-radius, radius]^n with P s Q(x) <= best, via exact windows.
+
+    Returns the smallest scaled value found (or `best` if none) and every
+    nonzero x attaining it.
+    """
+    n = len(weights)
     x = [0] * n
-    found: list[tuple[Fraction, tuple[int, ...]]] = []
+    found: list[tuple[int, ...]] = []
     running = best
 
-    def rec(i: int, partial: Fraction) -> None:
-        nonlocal running
-        center = sum((upper[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        lo, hi = _window(center, (running - partial) / diag[i])
-        for t in range(max(lo, -radius), min(hi, radius) + 1):
-            x[i] = t
-            value = partial + diag[i] * (t + center) ** 2
+    def rec(i: int, partial: int) -> None:
+        nonlocal running, found
+        d, w, row = minors[i + 1], weights[i], rows[i]
+        centre = sum(row[j] * x[j] for j in range(i + 1, n))
+        # |d t + centre| <= r  <=>  w (d t + centre)^2 <= running - partial,
+        # which is >= 0 on entry
+        r = isqrt((running - partial) // w)
+        lo = max(-((r + centre) // d), -radius)
+        hi = min((r - centre) // d, radius)
+        for t in range(lo, hi + 1):
+            y = d * t + centre
+            value = partial + w * y * y
             if value > running:
                 continue
-            if i == 0:
-                if any(x):
-                    if value < running:
-                        running = value
-                    found.append((value, tuple(x)))
-            else:
+            x[i] = t
+            if i:
                 rec(i - 1, value)
+            elif any(x):
+                if value < running:
+                    running, found = value, []
+                found.append(tuple(x))
 
-    rec(n - 1, Fraction(0))
-    best_found = min((v for v, _ in found), default=best)
-    pts = [p for v, p in found if v == best_found]
-    return best_found, pts
+    rec(n - 1, 0)
+    return running, found
 
 
 def _canonical_sign(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -160,25 +151,32 @@ def min_quadratic_form(gram: Sequence[Sequence], dim: int | None = None) -> Shel
 
     Returns all minimizers up to sign.
     """
-    m = _to_matrix(gram)
-    if dim is not None and len(m) != dim:
+    s, a = _integer_gram(gram)
+    n = len(a)
+    if dim is not None and n != dim:
         raise ValueError(f"expected a {dim}x{dim} gram matrix")
-    if not is_positive_definite(m):
+    minors, rows = _bareiss(a)
+    if any(d <= 0 for d in minors):
         raise ValueError("not positive definite")
-    n = len(m)
-    lam = _min_eigenvalue_bound(m)
-    diag, upper = _ldl(m)
+    scale = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+    weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
 
-    best = min(m[i][i] for i in range(n))
+    gersh = min(2 * a[i][i] - sum(abs(v) for v in a[i]) for i in range(n))
+    row_max = max(sum(abs(v) for v in row) for row in a)
+    lam = max(Fraction(gersh), Fraction(minors[n], row_max ** (n - 1)))
+    # lam bounds the smallest eigenvalue of s * gram; values carry P = scale
+    lam_num, lam_den = lam.numerator * scale, lam.denominator
+
+    best = scale * min(a[i][i] for i in range(n))
     radius = 1
     while True:
-        best, pts = _search_box(diag, upper, radius, best)
-        if lam * (radius + 1) ** 2 > best:
+        best, pts = _search_box(minors, rows, weights, radius, best)
+        if lam_num * (radius + 1) ** 2 > best * lam_den:
             break
-        needed = isqrt(floor(best / lam)) + 1
+        needed = isqrt(best * lam_den // lam_num) + 1
         radius = max(2 * radius, needed)
     minimizers = sorted({_canonical_sign(p) for p in pts})
-    return ShellSearchReport(best, tuple(minimizers), radius, True)
+    return ShellSearchReport(Fraction(best, s * scale), tuple(minimizers), radius, True)
 
 
 def nocm_seshadri(L: NSClass) -> int:

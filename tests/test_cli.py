@@ -8,7 +8,7 @@ import pytest
 
 import seshadri
 from seshadri import cross_section as xs
-from seshadri.cli import main
+from seshadri.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -108,14 +108,18 @@ def test_internal_error_exits_70(capsys, monkeypatch):
     assert err.startswith("seshadri: internal error: ") and err.count("\n") == 1
 
 
-def _run_module(*flags_and_argv):
+def _module_process(*flags_and_argv, check=True):
     env = dict(os.environ)
     src = str(Path(seshadri.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *flags_and_argv], capture_output=True, text=True,
-        env=env, check=True,
-    ).stdout
+        env=env, check=check,
+    )
+
+
+def _run_module(*flags_and_argv):
+    return _module_process(*flags_and_argv).stdout
 
 
 @pytest.mark.parametrize(
@@ -218,3 +222,29 @@ def test_check_command_cm(capsys):
     )
     assert code == 0
     assert json.loads(out)["all_match"] is True
+
+
+def test_repeated_calls_in_one_process_match_lone_runs(capsys):
+    # the parser is built once per process; reusing it, also after a usage
+    # error, must not change any call's output
+    calls = [
+        ("epsilon", "--surface", "cm-i", "--coeffs", "-1,1,2,2"),
+        ("curves", "--surface", "nocm", "--coeffs", "45,15,-11", "--weak"),
+        ("cross-section", "--lambda", "8/11", "--format", "csv", "--samples", "5"),
+        ("table", "--which", "1"),
+        ("epsilon", "--surface", "bogus", "--coeffs", "1,2,3"),
+        ("check", "--surface", "cm-eisenstein", "--count", "3", "--seed", "2",
+         "--bound", "1000000000000"),
+    ]
+    lone = []
+    for argv in calls:
+        proc = _module_process("-m", "seshadri.cli", *argv, check=False)
+        lone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in lone] == [0, 0, 0, 0, 64, 0]
+    # importing the CLI builds nothing; the first call does, once
+    probe = "import seshadri.cli as c; print(c._build_parser.cache_info().currsize)"
+    assert _run_module("-c", probe) == "0\n"
+    for _ in range(2):
+        for argv, expected in zip(calls, lone):
+            assert run_cli(capsys, *argv) == expected, argv
+    assert _build_parser() is _build_parser()

@@ -1,11 +1,12 @@
 from fractions import Fraction as F
+from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seshadri import kernels, oracle
+from seshadri import cm, kernels, oracle
 from seshadri.cm import (
     GENERATOR_TUPLES,
     canonical_tuple,
@@ -235,6 +236,26 @@ def test_reduce_tuple_identities(surface, t):
     assert gcd(*red) == 1
     assert tuple_gcd(red, surface) == 1
     assert invariants(red, surface) == tuple(v // dd for v in invariants(t, surface))
+
+
+@pytest.mark.parametrize("surface", [GAUSS, EISEN])
+def test_reduce_tuple_exhaustive_small_entries(surface):
+    # every primitive tuple with entries in [-4, 4] reduces through the
+    # congruence steps alone
+    for t in product(range(-4, 5), repeat=4):
+        if gcd(*t) != 1:
+            continue
+        dd = tuple_gcd(t, surface)
+        red = reduce_tuple(t, surface)
+        assert gcd(*red) == 1 and tuple_gcd(red, surface) == 1, t
+        assert invariants(red, surface) == tuple(v // dd for v in invariants(t, surface)), t
+
+
+def test_reduce_tuple_raises_when_a_step_fails(monkeypatch):
+    monkeypatch.setattr(cm, "_gaussian_step", lambda t, dd: None)
+    assert reduce_tuple((1, 0, 1, 0), GAUSS) == (1, 0, 1, 0)  # D = 1: no step
+    with pytest.raises(ArithmeticError):
+        reduce_tuple((1, 1, 1, 1), GAUSS)
 
 
 @given(st.sampled_from([GAUSS, EISEN]), primitive4)

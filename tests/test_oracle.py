@@ -1,11 +1,102 @@
+import ast
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import accumulate, product
+from math import floor, isqrt, prod
+from pathlib import Path
 
 import pytest
 
-from seshadri import oracle
+from seshadri import cm, oracle
 from seshadri.lattice import Surface, ns_class
+from seshadri.sampling import random_ample_classes
+
+
+# Reference: the Fraction-arithmetic Fincke-Pohst search the integer oracle
+# replaced, kept to pin `min_quadratic_form` down report for report.
+def _ldl(m):
+    """Decompose Q(x) = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2."""
+    n = len(m)
+    work = [list(row) for row in m]
+    diag = []
+    upper = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        d = work[i][i]
+        diag.append(d)
+        for j in range(i + 1, n):
+            upper[i][j] = work[i][j] / d
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                work[r][c] -= work[i][r] * work[i][c] / d
+    return diag, upper
+
+
+def _floor_shift(c, budget):
+    """floor(-c + sqrt(budget)) computed exactly, budget >= 0."""
+    lo = floor(-c)
+    hi = lo + isqrt(floor(budget)) + 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        s = mid + c
+        if s <= 0 or s * s <= budget:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _window(center, budget):
+    """Integer t range with (t + center)^2 <= budget (may be empty)."""
+    if budget < 0:
+        return 1, 0
+    return -_floor_shift(-center, budget), _floor_shift(center, budget)
+
+
+def _search_box(diag, upper, radius, best):
+    """All x in [-radius, radius]^n with Q(x) <= best, via exact windows."""
+    n = len(diag)
+    x = [0] * n
+    found = []
+    running = best
+
+    def rec(i, partial):
+        nonlocal running
+        center = sum((upper[i][j] * x[j] for j in range(i + 1, n)), F(0))
+        lo, hi = _window(center, (running - partial) / diag[i])
+        for t in range(max(lo, -radius), min(hi, radius) + 1):
+            x[i] = t
+            value = partial + diag[i] * (t + center) ** 2
+            if value > running:
+                continue
+            if i == 0:
+                if any(x):
+                    if value < running:
+                        running = value
+                    found.append((value, tuple(x)))
+            else:
+                rec(i - 1, value)
+
+    rec(n - 1, F(0))
+    best_found = min((v for v, _ in found), default=best)
+    return best_found, [p for v, p in found if v == best_found]
+
+
+def _reference_min(gram):
+    m = [[F(v) for v in row] for row in gram]
+    n = len(m)
+    diag, upper = _ldl(m)
+    gersh = min(m[i][i] - sum(abs(m[i][j]) for j in range(n) if j != i) for i in range(n))
+    row_max = max(sum(abs(v) for v in row) for row in m)
+    lam = max(gersh, prod(diag) / row_max ** (n - 1))
+    best = min(m[i][i] for i in range(n))
+    radius = 1
+    while True:
+        best, pts = _search_box(diag, upper, radius, best)
+        if lam * (radius + 1) ** 2 > best:
+            break
+        radius = max(2 * radius, isqrt(floor(best / lam)) + 1)
+    minimizers = sorted({oracle._canonical_sign(p) for p in pts})
+    return oracle.ShellSearchReport(best, tuple(minimizers), radius, True)
 
 
 def _literal_min(gram, radius):
@@ -69,6 +160,67 @@ def test_windowed_search_matches_literal_scan():
             best, mins = _literal_min(gram, radius)
             assert rep.minimum == best
             assert set(rep.minimizers) == mins
+
+
+def _half_integral(gram):
+    # (G + diag G) / 2 is definite with G, and its off-diagonal is in Z/2
+    return tuple(
+        tuple(F(v) if i == j else F(v, 2) for j, v in enumerate(row))
+        for i, row in enumerate(gram)
+    )
+
+
+def _assert_matches_reference(gram):
+    assert oracle.min_quadratic_form(gram) == _reference_min(gram), gram
+    diag = _ldl([[F(v) for v in row] for row in gram])[0]
+    assert oracle.leading_minors(gram) == list(accumulate(diag, F.__mul__))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matches_fraction_reference_on_random_grams(n):
+    rng = random.Random(40 + n)
+    for _ in range(30):
+        gram = _random_pd_gram(rng, n, 4)
+        _assert_matches_reference(gram)
+        _assert_matches_reference(_half_integral(gram))
+
+
+def _class_gram(L):
+    if L.surface is Surface.NO_CM:
+        a1, a2, a3 = L.coeffs
+        return ((a2 + a3, a3), (a3, a1 + a3))
+    return cm.degree_form(L)
+
+
+@pytest.mark.parametrize("bound", [10**2, 10**4, 10**6, 10**9, 10**12])
+def test_matches_fraction_reference_on_class_grams(bound):
+    for surface in Surface:
+        for L in random_ample_classes(surface, 15, bound, bound % 1009):
+            _assert_matches_reference(_class_gram(L))
+
+
+def test_leading_minors_of_indefinite_and_degenerate_forms():
+    assert oracle.leading_minors(((1, 2), (2, 1))) == [1, -3]
+    assert oracle.leading_minors(((2, 1, 0), (1, 2, 1), (0, 1, -5))) == [2, 3, -17]
+    assert oracle.leading_minors(((F(1, 2), 0), (0, 0))) == [F(1, 2), 0]
+    for gram in (((1, 2), (2, 1)), ((1, 0), (0, 0)), ((0, 1), (1, 0)), ((-1, 0), (0, -1))):
+        assert not oracle.is_positive_definite(gram)
+    with pytest.raises(ValueError, match="leading minor"):
+        oracle.leading_minors(((0, 1), (1, 0)))
+
+
+def test_oracle_imports_no_closed_form_module():
+    # the certified search must stay independent of the code it checks
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    for name in imported:
+        assert not {"kernels", "nocm", "cross_section"} & set(name.split(".")), name
 
 
 def test_hermite_bound_on_random_2d_forms():
