@@ -7,7 +7,9 @@ against the brute-force oracle).
 
 Exit codes: 0 success, 2 domain error (non-ample input, parameter out of
 range), 3 oracle mismatch, 64 usage error, 70 internal invariant violated
-(an exact result failed its own consistency check, which is a bug).
+(an exact result failed its own consistency check, which is a bug).  Exit 2
+and 64 print one `seshadri: error: ...` line on stderr, exit 70 one
+`seshadri: internal error: ...` line.
 Rationals are always printed as "num/den"; floats never appear in any
 output.
 """
@@ -376,7 +378,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"seshadri: error: {exc}\n")
         return USAGE_ERROR
     except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"seshadri: error: {exc}\n")
         return DOMAIN_ERROR
     except ArithmeticError as exc:
         sys.stderr.write(f"seshadri: internal error: {exc}\n")

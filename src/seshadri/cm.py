@@ -186,10 +186,8 @@ def seshadri_constant(L: NSClass, prune: bool = True) -> CMSeshadriResult:
     sees every curve class.  Witnesses are deduplicated by degree vector and
     carry the lexicographically smallest unit-orbit representative.
     """
-    require_ample(L)
-    _require_cm(L.surface)
+    bound = search_bound(L)  # checks ampleness, then the surface
     kind = _KIND[L.surface]
-    bound = search_bound(L)
     radius = bound.numerator // bound.denominator
 
     warm = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0),

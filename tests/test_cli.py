@@ -65,9 +65,10 @@ def test_epsilon_large_coefficients(capsys):
 
 
 def test_epsilon_non_ample_exits_2(capsys):
-    code, _, err = run_cli(capsys, "epsilon", "--surface", "nocm", "--coeffs", "1,0,0")
+    code, out, err = run_cli(capsys, "epsilon", "--surface", "nocm", "--coeffs", "1,0,0")
     assert code == 2
-    assert "L^2 = 0" in err or "L.F1" in err
+    assert out == ""
+    assert err == "seshadri: error: class is not ample: L.F1 = 0 <= 0; L^2 = 0 <= 0\n"
 
 
 def test_wrong_arity_exits_64(capsys):
@@ -152,8 +153,12 @@ def test_curves_command(capsys):
 
 
 def test_curves_rejects_cm(capsys):
-    code, _, err = run_cli(capsys, "curves", "--surface", "cm-i", "--coeffs", "1,1,1,1")
+    code, out, err = run_cli(capsys, "curves", "--surface", "cm-i", "--coeffs", "1,1,1,1")
     assert code == 2
+    assert out == ""
+    assert err == (
+        "seshadri: error: submaximal listing is only available for surface 'nocm'\n"
+    )
 
 
 def test_cross_section_json(capsys):
@@ -178,8 +183,10 @@ def test_cross_section_slope_of_last_segment(capsys):
 
 
 def test_cross_section_out_of_range(capsys):
-    code, _, _ = run_cli(capsys, "cross-section", "--lambda", "3/2")
+    code, out, err = run_cli(capsys, "cross-section", "--lambda", "3/2")
     assert code == 2
+    assert out == ""
+    assert err == "seshadri: error: lambda must lie in (0, 1], got 3/2\n"
 
 
 def test_cross_section_csv_samples(capsys):
@@ -202,6 +209,22 @@ def test_table_matches_golden(capsys, which):
     assert code == 0
     golden = (GOLDEN / f"table{which}.csv").read_text()
     assert out == golden
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("cross_section_8_11.json", ("--lambda", "8/11")),
+        (
+            "cross_section_1_2_samples_50.csv",
+            ("--lambda", "1/2", "--format", "csv", "--samples", "50"),
+        ),
+    ],
+)
+def test_cross_section_matches_golden(capsys, golden, argv):
+    code, out, _ = run_cli(capsys, "cross-section", *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_check_command(capsys):

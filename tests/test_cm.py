@@ -293,3 +293,33 @@ def test_homogeneity(surface, data, k):
 def test_matches_oracle(surface, data):
     L = data.draw(ample_classes(surface, bound=6))
     assert seshadri_constant(L).value == oracle.cm_seshadri(L)
+
+
+@pytest.mark.parametrize(
+    "surface, coeffs, message",
+    [
+        (Surface.CM_GAUSSIAN, (1, 0, 0, 0), "not ample: L.F1 = 0 <= 0; L^2 = 0 <= 0"),
+        (
+            Surface.CM_EISENSTEIN, (1, 1, -3, 0),
+            "not ample: L.F1 = -2 <= 0; L.F2 = -2 <= 0; L.Sigma = -1 <= 0; L^2 = -10 <= 0",
+        ),
+        (Surface.NO_CM, (7, 6, -3), "surface mismatch: expected a CM surface"),
+        # non-ample and non-CM: ampleness is reported first
+        (Surface.NO_CM, (1, 0, 0), "not ample: L.F1 = 0 <= 0; L^2 = 0 <= 0"),
+    ],
+)
+def test_input_errors(surface, coeffs, message):
+    L = ns_class(surface, coeffs)
+    for checked in (cm.seshadri_constant, cm.search_bound):
+        with pytest.raises(ValueError) as info:
+            checked(L)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_ampleness_checked_once_per_call(monkeypatch):
+    calls = []
+    require_ample = cm.require_ample
+    monkeypatch.setattr(cm, "require_ample", lambda L: calls.append(L) or require_ample(L))
+    L = ns_class(Surface.CM_GAUSSIAN, (1, 1, 1, 1))
+    assert cm.seshadri_constant(L).value == 3
+    assert calls == [L]

@@ -5,10 +5,10 @@ from math import gcd
 import pytest
 
 from seshadri import cross_section as xs
-from seshadri.cross_section import _envelope_curves, cross_section
+from seshadri.cross_section import CrossSection, Segment, _envelope_curves, cross_section
 from seshadri.kernels import _lin_window
 from seshadri.lattice import Surface, ns_class
-from seshadri.nocm import GENERATOR_PAIRS, seshadri_constant
+from seshadri.nocm import GENERATOR_PAIRS, pair_sort_key, seshadri_constant
 
 
 def _linear_walk(lam):
@@ -29,6 +29,61 @@ def _linear_walk(lam):
                 pairs.add((c, s - c))
         s += 1
     return pairs
+
+
+def _line(lam, pair):
+    c, d = pair
+    return (F(-((c + d) ** 2)), d * d + lam * c * c)
+
+
+def _fraction_section(lam):
+    """Reference for the hull in `cross_section`: every line, breakpoint and
+    comparison in `Fraction`, over the same candidate pairs."""
+    mu_max = lam / (1 + lam)
+    by_slope = {}
+    for pair in sorted(_envelope_curves(lam), key=pair_sort_key):
+        slope, intercept = _line(lam, pair)
+        kept = by_slope.get(slope)
+        if kept is None or intercept < kept[0]:
+            by_slope[slope] = (intercept, pair)
+    lines = [
+        Segment(slope, by_slope[slope][0], by_slope[slope][1])
+        for slope in sorted(by_slope, reverse=True)
+    ]
+    hull, starts = [], []
+    for line in lines:
+        while hull:
+            top = hull[-1]
+            cross = (line.intercept - top.intercept) / (top.slope - line.slope)
+            if starts and cross <= starts[-1]:
+                hull.pop()
+                starts.pop()
+            else:
+                starts.append(cross)
+                break
+        hull.append(line)
+    while starts and starts[-1] >= mu_max:
+        starts.pop()
+        hull.pop()
+    section = CrossSection(lam, mu_max, tuple(starts), tuple(hull))
+    assert section.value_at(mu_max) == 0, lam
+    return section
+
+
+def _small_ratios():
+    return [F(p, q) for q in range(1, 61) for p in range(1, q + 1) if gcd(p, q) == 1]
+
+
+def _seeded_ratios():
+    rng = random.Random(12)
+    ratios = set()
+    while len(ratios) < 200:
+        q = rng.randint(61, 10**4)
+        ratios.add(F(rng.randint(1, q), q))
+    return sorted(ratios)
+
+
+LARGE_RATIOS = [F(618033988749, 10**12), F(1, 10**12), F(10**12 - 1, 10**12)]
 
 
 def _assert_matches_linear_walk(ratios, monkeypatch):
@@ -60,22 +115,23 @@ def test_section_range_check():
 
 
 def test_envelope_curves_match_linear_walk_small(monkeypatch):
-    ratios = [F(p, q) for q in range(1, 61) for p in range(1, q + 1) if gcd(p, q) == 1]
-    _assert_matches_linear_walk(ratios, monkeypatch)
+    _assert_matches_linear_walk(_small_ratios(), monkeypatch)
 
 
 def test_envelope_curves_match_linear_walk_seeded(monkeypatch):
-    rng = random.Random(12)
-    ratios = set()
-    while len(ratios) < 200:
-        q = rng.randint(61, 10**4)
-        ratios.add(F(rng.randint(1, q), q))
-    _assert_matches_linear_walk(sorted(ratios), monkeypatch)
+    _assert_matches_linear_walk(_seeded_ratios(), monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "lam", [F(618033988749, 10**12), F(1, 10**12), F(10**12 - 1, 10**12)]
+    "ratios", [_small_ratios, _seeded_ratios, lambda: LARGE_RATIOS],
+    ids=["q_up_to_60", "seeded_q_up_to_10_4", "q_10_12"],
 )
+def test_integer_hull_matches_fraction_reference(ratios):
+    for lam in ratios():
+        assert cross_section(lam) == _fraction_section(lam), lam
+
+
+@pytest.mark.parametrize("lam", LARGE_RATIOS)
 def test_scale_denominator_10_to_12(lam):
     # Far beyond the reach of a walk over c + d.  The golden-ratio slope has
     # 37 segments, witnessed by N_{1,1} .. N_{514229,317811} (consecutive
