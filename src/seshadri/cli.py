@@ -349,18 +349,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: Options whose values may start with a minus sign.
+_SIGNED_OPTIONS = ("--coeffs", "--lambda")
+
+
 def _normalize_argv(argv: list[str]) -> list[str]:
-    """Join `--coeffs -1,2,...` into `--coeffs=-1,2,...`.
+    """Join `--coeffs -1,2,...` into `--coeffs=-1,2,...`, and `--lambda` alike.
 
     argparse would otherwise read a leading-minus value as an option name,
-    making classes with a negative first coefficient unpassable.
+    making classes with a negative first coefficient unpassable and turning
+    a negative lambda into a usage error instead of the domain check.
     """
     out = []
     i = 0
     while i < len(argv):
         arg = argv[i]
-        if arg == "--coeffs" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--coeffs={argv[i + 1]}")
+        if arg in _SIGNED_OPTIONS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+            out.append(f"{arg}={argv[i + 1]}")
             i += 2
         else:
             out.append(arg)

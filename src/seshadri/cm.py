@@ -5,7 +5,10 @@ with s1 = a + b*i, s2 = c + d*i (order Z[i]) resp. s1 = a + b*z, s2 = c + d*z
 with z = e^(i pi/3) (order Z[z]).  The degree of such a curve against a line
 bundle is an explicit quartic expression in (a, b, c, d) divided by the gcd
 invariant D; the Seshadri constant is the minimum of the undivided expression
-over a box whose radius comes from a closed-form bound.
+over a box whose radius comes from a closed-form bound.  A tuple and its unit
+multiples (u*s1, u*s2) name the same curve, so the box scan walks one
+fundamental domain of the unit group (see `kernels`) and meets each curve
+once.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import kernels
-from .lattice import NSClass, Surface, require_ample
+from .lattice import NSClass, Surface, generator_pairings, require_ample
 
 Tuple4 = tuple[int, int, int, int]
 
@@ -178,23 +181,26 @@ class CMSeshadriResult:
     witnesses: tuple[CMWitness, ...]
 
 
-def seshadri_constant(L: NSClass, prune: bool = True) -> CMSeshadriResult:
+def seshadri_constant(L: NSClass) -> CMSeshadriResult:
     """Minimum curve degree over the bounded box, with all computing curves.
 
-    The scan covers a in [0, B], b, c, d in [-B, B] with B the floor of
-    `search_bound`; negating a tuple names the same curve, so the half-box
-    sees every curve class.  Witnesses are deduplicated by degree vector and
-    carry the lexicographically smallest unit-orbit representative.
+    With B the floor of `search_bound`, the scan covers the tuples of the
+    unit group's fundamental domain in [-B, B]^4: one tuple per curve.  The
+    radius comes from bounds on the norms N(s1) and N(s2) of a minimizer,
+    and unit multiples keep both norms, so the domain representative of a
+    minimizer in the box lies in the box as well.  Every minimizer has
+    D = 1: a tuple of the same curve with D = 1 has value Q/D, so D > 1
+    would undercut the minimum.  Witnesses are deduplicated by degree vector
+    and carry the lexicographically smallest unit-orbit representative.
     """
     bound = search_bound(L)  # checks ampleness, then the surface
     kind = _KIND[L.surface]
     radius = bound.numerator // bound.denominator
 
-    warm = [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0),
-            (1, 0, 1, 0), (1, 0, 0, 1)]
-    best0 = min(kernels._value(kind, *L.coeffs, *t) for t in warm)
+    # at the generator tuples D = 1, so Q there is L.F1, L.F2, L.Delta, L.Sigma
+    best0 = min(generator_pairings(L))
 
-    best, mins = kernels.minimize_quartic(kind, L.coeffs, radius, best0, prune=prune)
+    best, mins = kernels.minimize_quartic(kind, L.coeffs, radius, best0)
     if not (best > 0 and mins):
         raise ArithmeticError("ample classes have a positive minimum in the box")
 
@@ -202,7 +208,9 @@ def seshadri_constant(L: NSClass, prune: bool = True) -> CMSeshadriResult:
     for t in mins:
         if gcd(*t) != 1:
             raise ArithmeticError("a minimizer is always primitive")
-        rep = canonical_tuple(reduce_tuple(t, L.surface), L.surface)
+        if tuple_gcd(t, L.surface) != 1:
+            raise ArithmeticError("a minimizer always has D = 1")
+        rep = canonical_tuple(t, L.surface)
         vec = degree_vector(rep, L.surface)
         cur = by_degrees.get(vec)
         if cur is None or rep < cur:

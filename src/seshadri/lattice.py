@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Iterable
 
 
@@ -112,17 +113,18 @@ def intersect(x: NSClass, y: NSClass) -> int:
     )
 
 
-def self_intersection(x: NSClass) -> int:
-    return intersect(x, x)
-
-
 def generator_pairings(x: NSClass) -> tuple[int, ...]:
     """Intersection of `x` with each basis curve, in basis order."""
-    gram = _GRAM[x.surface]
-    return tuple(
-        sum(xi * gram[i][j] for i, xi in enumerate(x.coeffs))
-        for j in range(x.surface.rank)
-    )
+    return tuple(sum(map(mul, row, x.coeffs)) for row in _GRAM[x.surface])
+
+
+def _square(x: NSClass, pairings: tuple[int, ...]) -> int:
+    # L^2 = sum_i a_i (L . basis_i)
+    return sum(map(mul, x.coeffs, pairings))
+
+
+def self_intersection(x: NSClass) -> int:
+    return _square(x, generator_pairings(x))
 
 
 def is_ample(x: NSClass) -> bool:
@@ -131,22 +133,25 @@ def is_ample(x: NSClass) -> bool:
     On these surfaces the basis curves cut out the nef cone, so strict
     positivity against them plus x^2 > 0 characterises ampleness.
     """
-    return self_intersection(x) > 0 and all(p > 0 for p in generator_pairings(x))
+    pairings = generator_pairings(x)
+    return min(pairings) > 0 and _square(x, pairings) > 0
 
 
 def is_nef(x: NSClass) -> bool:
     """Closed variant of `is_ample` for integral classes."""
-    return self_intersection(x) >= 0 and all(p >= 0 for p in generator_pairings(x))
+    pairings = generator_pairings(x)
+    return min(pairings) >= 0 and _square(x, pairings) >= 0
 
 
 def ample_violations(x: NSClass) -> list[str]:
     """Human-readable list of the ampleness inequalities `x` fails."""
     bad = []
     labels = GENERATOR_LABELS[: x.surface.rank]
-    for label, p in zip(labels, generator_pairings(x)):
+    pairings = generator_pairings(x)
+    for label, p in zip(labels, pairings):
         if p <= 0:
             bad.append(f"L.{label} = {p} <= 0")
-    sq = self_intersection(x)
+    sq = _square(x, pairings)
     if sq <= 0:
         bad.append(f"L^2 = {sq} <= 0")
     return bad

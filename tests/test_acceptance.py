@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from scan_references import assert_one_minimizer_per_orbit, naive_domain_min
 from seshadri import cm, kernels, nocm, oracle
 from seshadri.cli import render_table
 from seshadri.cross_section import cross_section
@@ -80,10 +81,6 @@ def _expected_degvecs(entries) -> frozenset:
     return frozenset(vecs)
 
 
-def _sign_canonical(t):
-    return min(t, tuple(-v for v in t))
-
-
 @pytest.fixture(scope="module")
 def nocm_sample():
     return random_ample_classes(Surface.NO_CM, 500, 50, seed=20260809)
@@ -123,7 +120,7 @@ def test_criterion_1_rank3_table(capsys=None):
     _report("criterion 1 (21 rank-3 rows exact)", time.perf_counter() - start)
 
 
-def test_criterion_2_rank4_table():
+def test_criterion_2_rank4_table(monkeypatch):
     start = time.perf_counter()
     for coeffs, square, value, computing in TABLE2:
         L = ns_class(GAUSS, coeffs)
@@ -133,8 +130,8 @@ def test_criterion_2_rank4_table():
         assert {w.degrees for w in result.witnesses} == _expected_degvecs(computing), coeffs
     pruned = time.perf_counter() - start
 
-    # Every row's pruned minimizer set against the certified oracle's, up to
-    # sign (the scan sees only the half-box a >= 0).
+    # Every row's domain-walk minimizers against the certified oracle's: one
+    # minimizer per unit orbit of the oracle's minimizers.
     start = time.perf_counter()
     for coeffs, *_ in TABLE2:
         L = ns_class(GAUSS, coeffs)
@@ -142,14 +139,14 @@ def test_criterion_2_rank4_table():
         best0 = cm.degree_value(L, (1, 0, 0, 0))
         _, mins = kernels.minimize_quartic(kernels.GAUSSIAN, L.coeffs, int(radius), best0)
         report = oracle.min_quadratic_form(cm.degree_form(L))
-        assert {_sign_canonical(t) for t in mins} == {
-            _sign_canonical(t) for t in report.minimizers
-        }, coeffs
+        assert_one_minimizer_per_orbit(mins, report.minimizers, GAUSS)
     certified = time.perf_counter() - start
 
-    # Naive-box reference pass.  The naive scan of the radius-100 row takes
-    # about an hour, so only the small boxes are re-run here; the pruned/naive
-    # parity on random inputs is covered separately in test_kernels.
+    # Naive-box reference pass: the whole computation over the naive domain
+    # scan.  The naive scan of the radius-100 row takes about an hour, so
+    # only the small boxes are re-run here; the pruned/naive parity on random
+    # inputs is covered separately in test_kernels.
+    monkeypatch.setattr(kernels, "minimize_quartic", naive_domain_min)
     start = time.perf_counter()
     checked = 0
     for coeffs, _, value, computing in TABLE2:
@@ -157,7 +154,7 @@ def test_criterion_2_rank4_table():
         if cm.search_bound(L) > 16:
             continue
         checked += 1
-        result = cm.seshadri_constant(L, prune=False)
+        result = cm.seshadri_constant(L)
         assert result.value == value
         assert {w.degrees for w in result.witnesses} == _expected_degvecs(computing)
     naive = time.perf_counter() - start

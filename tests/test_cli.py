@@ -189,6 +189,15 @@ def test_cross_section_out_of_range(capsys):
     assert err == "seshadri: error: lambda must lie in (0, 1], got 3/2\n"
 
 
+@pytest.mark.parametrize("argv", [("--lambda", "-1/2"), ("--lambda=-1/2",)])
+def test_cross_section_negative_lambda_exits_2(capsys, argv):
+    # both spellings reach the domain check instead of an argparse usage error
+    code, out, err = run_cli(capsys, "cross-section", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "seshadri: error: lambda must lie in (0, 1], got -1/2\n"
+
+
 def test_cross_section_csv_samples(capsys):
     code, out, _ = run_cli(
         capsys, "cross-section", "--lambda", "1/2", "--format", "csv", "--samples", "5"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scan_references import HALF_BOX_WARM, half_box_seshadri
 from seshadri import cm, kernels, oracle
 from seshadri.cm import (
     GENERATOR_TUPLES,
@@ -21,7 +22,14 @@ from seshadri.cm import (
     tuple_gcd,
     unit_orbit,
 )
-from seshadri.lattice import Surface, is_ample, ns_class, self_intersection
+from seshadri.lattice import (
+    Surface,
+    generator_pairings,
+    is_ample,
+    ns_class,
+    self_intersection,
+)
+from seshadri.sampling import random_ample_classes
 
 GAUSS = Surface.CM_GAUSSIAN
 EISEN = Surface.CM_EISENSTEIN
@@ -187,10 +195,60 @@ def test_large_eisenstein_class_matches_oracle():
 def test_empty_minimizer_set_raises(monkeypatch):
     # a real check, not an assert, so it survives python -O
     monkeypatch.setattr(
-        kernels, "minimize_quartic", lambda kind, coeffs, radius, best, prune: (best, [])
+        kernels, "minimize_quartic", lambda kind, coeffs, radius, best: (best, [])
     )
     with pytest.raises(ArithmeticError, match="positive minimum"):
         seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
+
+
+def test_minimizer_with_d_above_one_raises(monkeypatch):
+    # (1, 1, 1, 1) is primitive with D = 2 on the Gaussian surface
+    monkeypatch.setattr(
+        kernels, "minimize_quartic", lambda kind, coeffs, radius, best: (best, [(1, 1, 1, 1)])
+    )
+    with pytest.raises(ArithmeticError, match="D = 1"):
+        seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("surface", [GAUSS, EISEN])
+def test_warm_start_is_the_generator_minimum(surface):
+    # min of the basis pairings equals the old six-tuple warm start
+    for bound in (8, 10**4):
+        for L in random_ample_classes(surface, 200, bound, seed=bound + 11):
+            assert min(generator_pairings(L)) == min(
+                degree_value(L, t) for t in HALF_BOX_WARM
+            ), L.coeffs
+
+
+@pytest.mark.parametrize("surface", [GAUSS, EISEN])
+def test_matches_half_box_reference_exhaustive_small(surface):
+    # every ample class with entries in [-4, 4]: ties on the domain's edges
+    # a = 0 and b = 0 are common at these sizes
+    count = 0
+    for coeffs in product(range(-4, 5), repeat=4):
+        L = ns_class(surface, coeffs)
+        if is_ample(L):
+            count += 1
+            assert seshadri_constant(L) == half_box_seshadri(L), coeffs
+    assert count > 1000
+
+
+@pytest.mark.parametrize("bound", [100, 10**4, 10**6])
+@pytest.mark.parametrize("surface", [GAUSS, EISEN])
+def test_matches_half_box_reference_seeded(surface, bound):
+    for L in random_ample_classes(surface, 150, bound, seed=bound % 991):
+        assert seshadri_constant(L) == half_box_seshadri(L), L.coeffs
+
+
+@pytest.mark.parametrize("surface", [GAUSS, EISEN])
+def test_box_holds_every_unit_multiple_of_a_minimizer(surface):
+    # the oracle has no box; every unit multiple of each of its minimizers
+    # lies in the box of radius floor(search_bound)
+    for L in random_ample_classes(surface, 150, 100, seed=5):
+        radius = int(search_bound(L))
+        for t in oracle.min_quadratic_form(degree_form(L)).minimizers:
+            for u in unit_orbit(t, surface):
+                assert max(map(abs, u)) <= radius, (L.coeffs, u)
 
 
 def test_seshadri_witness_representatives_are_reduced():

@@ -1,8 +1,13 @@
 import random
 from itertools import product
 
+import pytest
+
+from scan_references import in_domain, naive_domain_min
 from seshadri import kernels
+from seshadri.cm import unit_orbit
 from seshadri.kernels import _lin_window, _quad_window, _value
+from seshadri.lattice import Surface
 
 
 def _random_definite(rng, kind):
@@ -39,7 +44,7 @@ def test_lin_window_against_scan():
 
 
 def test_backend_and_prune_parity():
-    # the pruned walk against the naive reference box on the same inputs
+    # the pruned domain walk against the naive domain scan on the same inputs
     rng = random.Random(17)
     for _ in range(40):
         kind = rng.choice([kernels.GAUSSIAN, kernels.EISENSTEIN])
@@ -47,14 +52,14 @@ def test_backend_and_prune_parity():
         radius = rng.randint(2, 6)
         best0 = coeffs[0] + coeffs[2] + coeffs[3]  # value at (1, 0, 0, 0)
         pruned = kernels.minimize_quartic(kind, coeffs, radius, best0)
-        naive = kernels.minimize_quartic(kind, coeffs, radius, best0, prune=False)
+        naive = naive_domain_min(kind, coeffs, radius, best0)
         assert pruned == naive, (kind, coeffs, radius)
 
 
 def test_pure_fallback_for_oversized_inputs():
     # coefficients far past any fixed-width integer budget still scan exactly
     coeffs = (10**6, 10**6, -1, -1)
-    b, m = kernels.quartic_min_box(kernels.GAUSSIAN, coeffs, 1, 0, 1, 10**6, True)
+    b, m = kernels.quartic_min_box(kernels.GAUSSIAN, coeffs, 1, 10**6)
     want_val = min(
         v
         for v in (
@@ -66,13 +71,22 @@ def test_pure_fallback_for_oversized_inputs():
 
 
 def test_naive_box_is_exhaustive_small():
-    # tiny box recomputed literally
+    # tiny box recomputed literally: the naive domain scan keeps exactly the
+    # box minimizers in the domain, one per unit orbit
     kind = kernels.GAUSSIAN
     coeffs = (2, 2, -1, 1)
-    best, mins = kernels.quartic_min_box(kind, coeffs, 2, 0, 2, 10**9, False)
+    best, mins = naive_domain_min(kind, coeffs, 2, 10**9)
     lit = {}
-    for t in product(range(0, 3), range(-2, 3), range(-2, 3), range(-2, 3)):
+    for t in product(range(-2, 3), repeat=4):
         if any(t):
             lit.setdefault(_value(kind, *coeffs, *t), []).append(t)
     assert best == min(lit)
-    assert sorted(mins) == sorted(lit[best])
+    assert mins == sorted(t for t in lit[best] if in_domain(t))
+    assert 4 * len(mins) == len(lit[best])
+
+
+@pytest.mark.parametrize("surface", [Surface.CM_GAUSSIAN, Surface.CM_EISENSTEIN])
+def test_domain_meets_each_unit_orbit_once(surface):
+    for t in product(range(-3, 4), repeat=4):
+        if any(t):
+            assert sum(map(in_domain, unit_orbit(t, surface))) == 1, t

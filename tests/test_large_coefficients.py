@@ -3,12 +3,16 @@ coefficients, far beyond the example tables.
 
 Each case draws a fixed seeded set of ample classes with |coefficients| up to
 the bound and requires the closed-form constant to equal the certified
-lattice minimum, with every reported witness attaining it.  `seshadri check
+lattice minimum, with every reported witness attaining it.  On the rank-4
+surfaces the box scan's minimizers must also meet each unit orbit of the
+oracle's minimizers, which no box limits, exactly once.  `seshadri check
 --bound 1000000000000 --count 200` runs the same comparison on more classes.
 """
 import pytest
 
-from seshadri import cm, nocm, oracle
+from scan_references import assert_one_minimizer_per_orbit
+from seshadri import cm, kernels, nocm, oracle
+from seshadri.lattice import generator_pairings
 from seshadri.lattice import Surface
 from seshadri.sampling import random_ample_classes
 
@@ -29,8 +33,14 @@ def test_closed_form_matches_oracle(surface, bound):
             assert all(nocm.degree(L, p) == result.value for p in result.witnesses)
         else:
             result = cm.seshadri_constant(L)
-            assert result.value == oracle.cm_seshadri(L), L.coeffs
+            report = oracle.min_quadratic_form(cm.degree_form(L))
+            assert result.value == oracle.cm_seshadri(L) == report.minimum, L.coeffs
             assert all(
                 cm.degree_value(L, w.representative) == result.value
                 for w in result.witnesses
             ), L.coeffs
+            _, mins = kernels.minimize_quartic(
+                cm._KIND[surface], L.coeffs, int(cm.search_bound(L)),
+                min(generator_pairings(L)),
+            )
+            assert_one_minimizer_per_orbit(mins, report.minimizers, surface)
