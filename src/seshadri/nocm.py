@@ -1,10 +1,16 @@
 """Seshadri constants on E x E without extra endomorphisms.
 
 Every Seshadri constant on this surface is computed by an elliptic curve.
-The elliptic-curve classes are the three basis curves together with the
-family N_{c,d} = (c(c+d), d(c+d), -cd) for coprime (c, d), so the constant
-is the minimum of an explicit positive-definite quadratic form over a small
-finite set of pairs.
+The elliptic curves are the N_{c,d} = (c(c+d), d(c+d), -cd) for coprime
+(c, d) (the basis curves are N_{1,0}, N_{0,1} and N_{1,-1}), and the degree
+L . N_{c,d} is a positive-definite binary quadratic form in (c, d).  So the
+constant is the minimum of that form over primitive vectors, and the
+submaximal curves are its short primitive vectors.  Both come from one
+Lagrange-Gauss reduction of the form (Cohen, *A Course in Computational
+Algebraic Number Theory*, GTM 138, ch. 5) followed by an enumeration that
+visits O(1) points, so a call costs O(log coeff) arithmetic steps.  The
+paper's formula, a scan over s = c + d in the frame of sorted
+coefficients, is kept in the tests as the reference.
 """
 from __future__ import annotations
 
@@ -89,133 +95,66 @@ class SeshadriResult:
     witnesses: frozenset[Pair]
 
 
-def _sort_descending(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-    order = sorted(range(3), key=lambda i: -coeffs[i])
-    return tuple(coeffs[i] for i in order), order
+def _reduce(coeffs: tuple[int, int, int]) -> tuple[int, int, int, Pair, Pair]:
+    """Lagrange-Gauss reduction of the degree form A c^2 + 2B cd + C d^2.
 
-
-def _unsort_pair(pair: Pair, order: list[int]) -> Pair:
-    """Transport a curve pair from the sorted coordinate frame back."""
-    c, d = pair
-    sorted_class = (c * (c + d), d * (c + d), -c * d)
-    original = [0, 0, 0]
-    for j, idx in enumerate(order):
-        original[idx] = sorted_class[j]
-    return class_to_pair(tuple(original))
-
-
-def _pair_range_limit(a1: int, a2: int) -> int:
-    """Largest s = c + d with 2 s^2 < (a1 + a2)^2.
-
-    Since 2 s^2 = t^2 has no integer solutions, the strict and closed
-    inequalities cut out the same integer range.
+    Returns the reduced Gram entries and the basis e1, e2 of Z^2 they are
+    taken in: |2B| <= A <= C, so A is the minimum of the form.  Like
+    Euclid's algorithm, the loop runs O(log coeff) times.
     """
-    return isqrt(((a1 + a2) * (a1 + a2) - 1) // 2)
+    a1, a2, a3 = coeffs
+    A, B, C = a2 + a3, a3, a1 + a3
+    e1, e2 = (1, 0), (0, 1)
+    while True:
+        if C < A:
+            A, C, e1, e2 = C, A, e2, e1
+        q = (2 * B + A) // (2 * A)  # B / A rounded to nearest
+        if q == 0:
+            return A, B, C, e1, e2
+        C += q * (q * A - 2 * B)
+        B -= q * A
+        e2 = (e2[0] - q * e1[0], e2[1] - q * e1[1])
 
 
-def _scan_pairs(a1: int, a2: int, a3: int, threshold: int, s_max: int):
-    """Positive pairs (c, d), c + d <= s_max, whose degree is <= threshold.
+def _curves_up_to(form: tuple[int, int, int, Pair, Pair], threshold: int) -> frozenset[Pair]:
+    """Canonical pairs of all curves of degree <= threshold < sqrt(12 det).
 
-    The degree a2 c^2 + a1 d^2 + a3 (c+d)^2 is positive definite for ample
-    coefficients, so for fixed s = c + d it is a parabola in c and its
-    minimum over the whole s-slice is s^2 (a1 a2 + a1 a3 + a2 a3)/(a1 + a2);
-    both facts give exact integer windows, keeping the scan proportional to
-    the number of hits rather than to s_max^2.
+    Lists the primitive x e1 + y e2 with y > 0, or y = 0 and x > 0 (one of
+    each +-pair).  Their degree times A is (A x + B y)^2 + det y^2, and a
+    reduced form has A^2 <= 4 det / 3, so det y^2 <= A threshold < 4 det
+    leaves y = 0, where only e1 is primitive, and y = 1, one x-window.
+    Both callers' thresholds are at most sqrt(2 det).
     """
-    delta = a1 * a2 + a1 * a3 + a2 * a3
-    top = a1 + a2
-    for s in range(2, s_max + 1):
-        if delta * s * s > threshold * top:
-            break
-        clo, chi = _quad_window(top, -2 * a1 * s, (a1 + a3) * s * s - threshold)
-        for c in range(max(clo, 1), min(chi, s - 1) + 1):
-            d = s - c
-            v = a2 * c * c + a1 * d * d + a3 * s * s
-            if v <= threshold:
-                yield c, d, v
+    A, B, C, (p, r), (s, t) = form
+    found = {canonical_pair(p, r)} if A <= threshold else set()
+    lo, hi = _quad_window(A, 2 * B, C - threshold)
+    for x in range(lo, hi + 1):
+        found.add(canonical_pair(x * p + s, x * r + t))
+    return frozenset(found)
 
 
 def seshadri_constant(L: NSClass) -> SeshadriResult:
     """The Seshadri constant of an ample class, with all computing curves.
 
-    After sorting the coefficients in descending order (a permutation of the
-    basis is an isometry here), the constant is the minimum of
-      (1) the basis-curve degree a2 + a3,
-      (2) the degree of the exact-ratio curve N_{a1/g, a2/g}, g = gcd(a1, a2),
-      (3) a1 d^2 + a2 c^2 + a3 (c+d)^2 over pairs with c, d >= 1 and
-          2 (c+d)^2 < (a1 + a2)^2.
-    The scan in (3) skips coprimality tests for the minimum; witnesses are
-    restricted to coprime pairs, which always attain the same minimum.
+    The constant is the minimum of the degree form over primitive vectors,
+    which is the first entry of its reduced form; the witnesses are the
+    primitive vectors attaining it.
     """
     require_ample(L)
-    (a1, a2, a3), order = _sort_descending(L.coeffs)
-
-    deg_f1, deg_f2, deg_delta = a2 + a3, a1 + a3, a1 + a2
-    best = deg_f1
-
-    g = gcd(a1, a2)
-    rc, rd = ratio_pair = (a1 // g, a2 // g)
-    ratio_deg = a2 * rc * rc + a1 * rd * rd + a3 * (rc + rd) ** 2
-    best = min(best, ratio_deg)
-
-    delta = a1 * a2 + a1 * a3 + a2 * a3
-    s_max = _pair_range_limit(a1, a2)
-    for s in range(2, s_max + 1):
-        if delta * s * s > best * (a1 + a2):
-            break
-        clo, chi = _quad_window(a1 + a2, -2 * a1 * s, (a1 + a3) * s * s - best)
-        for c in range(max(clo, 1), min(chi, s - 1) + 1):
-            v = a2 * c * c + a1 * (s - c) ** 2 + a3 * s * s
-            if v < best:
-                best = v
-
-    witnesses: set[Pair] = set()
-    for pair, deg in (((1, 0), deg_f1), ((0, 1), deg_f2), ((1, -1), deg_delta)):
-        if deg == best:
-            witnesses.add(pair)
-    if ratio_deg == best:
-        witnesses.add(ratio_pair)
-    for c, d, v in _scan_pairs(a1, a2, a3, best, s_max):
-        if v == best and gcd(c, d) == 1:
-            witnesses.add((c, d))
-
-    mapped = frozenset(_unsort_pair(w, order) for w in witnesses)
-    return SeshadriResult(best, mapped)
+    form = _reduce(L.coeffs)
+    return SeshadriResult(form[0], _curves_up_to(form, form[0]))
 
 
 def submaximal_curves(L: NSClass, weak: bool = False) -> frozenset[Pair]:
     """Curves of degree below (`weak`: up to) the square root of L^2.
 
     Comparisons are made on squares, so no irrational arithmetic occurs.
-    The candidate range is the one of `seshadri_constant` item (3) plus the
-    basis curves and the exact-ratio pair; outside it the necessary
-    inequality (a1+a2)^2 >= 2 (a1 d - a2 c)^2 (c+d)^2 fails.
     """
     require_ample(L)
-    (a1, a2, a3), order = _sort_descending(L.coeffs)
     square = self_intersection(L)
     # deg^2 <= square (resp. <) for positive integer degrees, as one bound
     threshold = isqrt(square) if weak else isqrt(square - 1)
-
-    found: set[Pair] = set()
-    for pair, deg in (
-        ((1, 0), a2 + a3),
-        ((0, 1), a1 + a3),
-        ((1, -1), a1 + a2),
-    ):
-        if deg <= threshold:
-            found.add(pair)
-
-    g = gcd(a1, a2)
-    rc, rd = a1 // g, a2 // g
-    if a2 * rc * rc + a1 * rd * rd + a3 * (rc + rd) ** 2 <= threshold:
-        found.add((rc, rd))
-
-    for c, d, _ in _scan_pairs(a1, a2, a3, threshold, _pair_range_limit(a1, a2)):
-        if gcd(c, d) == 1:
-            found.add((c, d))
-
-    return frozenset(_unsort_pair(w, order) for w in found)
+    return _curves_up_to(_reduce(L.coeffs), threshold)
 
 
 def decompose_pair(a: int, b: int) -> tuple[int, int, int]:

@@ -1,4 +1,4 @@
-"""Reference scans for the rank-4 kernel and `cm.seshadri_constant`.
+"""Reference scans for the closed forms of both ranks.
 
 `naive_domain_min` is the plain quadruple loop over the unit group's
 fundamental domain in the box; it is the small-radius reference for the
@@ -6,11 +6,20 @@ pruned domain walk.  `half_box_seshadri` is the rank-4 computation as it
 stood before the domain walk: the pruned walk over the half-box a >= 0,
 which meets each curve through several unit multiples, followed by
 `cm.reduce_tuple` and `cm.canonical_tuple` on every minimizer.
+
+`paper_seshadri_constant` and `paper_submaximal_curves` are the paper's
+rank-3 formula, the reference for the reduced-form computation in `nocm`:
+sort the coefficients, take the basis curves and the exact-ratio pair, and
+scan every s = c + d below the paper's bound, then carry the pairs back
+through the sort permutation with `nocm.class_to_pair`.
 """
 from itertools import product
+from math import gcd, isqrt
 
 from seshadri import cm, kernels
 from seshadri.kernels import _lin_window, _quad_window, _value
+from seshadri.lattice import require_ample, self_intersection
+from seshadri.nocm import SeshadriResult, class_to_pair
 
 
 def in_domain(t):
@@ -120,3 +129,130 @@ def assert_one_minimizer_per_orbit(mins, oracle_minimizers, surface):
     assert len(set(orbits)) == len(orbits), ("two minimizers in one orbit", mins)
     want = {cm.canonical_tuple(t, surface) for t in oracle_minimizers}
     assert set(orbits) == want, (mins, sorted(want))
+
+
+def _sort_descending(coeffs):
+    order = sorted(range(3), key=lambda i: -coeffs[i])
+    return tuple(coeffs[i] for i in order), order
+
+
+def _unsort_pair(pair, order):
+    """Transport a curve pair from the sorted coordinate frame back."""
+    c, d = pair
+    sorted_class = (c * (c + d), d * (c + d), -c * d)
+    original = [0, 0, 0]
+    for j, idx in enumerate(order):
+        original[idx] = sorted_class[j]
+    return class_to_pair(tuple(original))
+
+
+def _pair_range_limit(a1, a2):
+    """Largest s = c + d with 2 s^2 < (a1 + a2)^2.
+
+    Since 2 s^2 = t^2 has no integer solutions, the strict and closed
+    inequalities cut out the same integer range.
+    """
+    return isqrt(((a1 + a2) * (a1 + a2) - 1) // 2)
+
+
+def _scan_pairs(a1, a2, a3, threshold, s_max):
+    """Positive pairs (c, d), c + d <= s_max, whose degree is <= threshold.
+
+    The degree a2 c^2 + a1 d^2 + a3 (c+d)^2 is positive definite for ample
+    coefficients, so for fixed s = c + d it is a parabola in c and its
+    minimum over the whole s-slice is s^2 (a1 a2 + a1 a3 + a2 a3)/(a1 + a2);
+    both facts give exact integer windows, keeping the scan proportional to
+    the number of hits rather than to s_max^2.
+    """
+    delta = a1 * a2 + a1 * a3 + a2 * a3
+    top = a1 + a2
+    for s in range(2, s_max + 1):
+        if delta * s * s > threshold * top:
+            break
+        clo, chi = _quad_window(top, -2 * a1 * s, (a1 + a3) * s * s - threshold)
+        for c in range(max(clo, 1), min(chi, s - 1) + 1):
+            d = s - c
+            v = a2 * c * c + a1 * d * d + a3 * s * s
+            if v <= threshold:
+                yield c, d, v
+
+
+def paper_seshadri_constant(L):
+    """`nocm.seshadri_constant` by the paper's formula.
+
+    After sorting the coefficients in descending order (a permutation of the
+    basis is an isometry here), the constant is the minimum of
+      (1) the basis-curve degree a2 + a3,
+      (2) the degree of the exact-ratio curve N_{a1/g, a2/g}, g = gcd(a1, a2),
+      (3) a1 d^2 + a2 c^2 + a3 (c+d)^2 over pairs with c, d >= 1 and
+          2 (c+d)^2 < (a1 + a2)^2.
+    The scan in (3) skips coprimality tests for the minimum; witnesses are
+    restricted to coprime pairs, which always attain the same minimum.
+    """
+    require_ample(L)
+    (a1, a2, a3), order = _sort_descending(L.coeffs)
+
+    deg_f1, deg_f2, deg_delta = a2 + a3, a1 + a3, a1 + a2
+    best = deg_f1
+
+    g = gcd(a1, a2)
+    rc, rd = ratio_pair = (a1 // g, a2 // g)
+    ratio_deg = a2 * rc * rc + a1 * rd * rd + a3 * (rc + rd) ** 2
+    best = min(best, ratio_deg)
+
+    delta = a1 * a2 + a1 * a3 + a2 * a3
+    s_max = _pair_range_limit(a1, a2)
+    for s in range(2, s_max + 1):
+        if delta * s * s > best * (a1 + a2):
+            break
+        clo, chi = _quad_window(a1 + a2, -2 * a1 * s, (a1 + a3) * s * s - best)
+        for c in range(max(clo, 1), min(chi, s - 1) + 1):
+            v = a2 * c * c + a1 * (s - c) ** 2 + a3 * s * s
+            if v < best:
+                best = v
+
+    witnesses = set()
+    for pair, deg in (((1, 0), deg_f1), ((0, 1), deg_f2), ((1, -1), deg_delta)):
+        if deg == best:
+            witnesses.add(pair)
+    if ratio_deg == best:
+        witnesses.add(ratio_pair)
+    for c, d, v in _scan_pairs(a1, a2, a3, best, s_max):
+        if v == best and gcd(c, d) == 1:
+            witnesses.add((c, d))
+
+    mapped = frozenset(_unsort_pair(w, order) for w in witnesses)
+    return SeshadriResult(best, mapped)
+
+
+def paper_submaximal_curves(L, weak=False):
+    """`nocm.submaximal_curves` by the paper's formula.
+
+    The candidate range is the one of `paper_seshadri_constant` item (3)
+    plus the basis curves and the exact-ratio pair; outside it the necessary
+    inequality (a1+a2)^2 >= 2 (a1 d - a2 c)^2 (c+d)^2 fails.
+    """
+    require_ample(L)
+    (a1, a2, a3), order = _sort_descending(L.coeffs)
+    square = self_intersection(L)
+    threshold = isqrt(square) if weak else isqrt(square - 1)
+
+    found = set()
+    for pair, deg in (
+        ((1, 0), a2 + a3),
+        ((0, 1), a1 + a3),
+        ((1, -1), a1 + a2),
+    ):
+        if deg <= threshold:
+            found.add(pair)
+
+    g = gcd(a1, a2)
+    rc, rd = a1 // g, a2 // g
+    if a2 * rc * rc + a1 * rd * rd + a3 * (rc + rd) ** 2 <= threshold:
+        found.add((rc, rd))
+
+    for c, d, _ in _scan_pairs(a1, a2, a3, threshold, _pair_range_limit(a1, a2)):
+        if gcd(c, d) == 1:
+            found.add((c, d))
+
+    return frozenset(_unsort_pair(w, order) for w in found)

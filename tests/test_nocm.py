@@ -1,19 +1,23 @@
+from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scan_references import paper_seshadri_constant, paper_submaximal_curves
 from seshadri import oracle
 from seshadri.lattice import Surface, intersect, is_ample, ns_class, self_intersection
 from seshadri.nocm import (
     canonical_pair,
+    class_to_pair,
     curve_class,
     decompose_pair,
     degree,
     seshadri_constant,
     submaximal_curves,
 )
+from seshadri.sampling import random_ample_classes
 
 pairs = (
     st.tuples(st.integers(-30, 30), st.integers(-30, 30))
@@ -22,12 +26,18 @@ pairs = (
 )
 
 
-def ample_classes(bound):
-    return (
-        st.tuples(*[st.integers(-bound, bound)] * 3)
-        .map(lambda t: ns_class(Surface.NO_CM, t))
-        .filter(is_ample)
-    )
+@st.composite
+def ample_classes(draw, bound):
+    """An ample class with entries in [-bound, bound]: the first ample one
+    among up to 20 draws.  About one draw in five is ample, and a plain
+    `.filter(is_ample)` gives up after three tries, so a test drawing two
+    classes failed Hypothesis's filter_too_much health check on some runs."""
+    coeffs = st.tuples(*[st.integers(-bound, bound)] * 3)
+    for _ in range(20):
+        L = ns_class(Surface.NO_CM, draw(coeffs))
+        if is_ample(L):
+            return L
+    assume(False)
 
 
 @pytest.mark.parametrize(
@@ -155,8 +165,18 @@ def test_hermite_style_upper_bound(L):
 @given(ample_classes(30), st.permutations([0, 1, 2]))
 @settings(max_examples=60, deadline=None)
 def test_permutation_invariance(L, perm):
+    # a permutation of the basis is an isometry, so it carries the curves of
+    # L to those of the permuted class; the reduction never uses this
+    def image(pairs):
+        return frozenset(
+            class_to_pair(tuple(curve_class(p).coeffs[i] for i in perm)) for p in pairs
+        )
+
     permuted = ns_class(Surface.NO_CM, tuple(L.coeffs[i] for i in perm))
-    assert seshadri_constant(permuted).value == seshadri_constant(L).value
+    result, moved = seshadri_constant(L), seshadri_constant(permuted)
+    assert moved.value == result.value
+    assert moved.witnesses == image(result.witnesses)
+    assert submaximal_curves(permuted, weak=True) == image(submaximal_curves(L, weak=True))
 
 
 @given(ample_classes(20), st.integers(1, 4))
@@ -207,3 +227,22 @@ def test_submaximal_sets_are_consistent(L):
     eps = seshadri_constant(L)
     if eps.value * eps.value < square:
         assert eps.witnesses <= strict
+
+
+def _assert_matches_paper_formula(L):
+    assert seshadri_constant(L) == paper_seshadri_constant(L), L.coeffs
+    for weak in (True, False):
+        assert submaximal_curves(L, weak) == paper_submaximal_curves(L, weak), L.coeffs
+
+
+def test_matches_paper_formula_on_small_box():
+    # small entries are where reduced-form ties (A = C, |2B| = A) are densest
+    classes = [ns_class(Surface.NO_CM, t) for t in product(range(-10, 11), repeat=3)]
+    for L in filter(is_ample, classes):
+        _assert_matches_paper_formula(L)
+
+
+@pytest.mark.parametrize("bound", [10**2, 10**4, 10**6])
+def test_matches_paper_formula_seeded(bound):
+    for L in random_ample_classes(Surface.NO_CM, 500, bound, seed=bound % 991):
+        _assert_matches_paper_formula(L)
