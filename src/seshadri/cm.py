@@ -4,11 +4,12 @@ Elliptic curves on these surfaces are images of maps x -> (s1(x), s2(x))
 with s1 = a + b*i, s2 = c + d*i (order Z[i]) resp. s1 = a + b*z, s2 = c + d*z
 with z = e^(i pi/3) (order Z[z]).  The degree of such a curve against a line
 bundle is an explicit quartic expression in (a, b, c, d) divided by the gcd
-invariant D; the Seshadri constant is the minimum of the undivided expression
-over a box whose radius comes from a closed-form bound.  A tuple and its unit
-multiples (u*s1, u*s2) name the same curve, so the box scan walks one
-fundamental domain of the unit group (see `kernels`) and meets each curve
-once.
+invariant D; the Seshadri constant is the minimum of the undivided
+expression, a positive-definite binary Hermitian form over the order.
+`kernels` Gauss-reduces that form and walks one fundamental domain of the
+unit group in reduced coordinates, so it meets each curve once and needs no
+box.  `search_bound` is the paper's closed-form box radius, which holds every
+minimizer; it stays public and tested but is not used by the computation.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import kernels
-from .lattice import NSClass, Surface, generator_pairings, require_ample
+from .lattice import NSClass, Surface, require_ample
 
 Tuple4 = tuple[int, int, int, int]
 
@@ -44,20 +45,10 @@ def _require_cm(surface: Surface) -> None:
 def invariants(t: Tuple4, kind: Surface) -> Tuple4:
     """The four norm-form combinations whose gcd is the invariant D."""
     _require_cm(kind)
+    k = _KIND[kind]
     a, b, c, d = t
-    if kind is Surface.CM_GAUSSIAN:
-        return (
-            a * a + b * b,
-            c * c + d * d,
-            a * c + b * d,
-            a * d - b * c,
-        )
-    return (
-        a * a + a * b + b * b,
-        c * c + c * d + d * d,
-        a * c + b * c + b * d,
-        a * d - b * c,
-    )
+    return (a * a + k * a * b + b * b, c * c + k * c * d + d * d,
+            a * c + k * b * c + b * d, a * d - b * c)
 
 
 def tuple_gcd(t: Tuple4, kind: Surface) -> int:
@@ -76,23 +67,8 @@ def degree_vector(t: Tuple4, kind: Surface) -> Tuple4:
     """Intersection numbers of the curve named by `t` with F1, F2, Delta, Sigma."""
     _require_cm(kind)
     _require_primitive(t)
-    a, b, c, d = t
     dd = tuple_gcd(t, kind)
-    if kind is Surface.CM_GAUSSIAN:
-        raw = (
-            a * a + b * b,
-            c * c + d * d,
-            (a - c) ** 2 + (b - d) ** 2,
-            (a - d) ** 2 + (b + c) ** 2,
-        )
-    else:
-        u, v = -a - b + d, b + c
-        raw = (
-            a * a + a * b + b * b,
-            c * c + c * d + d * d,
-            (a - c) ** 2 + (a - c) * (b - d) + (b - d) ** 2,
-            u * u + u * v + v * v,
-        )
+    raw = kernels._raw_degrees(_KIND[kind], *t)
     if any(x % dd for x in raw):
         raise ArithmeticError("D does not divide the raw degrees")
     return tuple(x // dd for x in raw)
@@ -144,24 +120,18 @@ def search_bound(L: NSClass) -> Fraction:
 
 def degree_value(L: NSClass, t: Tuple4) -> int:
     """The quartic degree expression (undivided by D) at an integer tuple."""
+    _require_cm(L.surface)
     return kernels._value(_KIND[L.surface], *L.coeffs, *t)
 
 
 def unit_orbit(t: Tuple4, kind: Surface) -> tuple[Tuple4, ...]:
     """Tuples naming the same curve via unit multiples of the parametrisation."""
     _require_cm(kind)
-    a, b, c, d = t
-    if kind is Surface.CM_GAUSSIAN:
-        return (
-            (a, b, c, d),
-            (-b, a, -d, c),
-            (-a, -b, -c, -d),
-            (b, -a, d, -c),
-        )
+    k = _KIND[kind]
     orbit = [t]
-    for _ in range(5):
+    for _ in range(3 + 2 * k):  # the units are the powers of w
         a, b, c, d = orbit[-1]
-        orbit.append((-b, a + b, -d, c + d))
+        orbit.append((-b, a + k * b, -d, c + k * d))
     return tuple(orbit)
 
 
@@ -182,27 +152,21 @@ class CMSeshadriResult:
 
 
 def seshadri_constant(L: NSClass) -> CMSeshadriResult:
-    """Minimum curve degree over the bounded box, with all computing curves.
+    """Minimum curve degree, with all computing curves.
 
-    With B the floor of `search_bound`, the scan covers the tuples of the
-    unit group's fundamental domain in [-B, B]^4: one tuple per curve.  The
-    radius comes from bounds on the norms N(s1) and N(s2) of a minimizer,
-    and unit multiples keep both norms, so the domain representative of a
-    minimizer in the box lies in the box as well.  Every minimizer has
-    D = 1: a tuple of the same curve with D = 1 has value Q/D, so D > 1
-    would undercut the minimum.  Witnesses are deduplicated by degree vector
-    and carry the lexicographically smallest unit-orbit representative.
+    `kernels.minimize_quartic` returns the minimum of the degree expression
+    over nonzero tuples, found by Gauss reduction of the Hermitian form and
+    a walk in reduced coordinates, with one tuple of the unit group's
+    fundamental domain per minimizing curve.  Every minimizer has D = 1: a
+    tuple of the same curve with D = 1 has value Q/D, so D > 1 would
+    undercut the minimum.  Witnesses are deduplicated by degree vector and
+    carry the lexicographically smallest unit-orbit representative.
     """
-    bound = search_bound(L)  # checks ampleness, then the surface
-    kind = _KIND[L.surface]
-    radius = bound.numerator // bound.denominator
-
-    # at the generator tuples D = 1, so Q there is L.F1, L.F2, L.Delta, L.Sigma
-    best0 = min(generator_pairings(L))
-
-    best, mins = kernels.minimize_quartic(kind, L.coeffs, radius, best0)
+    require_ample(L)
+    _require_cm(L.surface)
+    best, mins = kernels.minimize_quartic(_KIND[L.surface], L.coeffs)
     if not (best > 0 and mins):
-        raise ArithmeticError("ample classes have a positive minimum in the box")
+        raise ArithmeticError("ample classes have a positive minimum")
 
     by_degrees: dict[Tuple4, Tuple4] = {}
     for t in mins:

@@ -1,19 +1,33 @@
-"""Box-scan kernel behind the rank-4 Seshadri computation.
+"""Rank-4 minimum: one Gauss reduction and one walk for both CM surfaces.
 
 On both CM surfaces a curve is the image of x -> (s1 x, s2 x) with
 s1 = a + b*w, s2 = c + d*w, where w = i (order Z[i]) or w = e^(i pi/3)
-(order Z[w]).  Its degree expression is a positive-definite quartic form in
-(a, b, c, d).  Multiplying (s1, s2) by a unit of the order names the same
-curve and keeps the form's value, so the scan walks one fundamental domain of
-the unit group: a > 0 and b >= 0, or a = b = 0 with c > 0 and d >= 0.  In the
-coordinates (a, b) this is the half-open cone spanned by 1 and w (90 resp.
-60 degrees wide), and its images under the 4 resp. 6 units tile the plane
-minus the origin; when s1 = 0 the units act on s2 alone.  Every nonzero
-tuple therefore has exactly one unit multiple in the domain.
+(order Z[w]).  Then w^2 = t*w - 1 with trace t = 0 resp. 1; the kind
+constants below are that trace, and nothing else tells the two apart.  The
+degree expression is a positive-definite binary Hermitian form over the order,
+
+    Q = A n(a, b) + C n(c, d) + Lc c + Ld d,    n(x, y) = x^2 + t xy + y^2,
+
+with Lc = a b0 + b b1 and Ld = a (t b0 - b1) + b b0.  Both orders are
+Euclidean, so `_reduce` Gauss-reduces the form over the order: it replaces
+the second basis vector f2 by f2 - k f1, k the ring element nearest to the
+projection coefficient mu, and swaps the two while the second is shorter.
+Afterwards |mu|^2 <= 1/2 and C >= A, hence Q >= min(C, 2C - A) >= A off the
+line s2 = 0: A, the value at f1, is the minimum.  The walk does not rely on
+that; it enumerates Q <= best from best = A and lowers best if it finds less,
+so the result depends only on the basis change being unimodular.
+
+Multiplying (s1, s2) by a unit names the same curve and keeps Q, and units
+commute with the basis change, which is linear over the order.  So the walk
+scans one fundamental domain of the unit group in reduced coordinates: a > 0
+and b >= 0, or a = b = 0 with c > 0 and d >= 0.  In the coordinates (a, b)
+this is the half-open cone spanned by 1 and w (90 resp. 60 degrees wide), and
+its images under the 4 resp. 6 units tile the plane minus the origin; when
+s1 = 0 the units act on s2 alone.  Each minimizer found is mapped back and
+replaced by its unit multiple in the same domain of the original coordinates.
 
 The walk is Fincke-Pohst style: each coordinate runs over the exact integer
-window that the previous ones leave for Q <= best, clamped to the search box
-and to the domain.  All windows are computed in exact integer arithmetic.
+window that the previous ones leave for Q <= best, in exact integers.
 """
 from __future__ import annotations
 
@@ -22,152 +36,151 @@ from math import isqrt
 GAUSSIAN = 0
 EISENSTEIN = 1
 
-
-def _quad_window(alpha: int, beta: int, gamma: int) -> tuple[int, int]:
-    """Integer solutions of alpha x^2 + beta x + gamma <= 0, alpha > 0.
-
-    The isqrt-based estimates are within one of the true endpoints, so a
-    single exact polynomial check on each side pins them down; an empty
-    window comes back with lo > hi.
-    """
-    disc = beta * beta - 4 * alpha * gamma
-    if disc < 0:
-        return 1, 0
-    s = isqrt(disc)
-
-    def f(x: int) -> int:
-        return (alpha * x + beta) * x + gamma
-
-    hi = (-beta + s) // (2 * alpha)
-    if f(hi + 1) <= 0:
-        hi += 1
-    lo = -((beta + s) // (2 * alpha))
-    if f(lo - 1) <= 0:
-        lo -= 1
-    return lo, hi
+Tuple4 = tuple[int, int, int, int]
 
 
 def _lin_window(e: int, f: int, bound: int) -> tuple[int, int]:
-    """Integer solutions of (e x + f)^2 <= bound, e > 0."""
+    """Integer solutions of (e x + f)^2 <= bound, e > 0.
+
+    e x + f is an integer, so the condition is |e x + f| <= isqrt(bound); an
+    empty window comes back with lo > hi.
+    """
     if bound < 0:
         return 1, 0
     s = isqrt(bound)
     return -((f + s) // e), (s - f) // e
 
 
+def _quad_window(alpha: int, beta: int, gamma: int) -> tuple[int, int]:
+    """Integer solutions of alpha x^2 + beta x + gamma <= 0, alpha > 0, i.e.
+    of (2 alpha x + beta)^2 <= beta^2 - 4 alpha gamma."""
+    return _lin_window(2 * alpha, beta, beta * beta - 4 * alpha * gamma)
+
+
+def _raw_degrees(t: int, a: int, b: int, c: int, d: int) -> Tuple4:
+    """D times the degrees of the curve of (a, b, c, d) against F1, F2, Delta,
+    Sigma: the norms of s1, s2, s1 - s2 and w s1 - s2."""
+    e, f = a - c, b - d
+    g, h = -b - c, a + t * b - d
+    return (a * a + t * a * b + b * b, c * c + t * c * d + d * d,
+            e * e + t * e * f + f * f, g * g + t * g * h + h * h)
+
+
 def _value(kind: int, a1: int, a2: int, a3: int, a4: int,
            a: int, b: int, c: int, d: int) -> int:
-    if kind == GAUSSIAN:
-        return (
-            a1 * (a * a + b * b)
-            + a2 * (c * c + d * d)
-            + a3 * ((a - c) ** 2 + (b - d) ** 2)
-            + a4 * ((a - d) ** 2 + (b + c) ** 2)
-        )
-    u = -a - b + d
-    v = b + c
-    return (
-        a1 * (a * a + a * b + b * b)
-        + a2 * (c * c + c * d + d * d)
-        + a3 * ((a - c) ** 2 + (a - c) * (b - d) + (b - d) ** 2)
-        + a4 * (u * u + u * v + v * v)
-    )
+    r1, r2, r3, r4 = _raw_degrees(kind, a, b, c, d)
+    return a1 * r1 + a2 * r2 + a3 * r3 + a4 * r4
 
 
-def quartic_min_box(kind: int, coeffs: tuple[int, int, int, int], radius: int,
-                    best: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Minimum of the degree expression over the domain part of the box.
+def _times_w(t: int, v: Tuple4) -> Tuple4:
+    """(s1, s2) -> (w s1, w s2): w (x + y w) = -y + (x + t y) w."""
+    a, b, c, d = v
+    return (-b, a + t * b, -d, c + t * d)
 
-    Scans the tuples of the unit group's fundamental domain with every
-    coordinate in [-radius, radius].  Returns the smaller of `best` and the
-    minimum found, together with every scanned tuple attaining it (none when
-    nothing beats or ties `best`).
+
+def _reduce(t: int, A: int, C: int, b0: int, b1: int):
+    """Gauss reduction of the definite form (A, C, b0, b1) over the order.
+
+    Returns the reduced form and its basis f1, f2 in original coordinates.
+    A step f2 -= k f1 with k = x + y w gives C += A n(x, y) - x b0 - y b1,
+    b0 -= A (2x + t y), b1 -= A (t x + 2y); a swap maps (b0, b1) to
+    (b0, t b0 - b1).  Every swap lowers the positive integer A.
     """
-    a1, a2, a3, a4 = coeffs
-    if kind == GAUSSIAN:
-        return _pruned_gaussian(a1, a2, a3, a4, radius, best)
-    return _pruned_eisenstein(a1, a2, a3, a4, radius, best)
+    f1, f2 = (1, 0, 0, 0), (0, 0, 1, 0)
+    m = 4 - t * t
+    while True:
+        # mu = (u + v w)/A with u = (2 b0 - t b1)/m, v = (2 b1 - t b0)/m; the
+        # ring element nearest to it is a corner of its cell of the lattice
+        # spanned by 1 and w (a square, resp. two equilateral triangles).
+        # dx, dy and dx + dy + t A are the changes of C at the corners
+        # (x+1, y), (x, y+1), (x+1, y+1) relative to the one at (x, y).
+        x = (2 * b0 - t * b1) // (m * A)
+        y = (2 * b1 - t * b0) // (m * A)
+        dx = A * (2 * x + 1 + t * y) - b0
+        dy = A * (2 * y + 1 + t * x) - b1
+        _, i, j = min((0, 0, 0), (dx, 1, 0), (dy, 0, 1), (dx + dy + t * A, 1, 1))
+        x += i
+        y += j
+        if x or y:
+            C += A * (x * x + t * x * y + y * y) - x * b0 - y * b1
+            b0 -= A * (2 * x + t * y)
+            b1 -= A * (t * x + 2 * y)
+            p, q, r, s = f1  # f2 -= x f1 + y w f1, w f1 = (-q, p + t q, -s, r + t s)
+            f2 = (f2[0] - x * p + y * q, f2[1] - x * q - y * (p + t * q),
+                  f2[2] - x * r + y * s, f2[3] - x * s - y * (r + t * s))
+        if C >= A:
+            return A, C, b0, b1, f1, f2
+        A, C, b0, b1, f1, f2 = C, A, b0, t * b0 - b1, f2, f1
 
 
-def _pruned_gaussian(a1, a2, a3, a4, radius, best):
-    # Q = A(a^2+b^2) + C(c^2+d^2) + 2(u c + v d) with the linear parts below;
-    # minimizing over real (c, d) gives the branch bound delta(a^2+b^2) <= C*Q.
-    A = a1 + a3 + a4
-    C = a2 + a3 + a4
-    delta = A * C - a3 * a3 - a4 * a4
-    mins: list[tuple[int, int, int, int]] = []
-    for a in range(radius + 1):
-        if delta * a * a > C * best:
-            break
+def quartic_min_box(t: int, A: int, C: int, b0: int,
+                    b1: int) -> tuple[int, list[Tuple4]]:
+    """Minimum of the definite form (A, C, b0, b1) over the domain tuples.
+
+    Walks the domain tuples with Q <= best, starting from best = A (the
+    value at (1, 0, 0, 0)), and returns the minimum with every domain tuple
+    attaining it: one per unit orbit.  The name is older than the reduction;
+    the benchmark's tracer measures the walk under it.
+    """
+    m = 4 - t * t
+    # minimizing over real (c, d) gives the branch bound delta n(a, b) <= m C Q,
+    # and n(a, b) >= a^2 on the domain's b >= 0
+    delta = m * A * C - (b0 * b0 - t * b0 * b1 + b1 * b1)
+    best, mins = A, []
+    a = 0
+    while delta * a * a <= m * C * best:
         if a:
-            blo, bhi = _quad_window(delta, 0, delta * a * a - C * best)
-            bs = range(max(blo, 0), min(bhi, radius) + 1)
-            c_min = d_min = -radius
+            blo, bhi = _quad_window(delta, delta * t * a, delta * a * a - m * C * best)
+            bs = range(max(blo, 0), bhi + 1)
         else:  # s1 = 0: the units act on s2 alone
-            bs, c_min, d_min = (0,), 1, 0
+            bs = (0,)
         for b in bs:
-            u = -a3 * a + a4 * b
-            v = -a4 * a - a3 * b
-            K = A * (a * a + b * b)
-            clo, chi = _quad_window(C * C, 2 * C * u, C * (K - best) - v * v)
-            for c in range(max(clo, c_min), min(chi, radius) + 1):
-                S = C * (best - K - C * c * c - 2 * u * c) + v * v
-                dlo, dhi = _lin_window(C, v, S)
-                for d in range(max(dlo, d_min), min(dhi, radius) + 1):
-                    q = K + C * (c * c + d * d) + 2 * (u * c + v * d)
-                    if q < best:
-                        best = q
-                        mins = [(a, b, c, d)]
-                    elif q == best:
-                        mins.append((a, b, c, d))
-    return best, mins
-
-
-def _pruned_eisenstein(a1, a2, a3, a4, radius, best):
-    # Same shape as the Gaussian walk for the hexagonal norm form
-    # n(x, y) = x^2 + xy + y^2; the branch bound is delta * n(a,b) <= C*Q,
-    # and n(a, b) >= a^2 on the domain's b >= 0.
-    A = a1 + a3 + a4
-    C = a2 + a3 + a4
-    delta = A * C - (a3 * a3 + a3 * a4 + a4 * a4)
-    mins: list[tuple[int, int, int, int]] = []
-    for a in range(radius + 1):
-        if delta * a * a > C * best:
-            break
-        if a:
-            blo, bhi = _quad_window(delta, delta * a, delta * a * a - C * best)
-            bs = range(max(blo, 0), min(bhi, radius) + 1)
-            c_min = d_min = -radius
-        else:  # s1 = 0: the units act on s2 alone
-            bs, c_min, d_min = (0,), 1, 0
-        for b in bs:
-            U = -(2 * a3 + a4) * a + (a4 - a3) * b
-            V = -(a3 + 2 * a4) * a - (2 * a3 + a4) * b
-            K = A * (a * a + a * b + b * b)
+            Lc = a * b0 + b * b1
+            Ld = a * (t * b0 - b1) + b * b0
+            K = A * (a * a + t * a * b + b * b)
             clo, chi = _quad_window(
-                3 * C * C, 2 * C * (2 * U - V), 4 * C * (K - best) - V * V
+                m * C * C, 2 * C * (2 * Lc - t * Ld), 4 * C * (K - best) - Ld * Ld
             )
-            for c in range(max(clo, c_min), min(chi, radius) + 1):
-                rest = C * c * c + U * c + K
-                f = C * c + V
-                S = f * f + 4 * C * (best - rest)
-                dlo, dhi = _lin_window(2 * C, f, S)
-                for d in range(max(dlo, d_min), min(dhi, radius) + 1):
-                    q = K + C * (c * c + c * d + d * d) + U * c + V * d
+            for c in range(clo if a else max(clo, 1), chi + 1):
+                rest = K + C * c * c + Lc * c
+                f = t * C * c + Ld
+                dlo, dhi = _lin_window(2 * C, f, f * f - 4 * C * (rest - best))
+                for d in range(dlo if a else max(dlo, 0), dhi + 1):
+                    q = rest + d * (C * d + f)
                     if q < best:
                         best = q
                         mins = [(a, b, c, d)]
                     elif q == best:
                         mins.append((a, b, c, d))
+        a += 1
     return best, mins
 
 
-def minimize_quartic(kind: int, coeffs: tuple[int, int, int, int], radius: int,
-                     best: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """Minimum over the domain part of the box [-radius, radius]^4.
+def minimize_quartic(kind: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
+    """Minimum of the degree expression of `coeffs` over nonzero tuples.
 
-    Returns the smaller of `best` and that minimum, with the sorted list of
-    domain tuples in the box attaining it: one tuple per curve.
+    Returns the minimum with the sorted list of the tuples attaining it in
+    the unit group's fundamental domain: one tuple per curve.  Raises
+    `ValueError` when the form is not positive definite.
     """
-    best, mins = quartic_min_box(kind, coeffs, radius, best)
-    return best, sorted(mins)
+    t = kind
+    a1, a2, a3, a4 = coeffs
+    A, C = a1 + a3 + a4, a2 + a3 + a4
+    b0, b1 = (-2 * a3, 2 * a4) if t == GAUSSIAN else (-2 * a3 - a4, a4 - a3)
+    if not (A > 0 and (4 - t * t) * A * C > b0 * b0 - t * b0 * b1 + b1 * b1):
+        raise ValueError("degree form is not positive definite")
+    A, C, b0, b1, f1, f2 = _reduce(t, A, C, b0, b1)
+    best, mins = quartic_min_box(t, A, C, b0, b1)
+    wf1, wf2 = _times_w(t, f1), _times_w(t, f2)
+    out = []
+    for a, b, c, d in mins:
+        v = tuple(a * p + b * q + c * r + d * s for p, q, r, s in zip(f1, wf1, f2, wf2))
+        for _ in range(4 + 2 * t):  # the unit group has order 4 resp. 6
+            a, b, c, d = v
+            if (a > 0 and b >= 0) or (a == b == 0 and c > 0 and d >= 0):
+                break
+            v = _times_w(t, v)
+        else:
+            raise ArithmeticError(f"no unit multiple of {v} in the domain")
+        out.append(v)
+    return best, sorted(out)

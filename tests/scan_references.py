@@ -1,8 +1,9 @@
 """Reference scans for the closed forms of both ranks.
 
 `naive_domain_min` is the plain quadruple loop over the unit group's
-fundamental domain in the box; it is the small-radius reference for the
-pruned domain walk.  `half_box_seshadri` is the rank-4 computation as it
+fundamental domain in the box; at the radius of `cm.search_bound`, which
+holds every minimizer, it is the small-radius reference for the reduced
+walk of `kernels`.  `half_box_seshadri` is the rank-4 computation as it
 stood before the domain walk: the pruned walk over the half-box a >= 0,
 which meets each curve through several unit multiples, followed by
 `cm.reduce_tuple` and `cm.canonical_tuple` on every minimizer.

@@ -13,7 +13,7 @@ from scan_references import assert_one_minimizer_per_orbit, naive_domain_min
 from seshadri import cm, kernels, nocm, oracle
 from seshadri.cli import render_table
 from seshadri.cross_section import cross_section
-from seshadri.lattice import Surface, ns_class, self_intersection
+from seshadri.lattice import Surface, generator_pairings, ns_class, self_intersection
 from seshadri.sampling import random_ample_classes
 
 GAUSS = Surface.CM_GAUSSIAN
@@ -128,25 +128,27 @@ def test_criterion_2_rank4_table(monkeypatch):
         result = cm.seshadri_constant(L)
         assert result.value == value, coeffs
         assert {w.degrees for w in result.witnesses} == _expected_degvecs(computing), coeffs
-    pruned = time.perf_counter() - start
+    reduced = time.perf_counter() - start
 
-    # Every row's domain-walk minimizers against the certified oracle's: one
+    # Every row's reduced-walk minimizers against the certified oracle's: one
     # minimizer per unit orbit of the oracle's minimizers.
     start = time.perf_counter()
     for coeffs, *_ in TABLE2:
         L = ns_class(GAUSS, coeffs)
-        radius = cm.search_bound(L)
-        best0 = cm.degree_value(L, (1, 0, 0, 0))
-        _, mins = kernels.minimize_quartic(kernels.GAUSSIAN, L.coeffs, int(radius), best0)
+        _, mins = kernels.minimize_quartic(kernels.GAUSSIAN, L.coeffs)
         report = oracle.min_quadratic_form(cm.degree_form(L))
         assert_one_minimizer_per_orbit(mins, report.minimizers, GAUSS)
     certified = time.perf_counter() - start
 
     # Naive-box reference pass: the whole computation over the naive domain
     # scan.  The naive scan of the radius-100 row takes about an hour, so
-    # only the small boxes are re-run here; the pruned/naive parity on random
-    # inputs is covered separately in test_kernels.
-    monkeypatch.setattr(kernels, "minimize_quartic", naive_domain_min)
+    # only the small boxes are re-run here; the reduced-walk/naive parity on
+    # random inputs is covered separately in test_kernels.
+    def naive_minimize(kind, coeffs):
+        L = ns_class(GAUSS, coeffs)
+        return naive_domain_min(kind, coeffs, int(cm.search_bound(L)), min(generator_pairings(L)))
+
+    monkeypatch.setattr(kernels, "minimize_quartic", naive_minimize)
     start = time.perf_counter()
     checked = 0
     for coeffs, _, value, computing in TABLE2:
@@ -160,8 +162,8 @@ def test_criterion_2_rank4_table(monkeypatch):
     naive = time.perf_counter() - start
     _report(
         "criterion 2 (12 rank-4 rows exact)",
-        pruned + certified + naive,
-        f"pruned {pruned:.2f}s, oracle minimizers {certified:.2f}s on 12/12 rows, "
+        reduced + certified + naive,
+        f"reduced walk {reduced:.2f}s, oracle minimizers {certified:.2f}s on 12/12 rows, "
         f"naive box {naive:.2f}s on {checked}/12 rows",
     )
 

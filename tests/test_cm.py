@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scan_references import HALF_BOX_WARM, half_box_seshadri
+from test_large_coefficients import near_boundary_cm_classes
 from seshadri import cm, kernels, oracle
 from seshadri.cm import (
     GENERATOR_TUPLES,
@@ -195,7 +196,7 @@ def test_large_eisenstein_class_matches_oracle():
 def test_empty_minimizer_set_raises(monkeypatch):
     # a real check, not an assert, so it survives python -O
     monkeypatch.setattr(
-        kernels, "minimize_quartic", lambda kind, coeffs, radius, best: (best, [])
+        kernels, "minimize_quartic", lambda kind, coeffs: (3, [])
     )
     with pytest.raises(ArithmeticError, match="positive minimum"):
         seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
@@ -204,7 +205,7 @@ def test_empty_minimizer_set_raises(monkeypatch):
 def test_minimizer_with_d_above_one_raises(monkeypatch):
     # (1, 1, 1, 1) is primitive with D = 2 on the Gaussian surface
     monkeypatch.setattr(
-        kernels, "minimize_quartic", lambda kind, coeffs, radius, best: (best, [(1, 1, 1, 1)])
+        kernels, "minimize_quartic", lambda kind, coeffs: (3, [(1, 1, 1, 1)])
     )
     with pytest.raises(ArithmeticError, match="D = 1"):
         seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
@@ -242,9 +243,11 @@ def test_matches_half_box_reference_seeded(surface, bound):
 
 @pytest.mark.parametrize("surface", [GAUSS, EISEN])
 def test_box_holds_every_unit_multiple_of_a_minimizer(surface):
-    # the oracle has no box; every unit multiple of each of its minimizers
-    # lies in the box of radius floor(search_bound)
-    for L in random_ample_classes(surface, 150, 100, seed=5):
+    # the paper's theorem, which the reduced walk does not use: the oracle
+    # has no box, and every unit multiple of each of its minimizers lies in
+    # the box of radius floor(search_bound), also near the nef boundary
+    near_boundary = [L for L, *_ in near_boundary_cm_classes(surface, 100, seed=100)]
+    for L in random_ample_classes(surface, 150, 100, seed=5) + near_boundary:
         radius = int(search_bound(L))
         for t in oracle.min_quadratic_form(degree_form(L)).minimizers:
             for u in unit_orbit(t, surface):
@@ -372,6 +375,14 @@ def test_input_errors(surface, coeffs, message):
         with pytest.raises(ValueError) as info:
             checked(L)
         assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_degree_value_rejects_nocm():
+    L = ns_class(Surface.NO_CM, (7, 6, -3))
+    with pytest.raises(ValueError) as info:
+        degree_value(L, (1, 0, 0, 0))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "surface mismatch: expected a CM surface"
 
 
 def test_ampleness_checked_once_per_call(monkeypatch):

@@ -3,11 +3,13 @@ from itertools import product
 
 import pytest
 
-from scan_references import in_domain, naive_domain_min
-from seshadri import kernels
-from seshadri.cm import unit_orbit
+from scan_references import assert_one_minimizer_per_orbit, in_domain, naive_domain_min
+from seshadri import cm, kernels, oracle
+from seshadri.cm import search_bound, unit_orbit
 from seshadri.kernels import _lin_window, _quad_window, _value
-from seshadri.lattice import Surface
+from seshadri.lattice import Surface, ns_class
+
+SURFACES = (Surface.CM_GAUSSIAN, Surface.CM_EISENSTEIN)  # indexed by kind
 
 
 def _random_definite(rng, kind):
@@ -43,31 +45,38 @@ def test_lin_window_against_scan():
         assert list(range(lo, hi + 1)) == want
 
 
-def test_backend_and_prune_parity():
-    # the pruned domain walk against the naive domain scan on the same inputs
+def test_reduced_walk_matches_naive_domain_scan():
+    # the reduced walk against the naive domain scan of the paper's box,
+    # which holds every minimizer; only classes with small boxes
     rng = random.Random(17)
-    for _ in range(40):
+    checked = 0
+    while checked < 40:
         kind = rng.choice([kernels.GAUSSIAN, kernels.EISENSTEIN])
         coeffs = _random_definite(rng, kind)
-        radius = rng.randint(2, 6)
+        radius = int(search_bound(ns_class(SURFACES[kind], coeffs)))
+        if radius > 10:
+            continue
+        checked += 1
         best0 = coeffs[0] + coeffs[2] + coeffs[3]  # value at (1, 0, 0, 0)
-        pruned = kernels.minimize_quartic(kind, coeffs, radius, best0)
         naive = naive_domain_min(kind, coeffs, radius, best0)
-        assert pruned == naive, (kind, coeffs, radius)
+        assert kernels.minimize_quartic(kind, coeffs) == naive, (kind, coeffs, radius)
 
 
-def test_pure_fallback_for_oversized_inputs():
-    # coefficients far past any fixed-width integer budget still scan exactly
-    coeffs = (10**6, 10**6, -1, -1)
-    b, m = kernels.quartic_min_box(kernels.GAUSSIAN, coeffs, 1, 10**6)
-    want_val = min(
-        v
-        for v in (
-            coeffs[0] + coeffs[2] + coeffs[3],
-            coeffs[1] + coeffs[2] + coeffs[3],
-        )
-    )
-    assert b <= want_val
+def test_oversized_inputs_match_oracle():
+    # coefficients far past any fixed-width integer budget
+    for surface in SURFACES:
+        L = ns_class(surface, (10**6, 10**6, -1, -1))
+        best, mins = kernels.minimize_quartic(cm._KIND[surface], L.coeffs)
+        report = oracle.min_quadratic_form(cm.degree_form(L))
+        assert best == oracle.cm_seshadri(L) == report.minimum, surface
+        assert_one_minimizer_per_orbit(mins, report.minimizers, surface)
+
+
+def test_indefinite_form_raises():
+    # a real check, not an assert: the reduction needs a definite form
+    for kind, coeffs in ((kernels.GAUSSIAN, (1, 0, 0, 0)), (kernels.EISENSTEIN, (1, 1, -3, 0))):
+        with pytest.raises(ValueError, match="not positive definite"):
+            kernels.minimize_quartic(kind, coeffs)
 
 
 def test_naive_box_is_exhaustive_small():

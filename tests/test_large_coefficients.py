@@ -4,13 +4,13 @@ coefficients, far beyond the example tables.
 Each case draws a fixed seeded set of ample classes with |coefficients| up to
 the bound and requires the closed-form constant to equal the certified
 lattice minimum, with every reported witness attaining it.  On the rank-4
-surfaces the box scan's minimizers must also meet each unit orbit of the
-oracle's minimizers, which no box limits, exactly once.  `seshadri check
+surfaces the reduced walk's minimizers must also meet each unit orbit of the
+oracle's minimizers exactly once.  `seshadri check
 --bound 1000000000000 --count 200` runs the same comparison on more classes.
 
 Rejection sampling from a box almost never lands near the boundary of the
-nef cone, where coefficients are large and L^2 is small.  The rank-3
-near-boundary families below are built with a known answer instead.
+nef cone, where coefficients are large and L^2 is small.  The near-boundary
+families below, of rank 3 and rank 4, are built with a known answer instead.
 """
 from math import gcd, isqrt
 from random import Random
@@ -23,7 +23,7 @@ from scan_references import (
     paper_submaximal_curves,
 )
 from seshadri import cm, kernels, nocm, oracle
-from seshadri.lattice import Surface, generator_pairings, ns_class
+from seshadri.lattice import Surface, is_ample, ns_class
 from seshadri.sampling import random_ample_classes
 
 BOUNDS = (10**4, 10**6, 10**9, 10**12)
@@ -49,10 +49,7 @@ def test_closed_form_matches_oracle(surface, bound):
                 cm.degree_value(L, w.representative) == result.value
                 for w in result.witnesses
             ), L.coeffs
-            _, mins = kernels.minimize_quartic(
-                cm._KIND[surface], L.coeffs, int(cm.search_bound(L)),
-                min(generator_pairings(L)),
-            )
+            _, mins = kernels.minimize_quartic(cm._KIND[surface], L.coeffs)
             assert_one_minimizer_per_orbit(mins, report.minimizers, surface)
 
 
@@ -128,3 +125,61 @@ def test_near_boundary_matches_oracle():
     size = 10**4
     for L, *_ in near_boundary_classes(size, size % 983):
         assert nocm.seshadri_constant(L).value == oracle.nocm_seshadri(L), L.coeffs
+
+
+# Reduced Hermitian forms (A0, C0, b0, b1) in the notation of `kernels`,
+# Q = A0 n(s1) + C0 n(s2) + Lc c + Ld d, with the number of curves attaining
+# their minimum A0.
+REDUCED_HERMITIAN = {
+    Surface.CM_GAUSSIAN: {(1, 1, 0, 0): 2, (2, 2, 2, 0): 3, (2, 2, 2, 2): 6, (3, 4, 2, -2): 1},
+    Surface.CM_EISENSTEIN: {(1, 1, 0, 0): 2, (2, 2, 1, -1): 3, (3, 3, 3, 0): 4, (2, 3, 1, 2): 1},
+}
+
+
+def near_boundary_cm_classes(surface, size, seed):
+    """Rank-4 classes whose Hermitian degree form is H0 in REDUCED_HERMITIAN
+    after seeded unimodular steps over the order (f2 += k f1, then a swap)
+    until an entry reaches `size`, each with H0's minimum and curve count."""
+    t = cm._KIND[surface]
+    rng = Random(seed)
+    out = []
+    for (A, C, b0, b1), curves in REDUCED_HERMITIAN[surface].items():
+        value = A
+        while max(A, C) < size:
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)  # k = x + y w
+            C += A * (x * x + t * x * y + y * y) + x * b0 + y * b1
+            b0 += A * (2 * x + t * y)
+            b1 += A * (t * x + 2 * y)
+            A, C, b0, b1 = C, A, b0, t * b0 - b1
+        if surface is Surface.CM_GAUSSIAN:
+            a3, a4 = -b0 // 2, b1 // 2
+        else:
+            a3 = -(b0 + b1) // 3
+            a4 = b1 + a3
+        out.append((ns_class(surface, (A - a3 - a4, C - a3 - a4, a3, a4)), value, curves))
+    return out
+
+
+CM_SURFACES = [Surface.CM_GAUSSIAN, Surface.CM_EISENSTEIN]
+
+
+@pytest.mark.parametrize("size", NEAR_BOUNDARY_SIZES)
+@pytest.mark.parametrize("surface", CM_SURFACES, ids=lambda s: s.value)
+def test_near_boundary_rank4_known_answer(surface, size):
+    for L, value, curves in near_boundary_cm_classes(surface, size, seed=size % 983):
+        assert is_ample(L), L.coeffs
+        result = cm.seshadri_constant(L)
+        assert result.value == value, L.coeffs
+        assert len(result.witnesses) == curves, L.coeffs
+        assert all(
+            cm.degree_value(L, w.representative) == value for w in result.witnesses
+        ), L.coeffs
+
+
+@pytest.mark.parametrize("surface", CM_SURFACES, ids=lambda s: s.value)
+def test_near_boundary_rank4_matches_oracle(surface):
+    # the unreduced oracle takes ~0.1-2 s per class at size 10^3 and up to
+    # ~70 s at 10^4, so it runs at 10^2 here
+    size = 10**2
+    for L, value, _ in near_boundary_cm_classes(surface, size, seed=size % 983):
+        assert cm.seshadri_constant(L).value == oracle.cm_seshadri(L) == value, L.coeffs
