@@ -8,8 +8,14 @@ invariant D; the Seshadri constant is the minimum of the undivided
 expression, a positive-definite binary Hermitian form over the order.
 `kernels` Gauss-reduces that form and walks one fundamental domain of the
 unit group in reduced coordinates, so it meets each curve once and needs no
-box.  `search_bound` is the paper's closed-form box radius, which holds every
+box; it names each curve by the smallest tuple of its unit orbit.
+`search_bound` is the paper's closed-form box radius, which holds every
 minimizer; it stays public and tested but is not used by the computation.
+
+The ring arithmetic is written once over the trace t of the generator w = i
+resp. z (t = 0 resp. 1, the `kernels` kind): w (x + y w) = -y + (x + t y) w,
+and n(x, y) = x^2 + t xy + y^2 is the norm of x + y w.  A tuple with D > 1 is reduced by multiplying
+(s1, s2) by (1 + y w)/D, so on cm-i the result is defined up to a unit.
 """
 from __future__ import annotations
 
@@ -127,12 +133,7 @@ def degree_value(L: NSClass, t: Tuple4) -> int:
 def unit_orbit(t: Tuple4, kind: Surface) -> tuple[Tuple4, ...]:
     """Tuples naming the same curve via unit multiples of the parametrisation."""
     _require_cm(kind)
-    k = _KIND[kind]
-    orbit = [t]
-    for _ in range(3 + 2 * k):  # the units are the powers of w
-        a, b, c, d = orbit[-1]
-        orbit.append((-b, a + k * b, -d, c + k * d))
-    return tuple(orbit)
+    return kernels.unit_orbit(_KIND[kind], t)
 
 
 def canonical_tuple(t: Tuple4, kind: Surface) -> Tuple4:
@@ -156,33 +157,32 @@ def seshadri_constant(L: NSClass) -> CMSeshadriResult:
 
     `kernels.minimize_quartic` returns the minimum of the degree expression
     over nonzero tuples, found by Gauss reduction of the Hermitian form and
-    a walk in reduced coordinates, with one tuple of the unit group's
-    fundamental domain per minimizing curve.  Every minimizer has D = 1: a
-    tuple of the same curve with D = 1 has value Q/D, so D > 1 would
-    undercut the minimum.  Witnesses are deduplicated by degree vector and
-    carry the lexicographically smallest unit-orbit representative.
+    a walk in reduced coordinates, with one tuple per minimizing curve: the
+    smallest of its unit orbit, which is the witness's representative.
+    Every minimizer has D = 1: a tuple of the same curve with D = 1, which
+    `reduce_tuple` finds by multipliers (1 + y w)/D, has value Q/D, so D > 1
+    would undercut the minimum.  With D = 1 the raw degrees are the degree
+    vector, and curves, unit orbits and classes correspond one to one, so
+    two witnesses with one degree vector raise `ArithmeticError`.
     """
     require_ample(L)
     _require_cm(L.surface)
-    best, mins = kernels.minimize_quartic(_KIND[L.surface], L.coeffs)
+    k = _KIND[L.surface]
+    best, mins = kernels.minimize_quartic(k, L.coeffs)
     if not (best > 0 and mins):
         raise ArithmeticError("ample classes have a positive minimum")
-
-    by_degrees: dict[Tuple4, Tuple4] = {}
     for t in mins:
         if gcd(*t) != 1:
             raise ArithmeticError("a minimizer is always primitive")
         if tuple_gcd(t, L.surface) != 1:
             raise ArithmeticError("a minimizer always has D = 1")
-        rep = canonical_tuple(t, L.surface)
-        vec = degree_vector(rep, L.surface)
-        cur = by_degrees.get(vec)
-        if cur is None or rep < cur:
-            by_degrees[vec] = rep
-    witnesses = tuple(
-        CMWitness(vec, by_degrees[vec]) for vec in sorted(by_degrees)
+    witnesses = sorted(
+        (CMWitness(kernels._raw_degrees(k, *t), t) for t in mins),
+        key=lambda w: w.degrees,
     )
-    return CMSeshadriResult(best, witnesses)
+    if len({w.degrees for w in witnesses}) < len(witnesses):
+        raise ArithmeticError("two minimizers share a degree vector")
+    return CMSeshadriResult(best, tuple(witnesses))
 
 
 def congruence_solution_count(t: Tuple4) -> int:
@@ -208,53 +208,26 @@ def _primitive(t: Tuple4) -> Tuple4:
     return tuple(v // g for v in t) if g > 1 else t
 
 
-def _gaussian_step(t: Tuple4, dd: int) -> Tuple4 | None:
-    a, b, c, d = t
+def _step(t: int, v: Tuple4, dd: int) -> Tuple4 | None:
+    """v (1 + y w) / dd for the y that makes it integral, lifted to the one of
+    y, y - dd with the smaller norm n(1, y); None if there is none."""
+    wv = kernels._times_w(t, v)
     for y in range(dd):
-        if (
-            (a + b * y) % dd == 0
-            and (b - a * y) % dd == 0
-            and (c + d * y) % dd == 0
-            and (d - c * y) % dd == 0
-        ):
-            if y > dd // 2:
-                y -= dd  # smaller lift, faster descent
-            return (
-                (a + y * b) // dd,
-                (b - y * a) // dd,
-                (c + y * d) // dd,
-                (d - y * c) // dd,
-            )
-    return None
-
-
-def _eisenstein_step(t: Tuple4, dd: int) -> Tuple4 | None:
-    a, b, c, d = t
-    for y in range(dd):
-        if (
-            (a - b * y) % dd == 0
-            and (b + (a + b) * y) % dd == 0
-            and (c - d * y) % dd == 0
-            and (d + (c + d) * y) % dd == 0
-        ):
+        if all((x + y * z) % dd == 0 for x, z in zip(v, wv)):
             alt = y - dd
-            if 1 + alt + alt * alt < 1 + y + y * y:
+            if 1 + t * alt + alt * alt < 1 + t * y + y * y:
                 y = alt
-            return (
-                (a - y * b) // dd,
-                (b + y * (a + b)) // dd,
-                (c - y * d) // dd,
-                (d + y * (c + d)) // dd,
-            )
+            return tuple((x + y * z) // dd for x, z in zip(v, wv))
     return None
 
 
 def reduce_tuple(t: Tuple4, kind: Surface) -> Tuple4:
     """A primitive tuple of the same curve whose gcd invariant is 1.
 
-    Repeatedly multiplies the parametrisation by (x + y*i)/D (resp. the
-    hexagonal analogue) with x = 1 and y solving the kernel congruences;
-    every step strictly decreases D.  The output is verified against the
+    Repeatedly multiplies the parametrisation by (1 + y w)/D, with y solving
+    the kernel congruences; every step strictly decreases D.  The output is
+    a tuple of the curve, so it is defined up to a unit: compare it through
+    `canonical_tuple` or `invariants`.  The output is verified against the
     target identities; a step that fails to decrease D or a result that
     misses them raises `ArithmeticError`.
     """
@@ -267,11 +240,7 @@ def reduce_tuple(t: Tuple4, kind: Surface) -> Tuple4:
         dd = tuple_gcd(cur, kind)
         if dd == 1:
             break
-        step = (
-            _gaussian_step(cur, dd)
-            if kind is Surface.CM_GAUSSIAN
-            else _eisenstein_step(cur, dd)
-        )
+        step = _step(_KIND[kind], cur, dd)
         if step is None or tuple_gcd(_primitive(step), kind) >= dd:
             raise ArithmeticError(f"reduction step failed to decrease D at {cur}")
         cur = _primitive(step)

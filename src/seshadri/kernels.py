@@ -24,7 +24,8 @@ and b >= 0, or a = b = 0 with c > 0 and d >= 0.  In the coordinates (a, b)
 this is the half-open cone spanned by 1 and w (90 resp. 60 degrees wide), and
 its images under the 4 resp. 6 units tile the plane minus the origin; when
 s1 = 0 the units act on s2 alone.  Each minimizer found is mapped back and
-replaced by its unit multiple in the same domain of the original coordinates.
+replaced by the smallest tuple of its unit orbit, the one normal form of a
+curve.
 
 The walk is Fincke-Pohst style: each coordinate runs over the exact integer
 window that the previous ones leave for Q <= best, in exact integers.
@@ -76,6 +77,15 @@ def _times_w(t: int, v: Tuple4) -> Tuple4:
     """(s1, s2) -> (w s1, w s2): w (x + y w) = -y + (x + t y) w."""
     a, b, c, d = v
     return (-b, a + t * b, -d, c + t * d)
+
+
+def unit_orbit(t: int, v: Tuple4) -> tuple[Tuple4, ...]:
+    """The tuples of the curve of v: its multiples by the 4 resp. 6 units,
+    the powers of w."""
+    orbit = [v]
+    for _ in range(3 + 2 * t):
+        orbit.append(_times_w(t, orbit[-1]))
+    return tuple(orbit)
 
 
 def _reduce(t: int, A: int, C: int, b0: int, b1: int):
@@ -159,9 +169,9 @@ def quartic_min_box(t: int, A: int, C: int, b0: int,
 def minimize_quartic(kind: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
     """Minimum of the degree expression of `coeffs` over nonzero tuples.
 
-    Returns the minimum with the sorted list of the tuples attaining it in
-    the unit group's fundamental domain: one tuple per curve.  Raises
-    `ValueError` when the form is not positive definite.
+    Returns the minimum with the sorted list of the curves attaining it, each
+    as the smallest tuple of its unit orbit.  Raises `ValueError` when the
+    form is not positive definite.
     """
     t = kind
     a1, a2, a3, a4 = coeffs
@@ -171,16 +181,9 @@ def minimize_quartic(kind: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
         raise ValueError("degree form is not positive definite")
     A, C, b0, b1, f1, f2 = _reduce(t, A, C, b0, b1)
     best, mins = quartic_min_box(t, A, C, b0, b1)
-    wf1, wf2 = _times_w(t, f1), _times_w(t, f2)
+    basis = tuple(zip(f1, _times_w(t, f1), f2, _times_w(t, f2)))
     out = []
     for a, b, c, d in mins:
-        v = tuple(a * p + b * q + c * r + d * s for p, q, r, s in zip(f1, wf1, f2, wf2))
-        for _ in range(4 + 2 * t):  # the unit group has order 4 resp. 6
-            a, b, c, d = v
-            if (a > 0 and b >= 0) or (a == b == 0 and c > 0 and d >= 0):
-                break
-            v = _times_w(t, v)
-        else:
-            raise ArithmeticError(f"no unit multiple of {v} in the domain")
-        out.append(v)
+        v = tuple(a * p + b * q + c * r + d * s for p, q, r, s in basis)
+        out.append(min(unit_orbit(t, v)))
     return best, sorted(out)

@@ -63,10 +63,14 @@ def class_to_pair(coeffs: tuple[int, int, int]) -> Pair:
     return canonical_pair(c, d)
 
 
+def _require_nocm(L: NSClass) -> None:
+    if L.surface is not Surface.NO_CM:
+        raise ValueError("surface mismatch: expected the nocm surface")
+
+
 def degree(L: NSClass, pair: Pair) -> int:
     """L . N_{c,d}, evaluated through the explicit quadratic form."""
-    if L.surface is not Surface.NO_CM:
-        raise ValueError("surface mismatch")
+    _require_nocm(L)
     a1, a2, a3 = L.coeffs
     c, d = pair
     return (a2 + a3) * c * c + 2 * a3 * c * d + (a1 + a3) * d * d
@@ -141,6 +145,7 @@ def seshadri_constant(L: NSClass) -> SeshadriResult:
     primitive vectors attaining it.
     """
     require_ample(L)
+    _require_nocm(L)
     form = _reduce(L.coeffs)
     return SeshadriResult(form[0], _curves_up_to(form, form[0]))
 
@@ -151,6 +156,7 @@ def submaximal_curves(L: NSClass, weak: bool = False) -> frozenset[Pair]:
     Comparisons are made on squares, so no irrational arithmetic occurs.
     """
     require_ample(L)
+    _require_nocm(L)
     square = self_intersection(L)
     # deg^2 <= square (resp. <) for positive integer degrees, as one bound
     threshold = isqrt(square) if weak else isqrt(square - 1)

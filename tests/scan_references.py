@@ -125,7 +125,9 @@ def half_box_seshadri(L):
 
 def assert_one_minimizer_per_orbit(mins, oracle_minimizers, surface):
     """The kernel's minimizers meet each unit orbit of the oracle's
-    minimizers exactly once."""
+    minimizers exactly once, each as the smallest tuple of its orbit."""
+    for t in mins:
+        assert t == min(cm.unit_orbit(t, surface)), ("not the orbit minimum", t)
     orbits = [cm.canonical_tuple(t, surface) for t in mins]
     assert len(set(orbits)) == len(orbits), ("two minimizers in one orbit", mins)
     want = {cm.canonical_tuple(t, surface) for t in oracle_minimizers}

@@ -211,6 +211,16 @@ def test_minimizer_with_d_above_one_raises(monkeypatch):
         seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
 
 
+def test_two_witnesses_with_one_degree_vector_raise(monkeypatch):
+    # two unit multiples of F2, both with D = 1 and degrees (1, 0, 1, 1): a
+    # walk that returned one curve twice must not be merged silently
+    monkeypatch.setattr(
+        kernels, "minimize_quartic", lambda kind, coeffs: (3, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    )
+    with pytest.raises(ArithmeticError, match="share a degree vector"):
+        seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
+
+
 @pytest.mark.parametrize("surface", [GAUSS, EISEN])
 def test_warm_start_is_the_generator_minimum(surface):
     # min of the basis pairings equals the old six-tuple warm start
@@ -313,7 +323,7 @@ def test_reduce_tuple_exhaustive_small_entries(surface):
 
 
 def test_reduce_tuple_raises_when_a_step_fails(monkeypatch):
-    monkeypatch.setattr(cm, "_gaussian_step", lambda t, dd: None)
+    monkeypatch.setattr(cm, "_step", lambda t, v, dd: None)
     assert reduce_tuple((1, 0, 1, 0), GAUSS) == (1, 0, 1, 0)  # D = 1: no step
     with pytest.raises(ArithmeticError):
         reduce_tuple((1, 1, 1, 1), GAUSS)

@@ -58,7 +58,8 @@ def test_reduced_walk_matches_naive_domain_scan():
             continue
         checked += 1
         best0 = coeffs[0] + coeffs[2] + coeffs[3]  # value at (1, 0, 0, 0)
-        naive = naive_domain_min(kind, coeffs, radius, best0)
+        best, mins = naive_domain_min(kind, coeffs, radius, best0)
+        naive = best, sorted(cm.canonical_tuple(t, SURFACES[kind]) for t in mins)
         assert kernels.minimize_quartic(kind, coeffs) == naive, (kind, coeffs, radius)
 
 

@@ -104,6 +104,32 @@ def test_seshadri_rejects_non_ample():
         submaximal_curves(ns_class(Surface.NO_CM, (0, 0, 0)))
 
 
+MISMATCH = "surface mismatch: expected the nocm surface"
+
+
+@pytest.mark.parametrize(
+    "surface, coeffs, message",
+    [
+        (Surface.CM_GAUSSIAN, (1, 1, 1, 1), MISMATCH),
+        (Surface.CM_EISENSTEIN, (1, 1, 1, 1), MISMATCH),
+        # non-ample and rank 4: ampleness is reported first
+        (Surface.CM_GAUSSIAN, (1, 0, 0, 0), "not ample: L.F1 = 0 <= 0; L^2 = 0 <= 0"),
+    ],
+)
+def test_input_errors(surface, coeffs, message):
+    L = ns_class(surface, coeffs)
+    for checked in (seshadri_constant, submaximal_curves):
+        with pytest.raises(ValueError) as info:
+            checked(L)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_degree_rejects_rank4():
+    with pytest.raises(ValueError) as info:
+        degree(ns_class(Surface.CM_GAUSSIAN, (1, 1, 1, 1)), (1, 0))
+    assert type(info.value) is ValueError and str(info.value) == MISMATCH
+
+
 @pytest.mark.parametrize(
     "coeffs,weak,expected",
     [
