@@ -80,25 +80,31 @@ def degree_vector(t: Tuple4, kind: Surface) -> Tuple4:
     return tuple(x // dd for x in raw)
 
 
-def degree_form(L: NSClass) -> tuple[tuple[Fraction, ...], ...]:
-    """Gram matrix of the quartic degree expression: Q(t) = D * (L . N_t)."""
+def degree_form(L: NSClass) -> tuple[tuple[int | Fraction, ...], ...]:
+    """Gram matrix of the quartic degree expression: Q(t) = D * (L . N_t).
+
+    Entries are ints on cm-i; on cm-eisenstein the diagonal is integral and
+    the off-diagonal entries are half-integers (Fractions).
+    """
     _require_cm(L.surface)
     a1, a2, a3, a4 = L.coeffs
     A, C = a1 + a3 + a4, a2 + a3 + a4
     if L.surface is Surface.CM_GAUSSIAN:
-        rows = (
+        return (
             (A, 0, -a3, -a4),
             (0, A, a4, -a3),
             (-a3, a4, C, 0),
             (-a4, -a3, 0, C),
         )
-        return tuple(tuple(Fraction(v) for v in row) for row in rows)
-    h = Fraction(1, 2)
+    hA, hC = Fraction(A, 2), Fraction(C, 2)
+    p = Fraction(-2 * a3 - a4, 2)
+    q = Fraction(-a3 - 2 * a4, 2)
+    r = Fraction(a4 - a3, 2)
     return (
-        (Fraction(A), A * h, (-2 * a3 - a4) * h, (-a3 - 2 * a4) * h),
-        (A * h, Fraction(A), (-a3 + a4) * h, (-2 * a3 - a4) * h),
-        ((-2 * a3 - a4) * h, (-a3 + a4) * h, Fraction(C), C * h),
-        ((-a3 - 2 * a4) * h, (-2 * a3 - a4) * h, C * h, Fraction(C)),
+        (A, hA, p, q),
+        (hA, A, r, p),
+        (p, r, C, hC),
+        (q, p, hC, C),
     )
 
 

@@ -26,7 +26,9 @@ smallest eigenvalue, so once lam * (r+1)^2 exceeds the best value found the
 search is provably complete.  We use the larger of the Gershgorin bound and
 det / (max row sum)^(n-1), both taken on the scaled integer matrix with
 det = D_n; the latter is always positive for a definite form, so the
-expanding search terminates.
+expanding search terminates.  lam is kept as an integer numerator and
+denominator and the two bounds are compared by cross-multiplication, so no
+step of the search builds a Fraction.
 """
 from __future__ import annotations
 
@@ -48,14 +50,19 @@ class ShellSearchReport:
 
 def _integer_gram(gram: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
     """(s, s * gram) with s the lcm of the entries' denominators."""
-    rows = [[Fraction(v) for v in row] for row in gram]
+    rows = [
+        [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+        for row in gram
+    ]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("gram matrix must be square")
-    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("gram matrix must be symmetric")
     s = lcm(*(v.denominator for row in rows for v in row))
-    return s, [[v.numerator * (s // v.denominator) for v in row] for row in rows]
+    a = [[v.numerator * (s // v.denominator) for v in row] for row in rows]
+    # scaling by s > 0 is injective, so the scaled matrix has the same symmetry
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("gram matrix must be symmetric")
+    return s, a
 
 
 def _bareiss(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -97,26 +104,28 @@ def is_positive_definite(gram: Sequence[Sequence]) -> bool:
 
 
 def _search_box(
-    minors: list[int],
-    rows: list[list[int]],
-    weights: list[int],
+    levels: list[tuple[int, int, list[tuple[int, int]]]],
     radius: int,
     best: int,
 ) -> tuple[int, list[tuple[int, ...]]]:
     """All x in [-radius, radius]^n with P s Q(x) <= best, via exact windows.
 
-    Returns the smallest scaled value found (or `best` if none) and every
-    nonzero x attaining it.
+    Level i is (D_{i+1}, w_i = P / (D_i D_{i+1}), the nonzero terms (j, B_ij)
+    of N_i).  Returns the smallest scaled value found (or `best` if none) and
+    every nonzero x attaining it.
     """
-    n = len(weights)
+    n = len(levels)
     x = [0] * n
     found: list[tuple[int, ...]] = []
     running = best
 
-    def rec(i: int, partial: int) -> None:
+    def rec(i: int, partial: int, nonzero: bool) -> None:
+        # `nonzero`: some coordinate above level i is nonzero
         nonlocal running, found
-        d, w, row = minors[i + 1], weights[i], rows[i]
-        centre = sum(row[j] * x[j] for j in range(i + 1, n))
+        d, w, terms = levels[i]
+        centre = 0
+        for j, b in terms:
+            centre += b * x[j]
         # |d t + centre| <= r  <=>  w (d t + centre)^2 <= running - partial,
         # which is >= 0 on entry
         r = isqrt((running - partial) // w)
@@ -129,13 +138,13 @@ def _search_box(
                 continue
             x[i] = t
             if i:
-                rec(i - 1, value)
-            elif any(x):
+                rec(i - 1, value, nonzero or t != 0)
+            elif nonzero or t:
                 if value < running:
                     running, found = value, []
                 found.append(tuple(x))
 
-    rec(n - 1, 0)
+    rec(n - 1, 0, False)
     return running, found
 
 
@@ -159,18 +168,26 @@ def min_quadratic_form(gram: Sequence[Sequence], dim: int | None = None) -> Shel
     if any(d <= 0 for d in minors):
         raise ValueError("not positive definite")
     scale = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
-    weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
+    levels = [
+        (minors[i + 1], scale // (minors[i] * minors[i + 1]),
+         [(j, rows[i][j]) for j in range(i + 1, n) if rows[i][j]])
+        for i in range(n)
+    ]
 
     gersh = min(2 * a[i][i] - sum(abs(v) for v in a[i]) for i in range(n))
     row_max = max(sum(abs(v) for v in row) for row in a)
-    lam = max(Fraction(gersh), Fraction(minors[n], row_max ** (n - 1)))
-    # lam bounds the smallest eigenvalue of s * gram; values carry P = scale
-    lam_num, lam_den = lam.numerator * scale, lam.denominator
+    # lam_num / lam_den bounds the smallest eigenvalue of s * gram, and values
+    # carry P = scale; neither the stopping test nor the floor in `needed`
+    # depends on whether that fraction is reduced
+    lam_num, lam_den = minors[n], row_max ** (n - 1)
+    if gersh * lam_den >= lam_num:
+        lam_num, lam_den = gersh, 1
+    lam_num *= scale
 
     best = scale * min(a[i][i] for i in range(n))
     radius = 1
     while True:
-        best, pts = _search_box(minors, rows, weights, radius, best)
+        best, pts = _search_box(levels, radius, best)
         if lam_num * (radius + 1) ** 2 > best * lam_den:
             break
         needed = isqrt(best * lam_den // lam_num) + 1
@@ -189,7 +206,7 @@ def nocm_seshadri(L: NSClass) -> int:
     """
     require_ample(L)
     if L.surface is not Surface.NO_CM:
-        raise ValueError("surface mismatch")
+        raise ValueError("surface mismatch: expected the nocm surface")
     a1, a2, a3 = L.coeffs
     gram = ((a2 + a3, a3), (a3, a1 + a3))
     report = min_quadratic_form(gram)
@@ -204,7 +221,7 @@ def cm_seshadri(L: NSClass) -> int:
 
     require_ample(L)
     if not L.surface.is_cm:
-        raise ValueError("surface mismatch")
+        raise ValueError("surface mismatch: expected a CM surface")
     return _integral_minimum(min_quadratic_form(cm.degree_form(L)), L)
 
 

@@ -134,8 +134,27 @@ def test_small_2d_example():
 def test_rejects_indefinite():
     with pytest.raises(ValueError, match="not positive definite"):
         oracle.min_quadratic_form(((1, 2), (2, 1)))
-    with pytest.raises(ValueError, match="symmetric"):
-        oracle.min_quadratic_form(((1, 2), (0, 1)))
+    for gram in (((1, 0), (0,)), ((1, 0, 0), (0, 1, 0)), ((F(1, 2), 0), (0, 1, 0))):
+        with pytest.raises(ValueError, match=r"^gram matrix must be square$"):
+            oracle.min_quadratic_form(gram)
+    # 1/2 and 1/3 differ once scaled by s = 6, also where 1/2 is a float
+    for gram in (((1, 2), (0, 1)), ((1, F(1, 2)), (F(1, 3), 1)), ((1, 0.5), (F(1, 3), 1))):
+        with pytest.raises(ValueError, match=r"^gram matrix must be symmetric$"):
+            oracle.min_quadratic_form(gram)
+
+
+def test_gram_entry_encodings_give_one_report():
+    # ints, Fractions, mixed, and floats (read exactly, as Fraction(0.5) is)
+    plain = ((3, 1, -1), (1, 2, 0), (-1, 0, 4))
+    want = oracle.min_quadratic_form(plain)
+    as_fractions = tuple(tuple(F(v) for v in row) for row in plain)
+    mixed = ((F(3), 1, F(-1)), (1, F(2), 0), (-1, F(0), 4))
+    for gram in (as_fractions, mixed, tuple(tuple(float(v) for v in row) for row in plain)):
+        assert oracle.min_quadratic_form(gram) == want
+    halves = ((F(3, 2), F(1, 2)), (F(1, 2), F(3, 2)))
+    for gram in (((1.5, 0.5), (0.5, 1.5)), ((1.5, F(1, 2)), (0.5, F(3, 2)))):
+        assert oracle.min_quadratic_form(gram) == oracle.min_quadratic_form(halves)
+    assert oracle.min_quadratic_form(halves).minimum == F(3, 2)
 
 
 def _random_pd_gram(rng, n, spread):
@@ -196,7 +215,11 @@ def _class_gram(L):
 def test_matches_fraction_reference_on_class_grams(bound):
     for surface in Surface:
         for L in random_ample_classes(surface, 15, bound, bound % 1009):
-            _assert_matches_reference(_class_gram(L))
+            gram = _class_gram(L)
+            _assert_matches_reference(gram)
+            # cm.degree_form's plain ints read as its former Fraction entries
+            as_fractions = tuple(tuple(F(v) for v in row) for row in gram)
+            assert oracle.min_quadratic_form(as_fractions) == oracle.min_quadratic_form(gram)
 
 
 def test_leading_minors_of_indefinite_and_degenerate_forms():
@@ -268,6 +291,18 @@ def test_reference_rejects_non_ample():
         oracle.nocm_seshadri(ns_class(Surface.NO_CM, (1, 0, 0)))
     with pytest.raises(ValueError, match="not ample"):
         oracle.cm_seshadri(ns_class(Surface.CM_GAUSSIAN, (0, 0, 0, 1)))
+
+
+def test_reference_surface_mismatch_messages():
+    with pytest.raises(ValueError) as info:
+        oracle.nocm_seshadri(ns_class(Surface.CM_EISENSTEIN, (1, 1, 0, 0)))
+    assert str(info.value) == "surface mismatch: expected the nocm surface"
+    with pytest.raises(ValueError) as info:
+        oracle.cm_seshadri(ns_class(Surface.NO_CM, (7, 6, -3)))
+    assert str(info.value) == "surface mismatch: expected a CM surface"
+    # ampleness is still reported first
+    with pytest.raises(ValueError, match="^not ample"):
+        oracle.cm_seshadri(ns_class(Surface.NO_CM, (1, 0, 0)))
 
 
 @pytest.mark.parametrize(

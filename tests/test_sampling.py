@@ -21,6 +21,38 @@ def test_seeded_stream_is_pinned():
     unit_box = random_ample_classes(Surface.NO_CM, 3, 1, seed=7)
     assert [L.coeffs for L in unit_box] == [(1, 1, 0), (1, 1, 0), (1, 0, 1)]
     assert all(map(is_ample, unit_box))
+    # the `check` workload's shape: five classes at bounds 8 and 100
+    check_shape = {
+        Surface.NO_CM: {
+            (8, 0): [(0, 8, 7), (4, 1, 7), (3, -2, 8), (3, 5, 2), (-2, 7, 6)],
+            (8, 7): [(-2, 7, 5), (2, 6, 6), (1, 8, 7), (2, 6, 1), (2, 3, 7)],
+            (8, 2147483647): [(8, 6, 2), (4, 5, 6), (6, 2, 3), (5, -2, 5), (5, 5, 3)],
+            (100, 0): [(-2, 94, 7), (24, 3, 100), (22, 13, 33), (2, 81, 100), (56, 26, -15)],
+            (100, 7): [(47, 49, 1), (74, 36, 9), (49, 16, -8), (78, 99, -38), (34, 26, -13)],
+            (100, 2147483647): [(75, 57, 56), (65, -6, 43), (80, 72, 3), (3, 84, 86), (6, 63, 13)],
+        },
+        Surface.CM_GAUSSIAN: {
+            (8, 0): [(8, 7, 4, 1), (7, 3, -2, 8), (3, 5, 2, -2), (7, 6, 8, 0), (-6, 2, 8, 7)],
+            (8, 7): [(7, 5, 2, 6), (6, 3, 1, -1), (8, 7, 2, 6), (2, 2, 3, 7), (6, 1, 4, 3)],
+            (8, 2147483647): [(-2, 8, 6, 2), (-3, -4, 6, 8), (-1, -1, 6, 7), (5, -2, 5, 2), (4, 0, 2, 4)],
+            (100, 0): [(58, -36, 36, 80), (11, -20, 56, 63), (81, 100, 71, 60), (40, 50, -27, 13), (38, 74, 0, 80)],
+            (100, 7): [(58, -48, 27, 74), (19, 49, 16, -8), (86, 14, -27, 55), (52, 27, 48, 16), (87, 79, -21, 65)],
+            (100, 2147483647): [(12, -14, 61, 75), (57, 56, 65, -6), (-37, 3, 84, 86), (-81, 77, 57, 67), (77, 39, 45, -6)],
+        },
+        Surface.CM_EISENSTEIN: {
+            (8, 0): [(8, 7, 4, 1), (7, 3, -2, 8), (3, 5, 2, -2), (7, 6, 8, 0), (2, -2, 1, 6)],
+            (8, 7): [(7, 5, 2, 6), (6, 3, 1, -1), (8, 7, 2, 6), (2, 2, 3, 7), (6, 1, 4, 3)],
+            (8, 2147483647): [(-2, 8, 6, 2), (6, 2, 3, -3), (-1, -1, 6, 7), (5, -2, 5, 2), (4, 0, 2, 4)],
+            (100, 0): [(58, -36, 36, 80), (11, -20, 56, 63), (81, 100, 71, 60), (40, 50, -27, 13), (38, 74, 0, 80)],
+            (100, 7): [(58, -48, 27, 74), (36, 9, 98, -20), (19, 49, 16, -8), (86, 14, -27, 55), (52, 27, 48, 16)],
+            (100, 2147483647): [(12, -14, 61, 75), (57, 56, 65, -6), (-37, 3, 84, 86), (79, 62, 96, -72), (77, 39, 45, -6)],
+        },
+    }
+    for surface, expected in check_shape.items():
+        for (bound, seed), coeffs in expected.items():
+            drawn = random_ample_classes(surface, 5, bound, seed)
+            assert [L.coeffs for L in drawn] == coeffs, (surface, bound, seed)
+            assert all(map(is_ample, drawn))
 
 
 @pytest.mark.parametrize("bound", [0, -3])
