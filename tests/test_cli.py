@@ -236,6 +236,37 @@ def test_cross_section_matches_golden(capsys, golden, argv):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        (
+            "epsilon_nocm_52_30_m19_oracle.json",
+            ("epsilon", "--surface", "nocm", "--coeffs", "52,30,-19", "--check-oracle"),
+        ),
+        (
+            "epsilon_cm_i_m2_2_1_3.json",
+            ("epsilon", "--surface", "cm-i", "--coeffs", "-2,2,1,3"),
+        ),
+        (
+            "epsilon_cm_eisenstein_2_2_1_m1.json",
+            ("epsilon", "--surface", "cm-eisenstein", "--coeffs", "2,2,1,-1"),
+        ),
+        (
+            "curves_nocm_52_30_m19_weak.json",
+            ("curves", "--surface", "nocm", "--coeffs", "52,30,-19", "--weak"),
+        ),
+        (
+            "curves_nocm_52_30_m19.json",
+            ("curves", "--surface", "nocm", "--coeffs", "52,30,-19"),
+        ),
+    ],
+)
+def test_record_matches_golden(capsys, golden, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_check_command(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--surface", "nocm", "--count", "25", "--seed", "7"
