@@ -23,14 +23,14 @@ import json
 import sys
 from fractions import Fraction
 
-from . import cm, nocm, oracle
+from . import cm, nocm, oracle, seshadri_constant
 from .cross_section import CrossSection, cross_section
 from .lattice import (
+    GENERATOR_LABELS,
     NSClass,
     Surface,
-    ample_violations,
-    is_ample,
     ns_class,
+    require_ample,
     self_intersection,
     surface_from_name,
 )
@@ -73,68 +73,53 @@ def _parse_coeffs(text: str, surface: Surface) -> NSClass:
     return ns_class(surface, values)
 
 
-def _require_ample(L: NSClass) -> None:
-    if not is_ample(L):
-        raise DomainError(
-            "class is not ample: " + "; ".join(ample_violations(L))
-        )
-
-
-def _cm_generator_labels(surface: Surface) -> dict[tuple, str]:
-    return {
-        cm.degree_vector(t, surface): name
-        for name, t in cm.GENERATOR_TUPLES.items()
-    }
-
-
 def _cm_witness_labels(surface: Surface, witnesses) -> list[str]:
-    generators = _cm_generator_labels(surface)
-    order = {"F1": 0, "F2": 1, "Delta": 2, "Sigma": 3}
-    labelled = []
-    for w in witnesses:
-        name = generators.get(w.degrees)
-        if name is not None:
-            labelled.append((0, order[name], (), name))
-        else:
-            labelled.append((1, 0, w.representative, "N_{%d,%d,%d,%d}" % w.representative))
-    return [entry[3] for entry in sorted(labelled)]
+    """Basis curves first, in basis order, then the other curves by tuple."""
+    generators = cm.GENERATOR_BY_DEGREES[surface]
+    named = [generators[w.degrees] for w in witnesses if w.degrees in generators]
+    others = sorted(w.representative for w in witnesses if w.degrees not in generators)
+    return sorted(named, key=GENERATOR_LABELS.index) + ["N_{%d,%d,%d,%d}" % t for t in others]
 
 
 def _nocm_labels(pairs) -> list[str]:
     return [nocm.pair_label(p) for p in sorted(pairs, key=nocm.pair_sort_key)]
 
 
-def _epsilon_record(L: NSClass, check_oracle: bool) -> dict:
-    _require_ample(L)
-    record: dict = {
-        "surface": L.surface.value,
-        "coeffs": list(L.coeffs),
-        "l_squared": self_intersection(L),
-    }
+def _class_record(L: NSClass) -> dict:
+    """The fields that open every one-class record, after the ampleness check."""
+    try:
+        l_squared = require_ample(L)
+    except ValueError as exc:  # "not ample: ..."
+        raise DomainError(f"class is {exc}") from None
+    return {"surface": L.surface.value, "coeffs": list(L.coeffs), "l_squared": l_squared}
+
+
+def _matches_oracle(L: NSClass, value: int) -> bool:
+    """Compare a closed-form constant with the oracle's; report a mismatch."""
     if L.surface is Surface.NO_CM:
-        result = nocm.seshadri_constant(L)
-        record["epsilon"] = result.value
-        record["witnesses"] = _nocm_labels(result.witnesses)
-        record["weak_submaximal"] = _nocm_labels(nocm.submaximal_curves(L, weak=True))
-        reference = oracle.nocm_seshadri(L) if check_oracle else None
+        reference = oracle.nocm_seshadri(L)
     else:
-        result = cm.seshadri_constant(L)
-        record["epsilon"] = result.value
-        record["witnesses"] = _cm_witness_labels(L.surface, result.witnesses)
-        reference = oracle.cm_seshadri(L) if check_oracle else None
-    if check_oracle and reference != record["epsilon"]:
+        reference = oracle.cm_seshadri(L)
+    if reference != value:
         sys.stderr.write(
             f"oracle mismatch on {L.surface.value} {L.coeffs}: "
-            f"closed form {record['epsilon']}, oracle {reference}\n"
+            f"closed form {value}, oracle {reference}\n"
         )
-        raise SystemExit(ORACLE_MISMATCH)
-    return record
+    return reference == value
 
 
 def _cmd_epsilon(args) -> int:
-    surface = surface_from_name(args.surface)
-    L = _parse_coeffs(args.coeffs, surface)
-    record = _epsilon_record(L, args.check_oracle)
+    L = _parse_coeffs(args.coeffs, surface_from_name(args.surface))
+    record = _class_record(L)
+    result = seshadri_constant(L)
+    record["epsilon"] = result.value
+    if L.surface is Surface.NO_CM:
+        record["witnesses"] = _nocm_labels(result.witnesses)
+        record["weak_submaximal"] = _nocm_labels(nocm.submaximal_curves(L, weak=True))
+    else:
+        record["witnesses"] = _cm_witness_labels(L.surface, result.witnesses)
+    if args.check_oracle and not _matches_oracle(L, result.value):
+        return ORACLE_MISMATCH
     print(json.dumps(record))
     return 0
 
@@ -144,19 +129,10 @@ def _cmd_curves(args) -> int:
     if surface is not Surface.NO_CM:
         raise DomainError("submaximal listing is only available for surface 'nocm'")
     L = _parse_coeffs(args.coeffs, surface)
-    _require_ample(L)
-    pairs = nocm.submaximal_curves(L, weak=args.weak)
-    print(
-        json.dumps(
-            {
-                "surface": surface.value,
-                "coeffs": list(L.coeffs),
-                "l_squared": self_intersection(L),
-                "weak": args.weak,
-                "curves": _nocm_labels(pairs),
-            }
-        )
-    )
+    record = _class_record(L)
+    record["weak"] = args.weak
+    record["curves"] = _nocm_labels(nocm.submaximal_curves(L, weak=args.weak))
+    print(json.dumps(record))
     return 0
 
 
@@ -286,17 +262,7 @@ def _cmd_check(args) -> int:
     bound = args.bound if args.bound else (50 if surface is Surface.NO_CM else 8)
     classes = random_ample_classes(surface, args.count, bound, args.seed)
     for L in classes:
-        if surface is Surface.NO_CM:
-            got = nocm.seshadri_constant(L).value
-            want = oracle.nocm_seshadri(L)
-        else:
-            got = cm.seshadri_constant(L).value
-            want = oracle.cm_seshadri(L)
-        if got != want:
-            sys.stderr.write(
-                f"oracle mismatch on {surface.value} {L.coeffs}: "
-                f"closed form {got}, oracle {want}\n"
-            )
+        if not _matches_oracle(L, seshadri_constant(L).value):
             return ORACLE_MISMATCH
     print(
         json.dumps(

@@ -42,6 +42,13 @@ GENERATOR_TUPLES: dict[str, Tuple4] = {
     "Sigma": (1, 0, 0, 1),
 }
 
+#: Basis curve of each degree vector, per surface.  The basis tuples have
+#: D = 1, so their raw degrees are their degree vectors.
+GENERATOR_BY_DEGREES: dict[Surface, dict[Tuple4, str]] = {
+    surface: {kernels._raw_degrees(k, *t): name for name, t in GENERATOR_TUPLES.items()}
+    for surface, k in _KIND.items()
+}
+
 
 def _require_cm(surface: Surface) -> None:
     if not surface.is_cm:

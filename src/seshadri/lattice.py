@@ -5,11 +5,18 @@ The surfaces are E x E for an elliptic curve E without extra endomorphisms
 automorphism of order 4 resp. 6 (rank 4, basis F1, F2, Delta, Sigma).  All
 arithmetic is over plain Python integers, so coefficients of any size are
 exact.
+
+The Gram matrices `_GRAM` are the definition of the intersection form, and
+the general functions (`intersect`, `generator_pairings`, `is_nef`, ...)
+read them.  The ampleness test, which every entry point runs, is written out
+per surface in straight-line integers (`_AMPLE_SQUARE`); the tests pin it to
+`_GRAM` on every class of a coefficient box.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from operator import mul
 from typing import Iterable
 
@@ -105,12 +112,7 @@ def intersect(x: NSClass, y: NSClass) -> int:
     """Intersection number of two classes on the same surface."""
     if x.surface is not y.surface:
         raise ValueError("surface mismatch")
-    gram = _GRAM[x.surface]
-    return sum(
-        xi * gram[i][j] * yj
-        for i, xi in enumerate(x.coeffs)
-        for j, yj in enumerate(y.coeffs)
-    )
+    return sum(map(mul, generator_pairings(x), y.coeffs))
 
 
 def generator_pairings(x: NSClass) -> tuple[int, ...]:
@@ -118,48 +120,77 @@ def generator_pairings(x: NSClass) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, x.coeffs)) for row in _GRAM[x.surface])
 
 
-def _square(x: NSClass, pairings: tuple[int, ...]) -> int:
-    # L^2 = sum_i a_i (L . basis_i)
-    return sum(map(mul, x.coeffs, pairings))
-
-
 def self_intersection(x: NSClass) -> int:
-    return _square(x, generator_pairings(x))
+    # L^2 = sum_i a_i (L . basis_i)
+    return sum(map(mul, x.coeffs, generator_pairings(x)))
+
+
+# The ampleness test per surface in straight-line integers: p_i are the
+# rows of `_GRAM` times the coefficients, i.e. the pairings with F1, F2,
+# Delta[, Sigma], and k = Delta.Sigma.  Each returns L^2 if the class is
+# ample and 0 otherwise.  On these surfaces the basis curves cut out the nef
+# cone, so strict positivity against them plus L^2 > 0 characterises
+# ampleness.
+
+def _nocm_ample_square(a1: int, a2: int, a3: int) -> int:
+    p1, p2, p3 = a2 + a3, a1 + a3, a1 + a2
+    square = a1 * p1 + a2 * p2 + a3 * p3
+    return square if p1 > 0 and p2 > 0 and p3 > 0 and square > 0 else 0
+
+
+def _cm_ample_square(k: int, a1: int, a2: int, a3: int, a4: int) -> int:
+    p1, p2, p3, p4 = a2 + a3 + a4, a1 + a3 + a4, a1 + a2 + k * a4, a1 + a2 + k * a3
+    square = a1 * p1 + a2 * p2 + a3 * p3 + a4 * p4
+    return square if p1 > 0 and p2 > 0 and p3 > 0 and p4 > 0 and square > 0 else 0
+
+
+_AMPLE_SQUARE = {
+    Surface.NO_CM: _nocm_ample_square,
+    Surface.CM_GAUSSIAN: partial(_cm_ample_square, 2),
+    Surface.CM_EISENSTEIN: partial(_cm_ample_square, 1),
+}
+
+
+def ample_square(surface: Surface, coeffs: tuple[int, ...]) -> int:
+    """L^2 of the class with these coefficients if it is ample, else 0.
+
+    Works on the raw tuple, so a caller that rejects most candidates builds
+    no class.
+    """
+    return _AMPLE_SQUARE[surface](*coeffs)
 
 
 def is_ample(x: NSClass) -> bool:
-    """Positivity of the self-intersection and of all basis pairings.
-
-    On these surfaces the basis curves cut out the nef cone, so strict
-    positivity against them plus x^2 > 0 characterises ampleness.
-    """
-    pairings = generator_pairings(x)
-    return min(pairings) > 0 and _square(x, pairings) > 0
+    """Strict positivity against the basis curves and of x^2."""
+    return ample_square(x.surface, x.coeffs) > 0
 
 
 def is_nef(x: NSClass) -> bool:
     """Closed variant of `is_ample` for integral classes."""
     pairings = generator_pairings(x)
-    return min(pairings) >= 0 and _square(x, pairings) >= 0
+    return min(pairings) >= 0 and sum(map(mul, x.coeffs, pairings)) >= 0
 
 
 def ample_violations(x: NSClass) -> list[str]:
     """Human-readable list of the ampleness inequalities `x` fails."""
-    bad = []
-    labels = GENERATOR_LABELS[: x.surface.rank]
     pairings = generator_pairings(x)
-    for label, p in zip(labels, pairings):
-        if p <= 0:
-            bad.append(f"L.{label} = {p} <= 0")
-    sq = _square(x, pairings)
-    if sq <= 0:
-        bad.append(f"L^2 = {sq} <= 0")
+    bad = [f"L.{n} = {p} <= 0" for n, p in zip(GENERATOR_LABELS, pairings) if p <= 0]
+    square = sum(map(mul, x.coeffs, pairings))
+    if square <= 0:
+        bad.append(f"L^2 = {square} <= 0")
     return bad
 
 
-def require_ample(x: NSClass) -> None:
-    if not is_ample(x):
+def require_ample(x: NSClass) -> int:
+    """L^2 of `x`, which must be ample (L^2 > 0, so the result is positive).
+
+    This is the one ampleness gate of every entry point.  Raises
+    `ValueError("not ample: ...")` listing the failed inequalities.
+    """
+    square = ample_square(x.surface, x.coeffs)
+    if not square:
         raise ValueError("not ample: " + "; ".join(ample_violations(x)))
+    return square
 
 
 def surface_from_name(name: str) -> Surface:

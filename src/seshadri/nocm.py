@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .kernels import _quad_window
-from .lattice import NSClass, Surface, require_ample, self_intersection
+from .lattice import NSClass, Surface, require_ample
 
 Pair = tuple[int, int]
 
@@ -155,9 +155,8 @@ def submaximal_curves(L: NSClass, weak: bool = False) -> frozenset[Pair]:
 
     Comparisons are made on squares, so no irrational arithmetic occurs.
     """
-    require_ample(L)
+    square = require_ample(L)
     _require_nocm(L)
-    square = self_intersection(L)
     # deg^2 <= square (resp. <) for positive integer degrees, as one bound
     threshold = isqrt(square) if weak else isqrt(square - 1)
     return _curves_up_to(_reduce(L.coeffs), threshold)

@@ -2,9 +2,8 @@
 from __future__ import annotations
 
 import random
-from operator import mul
 
-from .lattice import NSClass, Surface, gram_matrix
+from .lattice import NSClass, Surface, ample_square
 
 
 def random_ample_classes(
@@ -22,13 +21,10 @@ def random_ample_classes(
     # _randbelow(width) call each), which keeps the seeded stream
     width = 2 * coeff_bound + 1
     rank = surface.rank
-    gram = gram_matrix(surface)
     out: list[NSClass] = []
     while len(out) < count:
         coeffs = tuple(rng.randrange(width) - coeff_bound for _ in range(rank))
-        # `lattice.is_ample` on the raw tuple: most draws are rejected, and
-        # only the kept ones become classes
-        pairings = [sum(map(mul, row, coeffs)) for row in gram]
-        if min(pairings) > 0 and sum(map(mul, coeffs, pairings)) > 0:
+        # most draws are rejected, and only the kept ones become classes
+        if ample_square(surface, coeffs):
             out.append(NSClass(surface, coeffs))
     return out

@@ -267,6 +267,22 @@ def test_record_matches_golden(capsys, golden, argv):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "reference, argv",
+    [
+        ("nocm_seshadri", ("epsilon", "--surface", "nocm", "--coeffs", "52,30,-19", "--check-oracle")),
+        ("cm_seshadri", ("epsilon", "--surface", "cm-i", "--coeffs", "1,1,1,1", "--check-oracle")),
+        ("cm_seshadri", ("check", "--surface", "cm-eisenstein", "--count", "2", "--seed", "1")),
+    ],
+)
+def test_oracle_mismatch_exits_3(capsys, monkeypatch, reference, argv):
+    monkeypatch.setattr(seshadri.oracle, reference, lambda L: 10**9)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("oracle mismatch on ") and err.endswith(", oracle 1000000000\n")
+
+
 def test_check_command(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--surface", "nocm", "--count", "25", "--seed", "7"

@@ -1,16 +1,22 @@
+from itertools import product
+from operator import mul
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seshadri.lattice import (
+    GENERATOR_LABELS,
     NSClass,
     Surface,
     generator_classes,
+    generator_pairings,
     gram_matrix,
     intersect,
     is_ample,
     is_nef,
     ns_class,
+    require_ample,
     self_intersection,
 )
 
@@ -144,3 +150,33 @@ def test_generators_are_nef_not_ample():
         for g in generator_classes(surface):
             assert is_nef(g) and not is_ample(g)
             assert self_intersection(g) == 0
+
+
+@pytest.mark.parametrize("surface", list(Surface))
+def test_straight_line_forms_match_gram_on_a_box(surface):
+    # `_GRAM` is the definition: every value is recomputed from its rows
+    gram = gram_matrix(surface)
+    for coeffs in product(range(-5, 6), repeat=surface.rank):
+        L = ns_class(surface, coeffs)
+        pairings = tuple(sum(map(mul, row, coeffs)) for row in gram)
+        square = sum(map(mul, coeffs, pairings))
+        assert generator_pairings(L) == pairings
+        assert self_intersection(L) == square
+        assert is_nef(L) is (min(pairings) >= 0 and square >= 0)
+        ample = min(pairings) > 0 and square > 0
+        assert is_ample(L) is ample
+        if ample:
+            assert require_ample(L) == square
+            continue
+        failed = [f"L.{n} = {p} <= 0" for n, p in zip(GENERATOR_LABELS, pairings) if p <= 0]
+        failed += [f"L^2 = {square} <= 0"] if square <= 0 else []
+        with pytest.raises(ValueError) as info:
+            require_ample(L)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "not ample: " + "; ".join(failed)
+
+
+def test_not_ample_message_examples():
+    with pytest.raises(ValueError) as info:
+        require_ample(ns_class(Surface.CM_GAUSSIAN, (1, -1, 0, 0)))
+    assert str(info.value) == "not ample: L.F1 = -1 <= 0; L.Delta = 0 <= 0; L.Sigma = 0 <= 0; L^2 = -2 <= 0"

@@ -272,3 +272,25 @@ def test_matches_paper_formula_on_small_box():
 def test_matches_paper_formula_seeded(bound):
     for L in random_ample_classes(Surface.NO_CM, 500, bound, seed=bound % 991):
         _assert_matches_paper_formula(L)
+
+
+def test_ampleness_checked_once_per_call(monkeypatch):
+    # L^2 comes from the one ampleness check, not from a second pass
+    import seshadri.lattice
+    from seshadri import nocm
+
+    calls = []
+    require_ample = nocm.require_ample
+    monkeypatch.setattr(nocm, "require_ample", lambda L: calls.append(L) or require_ample(L))
+
+    def no_self_intersection(L):
+        raise AssertionError("self_intersection called")
+
+    monkeypatch.setattr(seshadri.lattice, "self_intersection", no_self_intersection)
+    if hasattr(nocm, "self_intersection"):
+        monkeypatch.setattr(nocm, "self_intersection", no_self_intersection)
+    L = ns_class(Surface.NO_CM, (45, 15, -11))
+    assert seshadri_constant(L).value == 4
+    assert calls == [L]
+    assert submaximal_curves(L, weak=True) == {(1, 0), (3, 1)}
+    assert calls == [L, L]
