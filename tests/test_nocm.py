@@ -287,6 +287,7 @@ def test_ampleness_checked_once_per_call(monkeypatch):
         raise AssertionError("self_intersection called")
 
     monkeypatch.setattr(seshadri.lattice, "self_intersection", no_self_intersection)
+    # a from-import binds the function at import time: patch that name too
     if hasattr(nocm, "self_intersection"):
         monkeypatch.setattr(nocm, "self_intersection", no_self_intersection)
     L = ns_class(Surface.NO_CM, (45, 15, -11))
