@@ -11,7 +11,8 @@ envelope only if c/(c+d) approximates q/(p+q) to better than 1/(c+d)^2, so
 the candidates are convergents and intermediate fractions of the continued
 fraction of q/(p+q).  They are enumerated level by level, O(1) work per
 partial quotient and O(log q) in all, instead of a walk over every c + d up
-to (p+q)/sqrt(2).
+to (p+q)/sqrt(2).  They stream into the hull in one pass, by non-decreasing
+s = c + d; on equal s the smaller intercept wins, and then the first line.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from itertools import chain
 from math import isqrt
 
 from .kernels import _quad_window
-from .nocm import GENERATOR_PAIRS, Pair, pair_sort_key
+from .nocm import Pair
 
 
 @dataclass(frozen=True)
@@ -49,27 +50,21 @@ class CrossSection:
     breakpoints: tuple[Fraction, ...]
     segments: tuple[Segment, ...]
 
-    def value_at(self, mu) -> Fraction:
+    def _segment_at(self, mu) -> tuple[Fraction, Segment]:
         mu = Fraction(mu)
         if mu > self.mu_max:
             raise ValueError("outside nef range")
-        return self.segments[bisect_left(self.breakpoints, mu)].value_at(mu)
+        return mu, self.segments[bisect_left(self.breakpoints, mu)]
+
+    def value_at(self, mu) -> Fraction:
+        mu, segment = self._segment_at(mu)
+        return segment.value_at(mu)
 
     def witness_at(self, mu) -> Pair:
-        mu = Fraction(mu)
-        if mu > self.mu_max:
-            raise ValueError("outside nef range")
-        return self.segments[bisect_left(self.breakpoints, mu)].witness
+        return self._segment_at(mu)[1].witness
 
 
-def _check_ratio(lam) -> Fraction:
-    lam = Fraction(lam)
-    if not 0 < lam <= 1:
-        raise ValueError("lambda out of range")
-    return lam
-
-
-def _envelope_curves(lam: Fraction) -> set[Pair]:
+def _envelope_curves(lam: Fraction) -> list[Pair]:
     """Curve pairs that can be weakly submaximal somewhere on the ray.
 
     Besides the basis curves, a pair (c, d) with c, d >= 1 can only touch
@@ -84,23 +79,28 @@ def _envelope_curves(lam: Fraction) -> set[Pair]:
     and the j breaking the bound form one exact integer window: the
     survivors are the two ends of [1, a] outside it.  The cost is O(1) per
     partial quotient, O(log q) in all.
+
+    The list has no repeats and is in hull order: Delta (s = 0), F1 = (1, 0)
+    (first level, j = 1: k s = p <= M), F2 (s = 1: ties F1, loses as p <= q),
+    then s = t2 + j t1 strictly rising with j up to t1' = t2 + a t1, the next
+    convergent's denominator, and from t1 + t1' on in the next level.
     """
     p, q = lam.numerator, lam.denominator
     S = p + q
     M = isqrt(S * S // 2)  # k s <= M  <=>  2 k^2 s^2 <= S^2
-    pairs: set[Pair] = set(GENERATOR_PAIRS)
-    # Convergents h2/t2, h1/t1 of q/S, seeded with 0/1 and 1/0.
-    h2, t2, h1, t1 = 0, 1, 1, 0
-    num, den = q, S
-    while den:
-        a, (num, den) = num // den, (den, num % den)
-        if t1:
-            A, B = abs(q * t2 - S * h2), abs(q * t1 - S * h1)
-            lo, hi = _quad_window(B * t1, B * t2 - A * t1, M + 1 - A * t2)
-            for j in chain(range(1, min(lo, a + 1)), range(max(hi, 0) + 1, a + 1)):
-                c = h2 + j * h1
-                pairs.add((c, t2 + j * t1 - c))
+    pairs: list[Pair] = [(1, -1)]
+    # Convergents h2/t2, h1/t1 of q/S from 1/0, 0/1; A, B their |q t - S h|.
+    h2, t2, h1, t1 = 1, 0, 0, 1
+    A, B = S, q
+    while B:
+        a = A // B
+        lo, hi = _quad_window(B * t1, B * t2 - A * t1, M + 1 - A * t2)
+        for j in chain(range(1, min(lo, a + 1)), range(max(hi, 0) + 1, a + 1)):
+            c = h2 + j * h1
+            pairs.append((c, t2 + j * t1 - c))
         h2, t2, h1, t1 = h1, t1, h2 + a * h1, t2 + a * t1
+        A, B = B, A - a * B
+    pairs.insert(2, (0, 1))  # F2, right after F1 = pairs[1]
     return pairs
 
 
@@ -109,31 +109,31 @@ def cross_section(lam) -> CrossSection:
 
     Lines are scaled by q: N_{c,d} gives q (L . N) = b - q s^2 mu with
     s = c + d and b = q d^2 + p c^2, so the hull runs on integers only.
+    Increasing s^2 = decreasing slope = left-to-right order on the envelope;
+    the line (k, b) meets (k0, b0) at mu = (b - b0) / (q (k - k0)).
     """
-    lam = _check_ratio(lam)
+    if not isinstance(lam, Fraction):
+        lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
+    if not 0 < p <= q:
+        raise ValueError("lambda out of range")
     S = p + q  # mu_max = p / S
-
-    by_square: dict[int, tuple[int, Pair]] = {}
-    for pair in sorted(_envelope_curves(lam), key=pair_sort_key):
-        c, d = pair
-        square, intercept = (c + d) ** 2, q * d * d + p * c * c
-        kept = by_square.get(square)
-        if kept is None or intercept < kept[0]:
-            by_square[square] = (intercept, pair)
-
-    # Increasing s^2 = decreasing slope = left-to-right order on the envelope;
-    # the line (k, b) meets (k0, b0) at mu = (b - b0) / (q (k - k0)).
     hull: list[tuple[int, int, Pair]] = []
     starts: list[tuple[int, int]] = []
-    for k in sorted(by_square):
-        b, pair = by_square[k]
+    for pair in _envelope_curves(lam):
+        c, d = pair
+        k, b = (c + d) ** 2, q * d * d + p * c * c
+        if hull and k <= hull[-1][0]:  # equal s: the lower line, else the first
+            if k < hull[-1][0]:
+                raise ArithmeticError(f"candidates of lambda = {lam} out of order")
+            if b >= hull[-1][1]:
+                continue
+            del hull[-1], starts[-1:]
         while hull:
             k0, b0, _ = hull[-1]
             num, den = b - b0, q * (k - k0)
             if starts and num * starts[-1][1] <= starts[-1][0] * den:
-                hull.pop()
-                starts.pop()
+                del hull[-1], starts[-1]
             else:
                 starts.append((num, den))
                 break

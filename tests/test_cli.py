@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -100,9 +101,23 @@ def test_internal_error_exits_70(capsys, monkeypatch):
     envelope_curves = xs._envelope_curves
 
     def without_ratio_curve(lam):
-        return envelope_curves(lam) - {(lam.denominator, lam.numerator)}
+        ratio_curve = (lam.denominator, lam.numerator)
+        return [pair for pair in envelope_curves(lam) if pair != ratio_curve]
 
     monkeypatch.setattr(xs, "_envelope_curves", without_ratio_curve)
+    code, out, err = run_cli(capsys, "cross-section", "--lambda", "8/11")
+    assert code == 70
+    assert out == ""
+    assert err.startswith("seshadri: internal error: ") and err.count("\n") == 1
+
+
+def test_out_of_order_candidates_raise(capsys, monkeypatch):
+    # The hull takes the candidates in one pass by increasing c + d and
+    # refuses any other order instead of building a wrong envelope.
+    envelope_curves = xs._envelope_curves
+    monkeypatch.setattr(xs, "_envelope_curves", lambda lam: envelope_curves(lam)[::-1])
+    with pytest.raises(ArithmeticError, match="out of order"):
+        xs.cross_section(Fraction(8, 11))
     code, out, err = run_cli(capsys, "cross-section", "--lambda", "8/11")
     assert code == 70
     assert out == ""

@@ -86,32 +86,47 @@ def _seeded_ratios():
 LARGE_RATIOS = [F(618033988749, 10**12), F(1, 10**12), F(10**12 - 1, 10**12)]
 
 
+def _seeded_large_ratios():
+    rng = random.Random(13)
+    ratios = set()
+    while len(ratios) < 100:
+        q = rng.randint(2, 10**12)
+        ratios.add(F(rng.randint(1, q), q))
+    return sorted(ratios)
+
+
 def _assert_matches_linear_walk(ratios, monkeypatch):
     reference = {lam: _linear_walk(lam) for lam in ratios}
     sections = {lam: cross_section(lam) for lam in ratios}
     for lam in ratios:
-        assert _envelope_curves(lam) == reference[lam], lam
-    monkeypatch.setattr(xs, "_envelope_curves", reference.__getitem__)
+        assert set(_envelope_curves(lam)) == reference[lam], lam
+    ordered = {
+        lam: sorted(pairs, key=lambda pair: (sum(pair), pair_sort_key(pair)))
+        for lam, pairs in reference.items()
+    }
+    monkeypatch.setattr(xs, "_envelope_curves", ordered.__getitem__)
     for lam in ratios:
         assert cross_section(lam) == sections[lam], lam
 
 
 def test_candidates_lambda_one():
-    assert _envelope_curves(F(1)) == {(1, 0), (0, 1), (1, -1), (1, 1)}
+    assert set(_envelope_curves(F(1))) == {(1, 0), (0, 1), (1, -1), (1, 1)}
 
 
 def test_candidates_eight_elevenths():
     # N_{2,1} is not a candidate: k = |11*3 - 19*2| = 5 and 2 k^2 s^2 = 450
     # exceeds 19^2, so it is not even weakly submaximal on this ray.
-    assert _envelope_curves(F(8, 11)) == {
+    assert set(_envelope_curves(F(8, 11))) == {
         (1, 0), (0, 1), (1, -1), (1, 1), (3, 2), (4, 3), (7, 5), (11, 8)
     }
 
 
 def test_section_range_check():
-    for lam in (F(3, 2), F(-1, 4), F(0)):
+    for lam in (F(3, 2), F(-1, 4), F(0), 2, 0, "-1/3", 1.5):
         with pytest.raises(ValueError, match="lambda out of range"):
             cross_section(lam)
+    for lam in (1, "8/11", 0.5):
+        assert cross_section(lam) == cross_section(F(lam)), lam
 
 
 def test_envelope_curves_match_linear_walk_small(monkeypatch):
@@ -125,6 +140,41 @@ def test_envelope_curves_match_linear_walk_seeded(monkeypatch):
 @pytest.mark.parametrize(
     "ratios", [_small_ratios, _seeded_ratios, lambda: LARGE_RATIOS],
     ids=["q_up_to_60", "seeded_q_up_to_10_4", "q_10_12"],
+)
+def test_candidates_in_hull_order(ratios):
+    # Delta (s = 0), then F1 and F2 (s = 1), then strictly increasing s.
+    for lam in ratios():
+        pairs = _envelope_curves(lam)
+        assert len(set(pairs)) == len(pairs), lam
+        sums = [c + d for c, d in pairs]
+        assert sums == sorted(sums), lam
+        assert sums[:3] == [0, 1, 1], lam
+        assert all(s < t for s, t in zip(sums[2:], sums[3:])), lam
+
+
+def test_equal_s_keeps_the_lower_line(monkeypatch):
+    # Parallel lines (equal s): the lower one wins wherever it is listed, and
+    # the first listed on a tie.  F1 = (1, 0) has intercept p, F2 = (0, 1) q;
+    # without Delta they are the first lines of the hull.
+    def section(lam, *basis):
+        delta, f1, f2, *rest = _envelope_curves(lam)
+        named = {"delta": delta, "f1": f1, "f2": f2}
+        listed = [named[name] for name in basis] + rest
+        monkeypatch.setattr(xs, "_envelope_curves", lambda _: listed)
+        return cross_section(lam)
+
+    for head in ((), ("delta",)):
+        lam = F(8, 11)
+        assert section(lam, *head, "f2", "f1") == section(lam, *head, "f1")
+        lam = F(1)
+        assert section(lam, *head, "f2", "f1") == section(lam, *head, "f2")
+        assert section(lam, *head, "f1", "f2") == section(lam, *head, "f1")
+
+
+@pytest.mark.parametrize(
+    "ratios",
+    [_small_ratios, _seeded_ratios, lambda: LARGE_RATIOS, _seeded_large_ratios],
+    ids=["q_up_to_60", "seeded_q_up_to_10_4", "q_10_12", "seeded_q_up_to_10_12"],
 )
 def test_integer_hull_matches_fraction_reference(ratios):
     for lam in ratios():
