@@ -11,7 +11,8 @@ range), 3 oracle mismatch, 64 usage error, 70 internal invariant violated
 and 64 print one `seshadri: error: ...` line on stderr, exit 70 one
 `seshadri: internal error: ...` line.
 Rationals are always printed as "num/den"; floats never appear in any
-output.
+output, and integers of any size are read and printed exactly.  A `table`
+row is the `epsilon` record of its class.
 """
 from __future__ import annotations
 
@@ -24,16 +25,8 @@ import sys
 from fractions import Fraction
 
 from . import cm, nocm, oracle, seshadri_constant
-from .cross_section import CrossSection, cross_section
-from .lattice import (
-    GENERATOR_LABELS,
-    NSClass,
-    Surface,
-    ns_class,
-    require_ample,
-    self_intersection,
-    surface_from_name,
-)
+from .cross_section import cross_section
+from .lattice import GENERATOR_LABELS, NSClass, Surface, require_ample
 from .sampling import random_ample_classes
 
 USAGE_ERROR = 64
@@ -62,15 +55,13 @@ def _fmt(q: Fraction) -> str:
 
 def _parse_coeffs(text: str, surface: Surface) -> NSClass:
     try:
-        values = [int(v) for v in text.split(",")]
+        values = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise UsageError(f"--coeffs must be comma-separated integers, got {text!r}")
-    if len(values) != surface.rank:
-        raise UsageError(
-            f"expected {surface.rank} coefficients for {surface.value}, "
-            f"got {len(values)}"
-        )
-    return ns_class(surface, values)
+    try:
+        return NSClass(surface, values)
+    except ValueError as exc:  # the arity check; its text is the message
+        raise UsageError(exc) from None
 
 
 def _cm_witness_labels(surface: Surface, witnesses) -> list[str]:
@@ -108,8 +99,8 @@ def _matches_oracle(L: NSClass, value: int) -> bool:
     return reference == value
 
 
-def _cmd_epsilon(args) -> int:
-    L = _parse_coeffs(args.coeffs, surface_from_name(args.surface))
+def _epsilon_record(L: NSClass) -> dict:
+    """The `epsilon` record of `L`, which is also its row in `table`."""
     record = _class_record(L)
     result = seshadri_constant(L)
     record["epsilon"] = result.value
@@ -118,14 +109,20 @@ def _cmd_epsilon(args) -> int:
         record["weak_submaximal"] = _nocm_labels(nocm.submaximal_curves(L, weak=True))
     else:
         record["witnesses"] = _cm_witness_labels(L.surface, result.witnesses)
-    if args.check_oracle and not _matches_oracle(L, result.value):
+    return record
+
+
+def _cmd_epsilon(args) -> int:
+    L = _parse_coeffs(args.coeffs, Surface(args.surface))
+    record = _epsilon_record(L)
+    if args.check_oracle and not _matches_oracle(L, record["epsilon"]):
         return ORACLE_MISMATCH
     print(json.dumps(record))
     return 0
 
 
 def _cmd_curves(args) -> int:
-    surface = surface_from_name(args.surface)
+    surface = Surface(args.surface)
     if surface is not Surface.NO_CM:
         raise DomainError("submaximal listing is only available for surface 'nocm'")
     L = _parse_coeffs(args.coeffs, surface)
@@ -146,43 +143,37 @@ def _parse_ratio(text: str) -> Fraction:
         raise UsageError(f"--lambda must be an integer or P/Q with Q != 0, got {text!r}")
 
 
-def _section_rows(section: CrossSection):
-    edges = ["-inf"] + [_fmt(b) for b in section.breakpoints] + [_fmt(section.mu_max)]
-    for i, seg in enumerate(section.segments):
-        yield edges[i], edges[i + 1], seg
+_SEGMENT_FIELDS = ("slope", "intercept", "witness")
 
 
 def _cmd_cross_section(args) -> int:
     if args.samples < 0:
         raise UsageError(f"--samples must be at least 0, got {args.samples}")
+    if args.samples and args.format != "csv":
+        raise UsageError(f"--samples needs --format csv, got --format {args.format}")
     lam = _parse_ratio(args.slope_ratio)
     if not 0 < lam <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
     section = cross_section(lam)
+    breakpoints = [_fmt(b) for b in section.breakpoints]
+    segments = [
+        (_fmt(seg.slope), _fmt(seg.intercept), nocm.pair_label(seg.witness))
+        for seg in section.segments
+    ]
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "lambda": _fmt(lam),
-                    "mu_max": _fmt(section.mu_max),
-                    "breakpoints": [_fmt(b) for b in section.breakpoints],
-                    "segments": [
-                        {
-                            "slope": _fmt(seg.slope),
-                            "intercept": _fmt(seg.intercept),
-                            "witness": nocm.pair_label(seg.witness),
-                        }
-                        for seg in section.segments
-                    ],
-                }
-            )
-        )
+        record = {
+            "lambda": _fmt(lam),
+            "mu_max": _fmt(section.mu_max),
+            "breakpoints": breakpoints,
+            "segments": [dict(zip(_SEGMENT_FIELDS, seg)) for seg in segments],
+        }
+        print(json.dumps(record))
         return 0
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["mu_from", "mu_to", "slope", "intercept", "witness"])
-    for lo, hi, seg in _section_rows(section):
-        writer.writerow([lo, hi, _fmt(seg.slope), _fmt(seg.intercept), nocm.pair_label(seg.witness)])
+    writer.writerow(["mu_from", "mu_to", *_SEGMENT_FIELDS])
+    edges = ["-inf", *breakpoints, _fmt(section.mu_max)]
+    writer.writerows([lo, hi, *seg] for lo, hi, seg in zip(edges, edges[1:], segments))
     if args.samples > 0:
         writer.writerow([])
         writer.writerow(["mu", "value"])
@@ -213,38 +204,20 @@ TABLE2_CLASSES = (
 
 
 def render_table(which: int) -> str:
+    """Example table 1 (nocm) or 2 (cm-i) as CSV; a row is a class's `epsilon` record."""
+    if which == 1:
+        surface, classes, lists = Surface.NO_CM, TABLE1_CLASSES, ("witnesses", "weak_submaximal")
+    else:
+        surface, classes, lists = Surface.CM_GAUSSIAN, TABLE2_CLASSES, ("witnesses",)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if which == 1:
-        writer.writerow(
-            ["a1", "a2", "a3", "l_squared", "epsilon", "computing", "weak_submaximal"]
-        )
-        for coeffs in TABLE1_CLASSES:
-            L = ns_class(Surface.NO_CM, coeffs)
-            result = nocm.seshadri_constant(L)
-            weak = nocm.submaximal_curves(L, weak=True)
-            writer.writerow(
-                [
-                    *coeffs,
-                    self_intersection(L),
-                    result.value,
-                    ",".join(_nocm_labels(result.witnesses)),
-                    ",".join(_nocm_labels(weak)),
-                ]
-            )
-    else:
-        writer.writerow(["a1", "a2", "a3", "a4", "l_squared", "epsilon", "computing"])
-        for coeffs in TABLE2_CLASSES:
-            L = ns_class(Surface.CM_GAUSSIAN, coeffs)
-            result = cm.seshadri_constant(L)
-            writer.writerow(
-                [
-                    *coeffs,
-                    self_intersection(L),
-                    result.value,
-                    ",".join(_cm_witness_labels(L.surface, result.witnesses)),
-                ]
-            )
+    coeff_names = [f"a{i}" for i in range(1, surface.rank + 1)]
+    # `witnesses` is headed `computing`, the other curve lists by their key
+    writer.writerow([*coeff_names, "l_squared", "epsilon", "computing", *lists[1:]])
+    for coeffs in classes:
+        record = _epsilon_record(NSClass(surface, coeffs))
+        curves = [",".join(record[k]) for k in lists]
+        writer.writerow([*coeffs, record["l_squared"], record["epsilon"], *curves])
     return out.getvalue()
 
 
@@ -258,29 +231,26 @@ def _cmd_check(args) -> int:
         raise UsageError(f"--count must be at least 1, got {args.count}")
     if args.bound < 0:
         raise UsageError(f"--bound must be at least 0, got {args.bound}")
-    surface = surface_from_name(args.surface)
+    surface = Surface(args.surface)
     bound = args.bound if args.bound else (50 if surface is Surface.NO_CM else 8)
     classes = random_ample_classes(surface, args.count, bound, args.seed)
     for L in classes:
         if not _matches_oracle(L, seshadri_constant(L).value):
             return ORACLE_MISMATCH
-    print(
-        json.dumps(
-            {
-                "surface": surface.value,
-                "count": args.count,
-                "seed": args.seed,
-                "coeff_bound": bound,
-                "all_match": True,
-            }
-        )
-    )
+    record = {
+        "surface": surface.value,
+        "count": args.count,
+        "seed": args.seed,
+        "coeff_bound": bound,
+        "all_match": True,
+    }
+    print(json.dumps(record))
     return 0
 
 
 @functools.cache  # built on first use, not at import
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="seshadri", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="seshadri", description="Command-line front end.")
     sub = parser.add_subparsers(dest="command", required=True)
     surfaces = [s.value for s in Surface]
 
@@ -322,7 +292,7 @@ def _build_parser() -> _Parser:
 _SIGNED_OPTIONS = ("--coeffs", "--lambda")
 
 
-def _normalize_argv(argv: list[str]) -> list[str]:
+def _normalize_argv(argv) -> list[str]:
     """Join `--coeffs -1,2,...` into `--coeffs=-1,2,...`, and `--lambda` alike.
 
     argparse would otherwise read a leading-minus value as an option name,
@@ -343,10 +313,13 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_parser().parse_args(_normalize_argv(list(argv)))
+    # Exact integers of any size: lift the int/str digit limit (Python 3.10.7+)
+    # while `main` runs; an in-process caller gets its own limit back.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = _build_parser().parse_args(_normalize_argv(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"seshadri: error: {exc}\n")
@@ -357,6 +330,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         sys.stderr.write(f"seshadri: internal error: {exc}\n")
         return INTERNAL_ERROR
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from operator import mul
+from operator import index, mul
 from typing import Iterable
 
 
@@ -96,7 +96,11 @@ class NSClass:
 
 
 def ns_class(surface: Surface, coeffs: Iterable[int]) -> NSClass:
-    return NSClass(surface, tuple(int(c) for c in coeffs))
+    """The class with these coefficients; a non-integer raises `TypeError`."""
+    try:
+        return NSClass(surface, tuple(map(index, coeffs)))
+    except TypeError:
+        raise TypeError("coefficients must be integers") from None
 
 
 def generator_classes(surface: Surface) -> tuple[NSClass, ...]:
@@ -192,9 +196,3 @@ def require_ample(x: NSClass) -> int:
         raise ValueError("not ample: " + "; ".join(ample_violations(x)))
     return square
 
-
-def surface_from_name(name: str) -> Surface:
-    for s in Surface:
-        if s.value == name:
-            return s
-    raise ValueError(f"unknown surface {name!r}")

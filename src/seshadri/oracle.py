@@ -155,15 +155,13 @@ def _canonical_sign(p: tuple[int, ...]) -> tuple[int, ...]:
     return p
 
 
-def min_quadratic_form(gram: Sequence[Sequence], dim: int | None = None) -> ShellSearchReport:
+def min_quadratic_form(gram: Sequence[Sequence]) -> ShellSearchReport:
     """Certified minimum of a positive-definite form over nonzero vectors.
 
     Returns all minimizers up to sign.
     """
     s, a = _integer_gram(gram)
     n = len(a)
-    if dim is not None and n != dim:
-        raise ValueError(f"expected a {dim}x{dim} gram matrix")
     minors, rows = _bareiss(a)
     if any(d <= 0 for d in minors):
         raise ValueError("not positive definite")

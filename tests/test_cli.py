@@ -73,8 +73,30 @@ def test_epsilon_non_ample_exits_2(capsys):
 
 
 def test_wrong_arity_exits_64(capsys):
-    code, _, _ = run_cli(capsys, "epsilon", "--surface", "nocm", "--coeffs", "1,2,3,4")
-    assert code == 64
+    # the message is `NSClass`'s arity text
+    for surface, coeffs, expected, got in (("nocm", "1,2,3,4", 3, 4), ("cm-i", "1,2,3", 4, 3)):
+        code, out, err = run_cli(capsys, "epsilon", "--surface", surface, "--coeffs", coeffs)
+        assert code == 64
+        assert out == ""
+        assert err == f"seshadri: error: expected {expected} coefficients for {surface}, got {got}\n"
+
+
+@pytest.mark.parametrize("digits", [2199, 4400])
+def test_integers_of_any_size_are_exact(capsys, digits):
+    # (A, A, A) is ample with L^2 = 6 A^2 and epsilon = 2 A.  With A = 10^2199
+    # only L^2 passes Python's default 4,300-digit int/str limit; with
+    # A = 10^4400 the coefficients do too.  `main` lifts the limit while it
+    # runs and restores the caller's.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    a = "1" + "0" * digits
+    code, out, err = run_cli(capsys, "epsilon", "--surface", "nocm", "--coeffs", f"{a},{a},{a}")
+    assert (code, err) == (0, "")
+    record = json.loads(out, parse_int=str)  # the digits, under any limit
+    assert record["coeffs"] == [a, a, a]
+    assert record["l_squared"] == "6" + "0" * (2 * digits)
+    assert record["epsilon"] == "2" + "0" * digits
+    assert record["witnesses"] == ["F1", "F2", "Delta"]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 @pytest.mark.parametrize(
@@ -86,6 +108,8 @@ def test_wrong_arity_exits_64(capsys):
         ("cross-section", "--lambda", "1/2", "--format", "csv", "--samples", "-3"),
         ("epsilon", "--surface", "nocm", "--coeffs", "1,x,3"),
         ("cross-section", "--lambda", "1/0"),
+        # samples are csv rows; json (the default format) has none
+        ("cross-section", "--lambda", "1/2", "--samples", "5"),
     ],
 )
 def test_bad_input_exits_64_with_message(capsys, argv):
@@ -146,10 +170,11 @@ def _run_module(*flags_and_argv):
     ],
 )
 def test_results_survive_python_O(argv):
-    # `python -O` strips assert statements; no result may depend on them.
+    # `python -O` strips assert statements and `-OO` docstrings as well; no
+    # result may depend on either.
     plain = _run_module("-m", "seshadri.cli", *argv)
-    optimized = _run_module("-O", "-m", "seshadri.cli", *argv)
-    assert plain and optimized == plain
+    for flag in ("-O", "-OO"):
+        assert plain and _run_module(flag, "-m", "seshadri.cli", *argv) == plain, flag
 
 
 def test_unknown_command_exits_64(capsys):

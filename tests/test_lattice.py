@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 from operator import mul
 
@@ -56,6 +57,21 @@ def test_surface_mismatch():
 def test_wrong_arity():
     with pytest.raises(ValueError):
         ns_class(Surface.NO_CM, (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(1.9, 2, 3), (1, 2, Fraction(7, 2)), (1, 2, Fraction(3)), ("1", "2", "3")]
+)
+def test_ns_class_rejects_non_integers(coeffs):
+    # coefficients are never truncated or parsed
+    with pytest.raises(TypeError, match="coefficients must be integers"):
+        ns_class(Surface.NO_CM, coeffs)
+
+
+def test_ns_class_keeps_integers():
+    big = 10**40
+    assert ns_class(Surface.NO_CM, [big, -2, 0]).coeffs == (big, -2, 0)
+    assert ns_class(Surface.CM_GAUSSIAN, iter((1, 2, 3, 4))).coeffs == (1, 2, 3, 4)
 
 
 @pytest.mark.parametrize(
