@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 def seshadri_constant(L: NSClass):
     """Dispatch to the closed-form computation for the class's surface."""
-    if L.surface is Surface.NO_CM:
+    if L.surface.trace is None:
         return nocm.seshadri_constant(L)
     return cm.seshadri_constant(L)
 

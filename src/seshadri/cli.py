@@ -87,7 +87,7 @@ def _class_record(L: NSClass) -> dict:
 
 def _matches_oracle(L: NSClass, value: int) -> bool:
     """Compare a closed-form constant with the oracle's; report a mismatch."""
-    if L.surface is Surface.NO_CM:
+    if L.surface.trace is None:
         reference = oracle.nocm_seshadri(L)
     else:
         reference = oracle.cm_seshadri(L)
@@ -104,7 +104,7 @@ def _epsilon_record(L: NSClass) -> dict:
     record = _class_record(L)
     result = seshadri_constant(L)
     record["epsilon"] = result.value
-    if L.surface is Surface.NO_CM:
+    if L.surface.trace is None:
         record["witnesses"] = _nocm_labels(result.witnesses)
         record["weak_submaximal"] = _nocm_labels(nocm.submaximal_curves(L, weak=True))
     else:
@@ -123,7 +123,7 @@ def _cmd_epsilon(args) -> int:
 
 def _cmd_curves(args) -> int:
     surface = Surface(args.surface)
-    if surface is not Surface.NO_CM:
+    if surface.trace is not None:
         raise DomainError("submaximal listing is only available for surface 'nocm'")
     L = _parse_coeffs(args.coeffs, surface)
     record = _class_record(L)
@@ -232,7 +232,7 @@ def _cmd_check(args) -> int:
     if args.bound < 0:
         raise UsageError(f"--bound must be at least 0, got {args.bound}")
     surface = Surface(args.surface)
-    bound = args.bound if args.bound else (50 if surface is Surface.NO_CM else 8)
+    bound = args.bound if args.bound else (50 if surface.trace is None else 8)
     classes = random_ample_classes(surface, args.count, bound, args.seed)
     for L in classes:
         if not _matches_oracle(L, seshadri_constant(L).value):

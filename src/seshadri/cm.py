@@ -13,9 +13,10 @@ box; it names each curve by the smallest tuple of its unit orbit.
 minimizer; it stays public and tested but is not used by the computation.
 
 The ring arithmetic is written once over the trace t of the generator w = i
-resp. z (t = 0 resp. 1, the `kernels` kind): w (x + y w) = -y + (x + t y) w,
-and n(x, y) = x^2 + t xy + y^2 is the norm of x + y w.  A tuple with D > 1 is reduced by multiplying
-(s1, s2) by (1 + y w)/D, so on cm-i the result is defined up to a unit.
+resp. z (t = 0 resp. 1, `Surface.trace`): w (x + y w) = -y + (x + t y) w,
+and n(x, y) = x^2 + t xy + y^2 is the norm of x + y w.  A tuple with D > 1
+is reduced by multiplying (s1, s2) by (1 + y w)/D, so on cm-i the result is
+defined up to a unit.
 """
 from __future__ import annotations
 
@@ -27,11 +28,6 @@ from . import kernels
 from .lattice import NSClass, Surface, require_ample
 
 Tuple4 = tuple[int, int, int, int]
-
-_KIND = {
-    Surface.CM_GAUSSIAN: kernels.GAUSSIAN,
-    Surface.CM_EISENSTEIN: kernels.EISENSTEIN,
-}
 
 #: Basis curves in tuple form: F1 = image of x -> (0, x), F2 of x -> (x, 0),
 #: Delta of x -> (x, x), Sigma of x -> (x, i(x)).
@@ -45,20 +41,23 @@ GENERATOR_TUPLES: dict[str, Tuple4] = {
 #: Basis curve of each degree vector, per surface.  The basis tuples have
 #: D = 1, so their raw degrees are their degree vectors.
 GENERATOR_BY_DEGREES: dict[Surface, dict[Tuple4, str]] = {
-    surface: {kernels._raw_degrees(k, *t): name for name, t in GENERATOR_TUPLES.items()}
-    for surface, k in _KIND.items()
+    surface: {kernels._raw_degrees(surface.trace, *t): name
+              for name, t in GENERATOR_TUPLES.items()}
+    for surface in Surface if surface.trace is not None
 }
 
 
-def _require_cm(surface: Surface) -> None:
-    if not surface.is_cm:
+def _trace(surface: Surface) -> int:
+    """The trace of the ring generator; raises on the surface without CM."""
+    k = surface.trace
+    if k is None:
         raise ValueError("surface mismatch: expected a CM surface")
+    return k
 
 
 def invariants(t: Tuple4, kind: Surface) -> Tuple4:
     """The four norm-form combinations whose gcd is the invariant D."""
-    _require_cm(kind)
-    k = _KIND[kind]
+    k = _trace(kind)
     a, b, c, d = t
     return (a * a + k * a * b + b * b, c * c + k * c * d + d * d,
             a * c + k * b * c + b * d, a * d - b * c)
@@ -78,10 +77,10 @@ def _require_primitive(t: Tuple4) -> None:
 
 def degree_vector(t: Tuple4, kind: Surface) -> Tuple4:
     """Intersection numbers of the curve named by `t` with F1, F2, Delta, Sigma."""
-    _require_cm(kind)
+    k = _trace(kind)
     _require_primitive(t)
     dd = tuple_gcd(t, kind)
-    raw = kernels._raw_degrees(_KIND[kind], *t)
+    raw = kernels._raw_degrees(k, *t)
     if any(x % dd for x in raw):
         raise ArithmeticError("D does not divide the raw degrees")
     return tuple(x // dd for x in raw)
@@ -93,10 +92,10 @@ def degree_form(L: NSClass) -> tuple[tuple[int | Fraction, ...], ...]:
     Entries are ints on cm-i; on cm-eisenstein the diagonal is integral and
     the off-diagonal entries are half-integers (Fractions).
     """
-    _require_cm(L.surface)
+    k = _trace(L.surface)
     a1, a2, a3, a4 = L.coeffs
     A, C = a1 + a3 + a4, a2 + a3 + a4
-    if L.surface is Surface.CM_GAUSSIAN:
+    if k == 0:  # cm-i
         return (
             (A, 0, -a3, -a4),
             (0, A, a4, -a3),
@@ -118,9 +117,9 @@ def degree_form(L: NSClass) -> tuple[tuple[int | Fraction, ...], ...]:
 def search_bound(L: NSClass) -> Fraction:
     """Box radius inside which the degree expression attains its minimum."""
     require_ample(L)
-    _require_cm(L.surface)
+    k = _trace(L.surface)
     a1, a2, a3, a4 = L.coeffs
-    if L.surface is Surface.CM_GAUSSIAN:
+    if k == 0:  # cm-i
         num = 8 * max(
             (a1 + a3 + a4) ** 2, a3 * a3, a4 * a4, (a2 + a3 + a4) ** 2
         )
@@ -139,14 +138,12 @@ def search_bound(L: NSClass) -> Fraction:
 
 def degree_value(L: NSClass, t: Tuple4) -> int:
     """The quartic degree expression (undivided by D) at an integer tuple."""
-    _require_cm(L.surface)
-    return kernels._value(_KIND[L.surface], *L.coeffs, *t)
+    return kernels._value(_trace(L.surface), *L.coeffs, *t)
 
 
 def unit_orbit(t: Tuple4, kind: Surface) -> tuple[Tuple4, ...]:
     """Tuples naming the same curve via unit multiples of the parametrisation."""
-    _require_cm(kind)
-    return kernels.unit_orbit(_KIND[kind], t)
+    return kernels.unit_orbit(_trace(kind), t)
 
 
 def canonical_tuple(t: Tuple4, kind: Surface) -> Tuple4:
@@ -179,8 +176,7 @@ def seshadri_constant(L: NSClass) -> CMSeshadriResult:
     two witnesses with one degree vector raise `ArithmeticError`.
     """
     require_ample(L)
-    _require_cm(L.surface)
-    k = _KIND[L.surface]
+    k = _trace(L.surface)
     best, mins = kernels.minimize_quartic(k, L.coeffs)
     if not (best > 0 and mins):
         raise ArithmeticError("ample classes have a positive minimum")
@@ -244,7 +240,7 @@ def reduce_tuple(t: Tuple4, kind: Surface) -> Tuple4:
     target identities; a step that fails to decrease D or a result that
     misses them raises `ArithmeticError`.
     """
-    _require_cm(kind)
+    k = _trace(kind)
     _require_primitive(t)
     d0 = tuple_gcd(t, kind)
     target = tuple(v // d0 for v in invariants(t, kind))
@@ -253,7 +249,7 @@ def reduce_tuple(t: Tuple4, kind: Surface) -> Tuple4:
         dd = tuple_gcd(cur, kind)
         if dd == 1:
             break
-        step = _step(_KIND[kind], cur, dd)
+        step = _step(k, cur, dd)
         if step is None or tuple_gcd(_primitive(step), kind) >= dd:
             raise ArithmeticError(f"reduction step failed to decrease D at {cur}")
         cur = _primitive(step)

@@ -2,8 +2,8 @@
 
 On both CM surfaces a curve is the image of x -> (s1 x, s2 x) with
 s1 = a + b*w, s2 = c + d*w, where w = i (order Z[i]) or w = e^(i pi/3)
-(order Z[w]).  Then w^2 = t*w - 1 with trace t = 0 resp. 1; the kind
-constants below are that trace, and nothing else tells the two apart.  The
+(order Z[w]).  Then w^2 = t*w - 1 with trace t = 0 resp. 1 (`Surface.trace`);
+every function here takes t, and nothing else tells the two apart.  The
 degree expression is a positive-definite binary Hermitian form over the order,
 
     Q = A n(a, b) + C n(c, d) + Lc c + Ld d,    n(x, y) = x^2 + t xy + y^2,
@@ -33,9 +33,6 @@ window that the previous ones leave for Q <= best, in exact integers.
 from __future__ import annotations
 
 from math import isqrt
-
-GAUSSIAN = 0
-EISENSTEIN = 1
 
 Tuple4 = tuple[int, int, int, int]
 
@@ -67,9 +64,9 @@ def _raw_degrees(t: int, a: int, b: int, c: int, d: int) -> Tuple4:
             e * e + t * e * f + f * f, g * g + t * g * h + h * h)
 
 
-def _value(kind: int, a1: int, a2: int, a3: int, a4: int,
+def _value(t: int, a1: int, a2: int, a3: int, a4: int,
            a: int, b: int, c: int, d: int) -> int:
-    r1, r2, r3, r4 = _raw_degrees(kind, a, b, c, d)
+    r1, r2, r3, r4 = _raw_degrees(t, a, b, c, d)
     return a1 * r1 + a2 * r2 + a3 * r3 + a4 * r4
 
 
@@ -166,17 +163,16 @@ def quartic_min_box(t: int, A: int, C: int, b0: int,
     return best, mins
 
 
-def minimize_quartic(kind: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
+def minimize_quartic(t: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
     """Minimum of the degree expression of `coeffs` over nonzero tuples.
 
     Returns the minimum with the sorted list of the curves attaining it, each
     as the smallest tuple of its unit orbit.  Raises `ValueError` when the
     form is not positive definite.
     """
-    t = kind
     a1, a2, a3, a4 = coeffs
     A, C = a1 + a3 + a4, a2 + a3 + a4
-    b0, b1 = (-2 * a3, 2 * a4) if t == GAUSSIAN else (-2 * a3 - a4, a4 - a3)
+    b0, b1 = -2 * a3 - t * a4, (2 - t) * a4 - t * a3
     if not (A > 0 and (4 - t * t) * A * C > b0 * b0 - t * b0 * b1 + b1 * b1):
         raise ValueError("degree form is not positive definite")
     A, C, b0, b1, f1, f2 = _reduce(t, A, C, b0, b1)

@@ -6,35 +6,37 @@ automorphism of order 4 resp. 6 (rank 4, basis F1, F2, Delta, Sigma).  All
 arithmetic is over plain Python integers, so coefficients of any size are
 exact.
 
+`Surface` is the one place that says what a surface is: each member carries
+its lattice rank and, on rank 4, the trace t of the ring generator w
+(w^2 = t w - 1, Delta . Sigma = 2 - t), None on rank 3.  Other modules read
+these attributes and keep no table per surface.
+
 The Gram matrices `_GRAM` are the definition of the intersection form, and
 the general functions (`intersect`, `generator_pairings`, `is_nef`, ...)
 read them.  The ampleness test, which every entry point runs, is written out
-per surface in straight-line integers (`_AMPLE_SQUARE`); the tests pin it to
-`_GRAM` on every class of a coefficient box.
+in straight-line integers over the trace (`ample_square`); the tests pin it
+to `_GRAM` on every class of a coefficient box.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from operator import index, mul
 from typing import Iterable
 
 
 class Surface(Enum):
-    """Which self-product surface a divisor class lives on."""
+    """Which self-product surface a divisor class lives on, with its lattice
+    rank and the trace of its ring generator (None without CM)."""
 
-    NO_CM = "nocm"
-    CM_GAUSSIAN = "cm-i"
-    CM_EISENSTEIN = "cm-eisenstein"
+    NO_CM = "nocm", 3, None
+    CM_GAUSSIAN = "cm-i", 4, 0
+    CM_EISENSTEIN = "cm-eisenstein", 4, 1
 
-    @property
-    def rank(self) -> int:
-        return 3 if self is Surface.NO_CM else 4
-
-    @property
-    def is_cm(self) -> bool:
-        return self is not Surface.NO_CM
+    def __new__(cls, value: str, rank: int, trace: int | None) -> "Surface":
+        member = object.__new__(cls)
+        member._value_, member.rank, member.trace = value, rank, trace
+        return member
 
 
 # Gram matrices of the basis (F1, F2, Delta[, Sigma]).  All basis curves are
@@ -76,6 +78,8 @@ class NSClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.coeffs, tuple):
+            raise TypeError("coefficients must be a tuple")
         if len(self.coeffs) != self.surface.rank:
             raise ValueError(
                 f"expected {self.surface.rank} coefficients for "
@@ -131,9 +135,9 @@ def self_intersection(x: NSClass) -> int:
 
 # The ampleness test per surface in straight-line integers: p_i are the
 # rows of `_GRAM` times the coefficients, i.e. the pairings with F1, F2,
-# Delta[, Sigma], and k = Delta.Sigma.  Each returns L^2 if the class is
-# ample and 0 otherwise.  On these surfaces the basis curves cut out the nef
-# cone, so strict positivity against them plus L^2 > 0 characterises
+# Delta[, Sigma], and k = Delta.Sigma = 2 - trace.  Each returns L^2 if the
+# class is ample and 0 otherwise.  On these surfaces the basis curves cut out
+# the nef cone, so strict positivity against them plus L^2 > 0 characterises
 # ampleness.
 
 def _nocm_ample_square(a1: int, a2: int, a3: int) -> int:
@@ -148,20 +152,16 @@ def _cm_ample_square(k: int, a1: int, a2: int, a3: int, a4: int) -> int:
     return square if p1 > 0 and p2 > 0 and p3 > 0 and p4 > 0 and square > 0 else 0
 
 
-_AMPLE_SQUARE = {
-    Surface.NO_CM: _nocm_ample_square,
-    Surface.CM_GAUSSIAN: partial(_cm_ample_square, 2),
-    Surface.CM_EISENSTEIN: partial(_cm_ample_square, 1),
-}
-
-
 def ample_square(surface: Surface, coeffs: tuple[int, ...]) -> int:
     """L^2 of the class with these coefficients if it is ample, else 0.
 
     Works on the raw tuple, so a caller that rejects most candidates builds
     no class.
     """
-    return _AMPLE_SQUARE[surface](*coeffs)
+    t = surface.trace
+    if t is None:
+        return _nocm_ample_square(*coeffs)
+    return _cm_ample_square(2 - t, *coeffs)
 
 
 def is_ample(x: NSClass) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .kernels import _quad_window
-from .lattice import NSClass, Surface, require_ample
+from .lattice import GENERATOR_LABELS, NSClass, Surface, require_ample
 
 Pair = tuple[int, int]
 
@@ -50,11 +50,11 @@ def class_to_pair(coeffs: tuple[int, int, int]) -> Pair:
     """Inverse of `curve_class` on primitive classes of self-intersection 0."""
     x1, x2, x3 = coeffs
     if x1 == 0 and x2 == 0:
-        if x3 not in (1, -1):
+        if x3 != 1:
             raise ValueError(f"{coeffs} is not a primitive curve class")
         return (1, -1)
-    s2 = x1 + x2
-    s = isqrt(s2)
+    s2 = x1 + x2  # (c + d)^2 >= 0 on a curve class
+    s = isqrt(max(s2, 0))
     if s * s != s2 or s == 0 or x1 % s or x2 % s:
         raise ValueError(f"{coeffs} is not a curve class")
     c, d = x1 // s, x2 // s
@@ -64,7 +64,7 @@ def class_to_pair(coeffs: tuple[int, int, int]) -> Pair:
 
 
 def _require_nocm(L: NSClass) -> None:
-    if L.surface is not Surface.NO_CM:
+    if L.surface.trace is not None:
         raise ValueError("surface mismatch: expected the nocm surface")
 
 
@@ -77,12 +77,8 @@ def degree(L: NSClass, pair: Pair) -> int:
 
 
 def pair_label(pair: Pair) -> str:
-    if pair == (1, 0):
-        return "F1"
-    if pair == (0, 1):
-        return "F2"
-    if pair == (1, -1):
-        return "Delta"
+    if pair in GENERATOR_PAIRS:
+        return GENERATOR_LABELS[GENERATOR_PAIRS.index(pair)]
     return "N_{%d,%d}" % pair
 
 

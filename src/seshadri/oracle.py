@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .lattice import NSClass, Surface, require_ample
+from .lattice import NSClass, require_ample
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def nocm_seshadri(L: NSClass) -> int:
     single certified form minimization.
     """
     require_ample(L)
-    if L.surface is not Surface.NO_CM:
+    if L.surface.trace is not None:
         raise ValueError("surface mismatch: expected the nocm surface")
     a1, a2, a3 = L.coeffs
     gram = ((a2 + a3, a3), (a3, a1 + a3))
@@ -218,7 +218,7 @@ def cm_seshadri(L: NSClass) -> int:
     from . import cm
 
     require_ample(L)
-    if not L.surface.is_cm:
+    if L.surface.trace is None:
         raise ValueError("surface mismatch: expected a CM surface")
     return _integral_minimum(min_quadratic_form(cm.degree_form(L)), L)
 

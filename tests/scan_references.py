@@ -17,7 +17,7 @@ through the sort permutation with `nocm.class_to_pair`.
 from itertools import product
 from math import gcd, isqrt
 
-from seshadri import cm, kernels
+from seshadri import cm
 from seshadri.kernels import _lin_window, _quad_window, _value
 from seshadri.lattice import require_ample, self_intersection
 from seshadri.nocm import SeshadriResult, class_to_pair
@@ -29,7 +29,7 @@ def in_domain(t):
     return (a > 0 and b >= 0) or (a == b == 0 and c > 0 and d >= 0)
 
 
-def naive_domain_min(kind, coeffs, radius, best):
+def naive_domain_min(trace, coeffs, radius, best):
     """Minimum over the domain tuples of [-radius, radius]^4, with the
     sorted minimizers, by evaluating the norm-pair expression everywhere."""
     mins = []
@@ -38,7 +38,7 @@ def naive_domain_min(kind, coeffs, radius, best):
     for t in product(half, half, full, full):
         if not in_domain(t):
             continue
-        q = _value(kind, *coeffs, *t)
+        q = _value(trace, *coeffs, *t)
         if q < best:
             best, mins = q, [t]
         elif q == best:
@@ -46,18 +46,18 @@ def naive_domain_min(kind, coeffs, radius, best):
     return best, mins
 
 
-def half_box_min(kind, coeffs, radius, best):
+def half_box_min(trace, coeffs, radius, best):
     """Pruned walk over a in [0, radius], b, c, d in [-radius, radius]."""
     a1, a2, a3, a4 = coeffs
     A = a1 + a3 + a4
     C = a2 + a3 + a4
     mins = []
-    if kind == kernels.GAUSSIAN:
+    if trace == 0:
         delta = A * C - a3 * a3 - a4 * a4
     else:
         delta = A * C - (a3 * a3 + a3 * a4 + a4 * a4)
     for a in range(radius + 1):
-        if kind == kernels.GAUSSIAN:
+        if trace == 0:
             if delta * a * a > C * best:
                 break
             blo, bhi = _quad_window(delta, 0, delta * a * a - C * best)
@@ -66,10 +66,10 @@ def half_box_min(kind, coeffs, radius, best):
                 break
             blo, bhi = _quad_window(delta, delta * a, delta * a * a - C * best)
         for b in range(max(blo, -radius), min(bhi, radius) + 1):
-            for c, d in _cd_pairs(kind, a3, a4, A, C, a, b, radius, best):
+            for c, d in _cd_pairs(trace, a3, a4, A, C, a, b, radius, best):
                 if a == 0 and b == 0 and c == 0 and d == 0:
                     continue
-                q = _value(kind, a1, a2, a3, a4, a, b, c, d)
+                q = _value(trace, a1, a2, a3, a4, a, b, c, d)
                 if q < best:
                     best, mins = q, [(a, b, c, d)]
                 elif q == best:
@@ -77,9 +77,9 @@ def half_box_min(kind, coeffs, radius, best):
     return best, sorted(mins)
 
 
-def _cd_pairs(kind, a3, a4, A, C, a, b, radius, best):
+def _cd_pairs(trace, a3, a4, A, C, a, b, radius, best):
     # (c, d) in the box with Q(a, b, c, d) <= best, from the exact windows
-    if kind == kernels.GAUSSIAN:
+    if trace == 0:
         u = -a3 * a + a4 * b
         v = -a4 * a - a3 * b
         K = A * (a * a + b * b)
@@ -110,9 +110,9 @@ HALF_BOX_WARM = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0),
 def half_box_seshadri(L):
     """`cm.seshadri_constant` by the half-box walk and `cm.reduce_tuple`."""
     bound = cm.search_bound(L)
-    kind = cm._KIND[L.surface]
     best0 = min(cm.degree_value(L, t) for t in HALF_BOX_WARM)
-    best, mins = half_box_min(kind, L.coeffs, bound.numerator // bound.denominator, best0)
+    radius = bound.numerator // bound.denominator
+    best, mins = half_box_min(L.surface.trace, L.coeffs, radius, best0)
     by_degrees = {}
     for t in mins:
         rep = cm.canonical_tuple(cm.reduce_tuple(t, L.surface), L.surface)

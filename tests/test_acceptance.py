@@ -135,7 +135,7 @@ def test_criterion_2_rank4_table(monkeypatch):
     start = time.perf_counter()
     for coeffs, *_ in TABLE2:
         L = ns_class(GAUSS, coeffs)
-        _, mins = kernels.minimize_quartic(kernels.GAUSSIAN, L.coeffs)
+        _, mins = kernels.minimize_quartic(GAUSS.trace, L.coeffs)
         report = oracle.min_quadratic_form(cm.degree_form(L))
         assert_one_minimizer_per_orbit(mins, report.minimizers, GAUSS)
     certified = time.perf_counter() - start
@@ -144,9 +144,9 @@ def test_criterion_2_rank4_table(monkeypatch):
     # scan.  The naive scan of the radius-100 row takes about an hour, so
     # only the small boxes are re-run here; the reduced-walk/naive parity on
     # random inputs is covered separately in test_kernels.
-    def naive_minimize(kind, coeffs):
+    def naive_minimize(t, coeffs):
         L = ns_class(GAUSS, coeffs)
-        return naive_domain_min(kind, coeffs, int(cm.search_bound(L)), min(generator_pairings(L)))
+        return naive_domain_min(t, coeffs, int(cm.search_bound(L)), min(generator_pairings(L)))
 
     monkeypatch.setattr(kernels, "minimize_quartic", naive_minimize)
     start = time.perf_counter()

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import seshadri
 from seshadri import Surface, ns_class, seshadri_constant
 
@@ -12,3 +15,11 @@ def test_dispatch_by_surface():
 
 def test_version():
     assert seshadri.__version__
+
+
+def test_library_has_no_assert_statement():
+    # no result may depend on `assert`, which `python -O` strips
+    for path in sorted(Path(seshadri.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)

@@ -9,15 +9,15 @@ from seshadri.cm import search_bound, unit_orbit
 from seshadri.kernels import _lin_window, _quad_window, _value
 from seshadri.lattice import Surface, ns_class
 
-SURFACES = (Surface.CM_GAUSSIAN, Surface.CM_EISENSTEIN)  # indexed by kind
+SURFACES = (Surface.CM_GAUSSIAN, Surface.CM_EISENSTEIN)
 
 
-def _random_definite(rng, kind):
+def _random_definite(rng, trace):
     while True:
         coeffs = tuple(rng.randint(-6, 7) for _ in range(4))
         a1, a2, a3, a4 = coeffs
         A, C = a1 + a3 + a4, a2 + a3 + a4
-        cross = a3 * a3 + a4 * a4 if kind == kernels.GAUSSIAN else a3 * a3 + a3 * a4 + a4 * a4
+        cross = a3 * a3 + trace * a3 * a4 + a4 * a4
         if A > 0 and C > 0 and A * C - cross > 0:
             return coeffs
 
@@ -51,23 +51,23 @@ def test_reduced_walk_matches_naive_domain_scan():
     rng = random.Random(17)
     checked = 0
     while checked < 40:
-        kind = rng.choice([kernels.GAUSSIAN, kernels.EISENSTEIN])
-        coeffs = _random_definite(rng, kind)
-        radius = int(search_bound(ns_class(SURFACES[kind], coeffs)))
+        surface = rng.choice(SURFACES)
+        coeffs = _random_definite(rng, surface.trace)
+        radius = int(search_bound(ns_class(surface, coeffs)))
         if radius > 10:
             continue
         checked += 1
         best0 = coeffs[0] + coeffs[2] + coeffs[3]  # value at (1, 0, 0, 0)
-        best, mins = naive_domain_min(kind, coeffs, radius, best0)
-        naive = best, sorted(cm.canonical_tuple(t, SURFACES[kind]) for t in mins)
-        assert kernels.minimize_quartic(kind, coeffs) == naive, (kind, coeffs, radius)
+        best, mins = naive_domain_min(surface.trace, coeffs, radius, best0)
+        naive = best, sorted(cm.canonical_tuple(t, surface) for t in mins)
+        assert kernels.minimize_quartic(surface.trace, coeffs) == naive, (surface, coeffs, radius)
 
 
 def test_oversized_inputs_match_oracle():
     # coefficients far past any fixed-width integer budget
     for surface in SURFACES:
         L = ns_class(surface, (10**6, 10**6, -1, -1))
-        best, mins = kernels.minimize_quartic(cm._KIND[surface], L.coeffs)
+        best, mins = kernels.minimize_quartic(surface.trace, L.coeffs)
         report = oracle.min_quadratic_form(cm.degree_form(L))
         assert best == oracle.cm_seshadri(L) == report.minimum, surface
         assert_one_minimizer_per_orbit(mins, report.minimizers, surface)
@@ -75,21 +75,21 @@ def test_oversized_inputs_match_oracle():
 
 def test_indefinite_form_raises():
     # a real check, not an assert: the reduction needs a definite form
-    for kind, coeffs in ((kernels.GAUSSIAN, (1, 0, 0, 0)), (kernels.EISENSTEIN, (1, 1, -3, 0))):
+    for surface, coeffs in zip(SURFACES, ((1, 0, 0, 0), (1, 1, -3, 0))):
         with pytest.raises(ValueError, match="not positive definite"):
-            kernels.minimize_quartic(kind, coeffs)
+            kernels.minimize_quartic(surface.trace, coeffs)
 
 
 def test_naive_box_is_exhaustive_small():
     # tiny box recomputed literally: the naive domain scan keeps exactly the
     # box minimizers in the domain, one per unit orbit
-    kind = kernels.GAUSSIAN
+    trace = Surface.CM_GAUSSIAN.trace
     coeffs = (2, 2, -1, 1)
-    best, mins = naive_domain_min(kind, coeffs, 2, 10**9)
+    best, mins = naive_domain_min(trace, coeffs, 2, 10**9)
     lit = {}
     for t in product(range(-2, 3), repeat=4):
         if any(t):
-            lit.setdefault(_value(kind, *coeffs, *t), []).append(t)
+            lit.setdefault(_value(trace, *coeffs, *t), []).append(t)
     assert best == min(lit)
     assert mins == sorted(t for t in lit[best] if in_domain(t))
     assert 4 * len(mins) == len(lit[best])

@@ -49,7 +49,7 @@ def test_closed_form_matches_oracle(surface, bound):
                 cm.degree_value(L, w.representative) == result.value
                 for w in result.witnesses
             ), L.coeffs
-            _, mins = kernels.minimize_quartic(cm._KIND[surface], L.coeffs)
+            _, mins = kernels.minimize_quartic(surface.trace, L.coeffs)
             assert_one_minimizer_per_orbit(mins, report.minimizers, surface)
 
 
@@ -140,7 +140,7 @@ def near_boundary_cm_classes(surface, size, seed):
     """Rank-4 classes whose Hermitian degree form is H0 in REDUCED_HERMITIAN
     after seeded unimodular steps over the order (f2 += k f1, then a swap)
     until an entry reaches `size`, each with H0's minimum and curve count."""
-    t = cm._KIND[surface]
+    t = surface.trace
     rng = Random(seed)
     out = []
     for (A, C, b0, b1), curves in REDUCED_HERMITIAN[surface].items():

@@ -37,6 +37,16 @@ def test_gram_matrices():
     assert all(e[i][j] == (0 if i == j else 1) for i in range(4) for j in range(4))
 
 
+@pytest.mark.parametrize("surface", list(Surface), ids=lambda s: s.value)
+def test_surface_facts_match_gram(surface):
+    # the rank and trace that every module reads agree with the definition
+    gram = gram_matrix(surface)
+    assert len(gram) == surface.rank
+    assert (surface.trace is None) == (surface is Surface.NO_CM)
+    if surface.trace is not None:
+        assert gram[2][3] == 2 - surface.trace  # Delta . Sigma
+
+
 @pytest.mark.parametrize(
     "surface,x,y,expected",
     [
@@ -66,6 +76,16 @@ def test_ns_class_rejects_non_integers(coeffs):
     # coefficients are never truncated or parsed
     with pytest.raises(TypeError, match="coefficients must be integers"):
         ns_class(Surface.NO_CM, coeffs)
+
+
+def test_ns_class_requires_a_tuple():
+    # a list would leave the class unhashable and unequal to its `ns_class` twin
+    with pytest.raises(TypeError, match="coefficients must be a tuple"):
+        NSClass(Surface.NO_CM, [3, 2, -1])
+    with pytest.raises(ValueError, match="expected 3 coefficients for nocm, got 2"):
+        NSClass(Surface.NO_CM, (3, 2))
+    with pytest.raises(TypeError, match="coefficients must be integers"):
+        NSClass(Surface.NO_CM, (3, 2, -1.0))
 
 
 def test_ns_class_keeps_integers():

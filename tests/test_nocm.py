@@ -55,6 +55,24 @@ def test_curve_classes_are_primitive_of_square_zero(pair):
     assert gcd(*cls.coeffs) == 1
 
 
+@pytest.mark.parametrize(
+    "coeffs,message",
+    [
+        ((0, 0, -1), "is not a primitive curve class"),  # -Delta
+        ((0, 0, 2), "is not a primitive curve class"),
+        ((-1, 0, 0), "is not a curve class"),  # -F1
+        ((-2, -2, 1), "is not a curve class"),  # -N_{1,1}
+        ((-6, -3, 2), "is not a curve class"),  # -N_{2,1}
+        ((1, 1, 0), "is not a curve class"),
+    ],
+)
+def test_class_to_pair_rejects_non_curve_classes(coeffs, message):
+    # a curve class has x1 + x2 = (c + d)^2 >= 0, and Delta is (0, 0, 1)
+    with pytest.raises(ValueError) as info:
+        class_to_pair(coeffs)
+    assert str(info.value) == f"{coeffs} {message}"
+
+
 def test_canonical_pair_rejects_bad_input():
     with pytest.raises(ValueError):
         canonical_pair(0, 0)
