@@ -15,8 +15,8 @@ minimizer; it stays public and tested but is not used by the computation.
 The ring arithmetic is written once over the trace t of the generator w = i
 resp. z (t = 0 resp. 1, `Surface.trace`): w (x + y w) = -y + (x + t y) w,
 and n(x, y) = x^2 + t xy + y^2 is the norm of x + y w.  A tuple with D > 1
-is reduced by multiplying (s1, s2) by (1 + y w)/D, so on cm-i the result is
-defined up to a unit.
+is reduced by dividing (s1, s2) by their ring gcd, so on both surfaces the
+result is defined up to a unit.
 """
 from __future__ import annotations
 
@@ -169,9 +169,9 @@ def seshadri_constant(L: NSClass) -> CMSeshadriResult:
     over nonzero tuples, found by Gauss reduction of the Hermitian form and
     a walk in reduced coordinates, with one tuple per minimizing curve: the
     smallest of its unit orbit, which is the witness's representative.
-    Every minimizer has D = 1: a tuple of the same curve with D = 1, which
-    `reduce_tuple` finds by multipliers (1 + y w)/D, has value Q/D, so D > 1
-    would undercut the minimum.  With D = 1 the raw degrees are the degree
+    Every minimizer has D = 1: with g the ring gcd of s1 and s2, the tuple
+    s/g of the same curve, with n(g) = D, has value Q/D, so D > 1 would
+    undercut the minimum.  With D = 1 the raw degrees are the degree
     vector, and curves, unit orbits and classes correspond one to one, so
     two witnesses with one degree vector raise `ArithmeticError`.
     """
@@ -195,7 +195,7 @@ def seshadri_constant(L: NSClass) -> CMSeshadriResult:
 
 
 def congruence_solution_count(t: Tuple4) -> int:
-    """Solutions (m, n) mod D of the four kernel congruences, counted directly."""
+    """Solutions (m, n) mod D of the four kernel congruences on cm-i, by count."""
     _require_primitive(t)
     a, b, c, d = t
     dd = tuple_gcd(t, Surface.CM_GAUSSIAN)
@@ -212,47 +212,37 @@ def congruence_solution_count(t: Tuple4) -> int:
     return count
 
 
-def _primitive(t: Tuple4) -> Tuple4:
-    g = gcd(*t)
-    return tuple(v // g for v in t) if g > 1 else t
-
-
-def _step(t: int, v: Tuple4, dd: int) -> Tuple4 | None:
-    """v (1 + y w) / dd for the y that makes it integral, lifted to the one of
-    y, y - dd with the smaller norm n(1, y); None if there is none."""
-    wv = kernels._times_w(t, v)
-    for y in range(dd):
-        if all((x + y * z) % dd == 0 for x, z in zip(v, wv)):
-            alt = y - dd
-            if 1 + t * alt + alt * alt < 1 + t * y + y * y:
-                y = alt
-            return tuple((x + y * z) // dd for x, z in zip(v, wv))
-    return None
+def _ring_gcd(t: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """A gcd of a + b w and c + d w by Euclid: the quotient (a + b w)
+    conj(c + d w) / n(c, d), rounded coordinatewise in the basis 1, w, errs
+    by norm <= 3/4 (<= 1/2 on cm-i): each remainder is shorter than its divisor."""
+    while c or d:
+        n = c * c + t * c * d + d * d
+        e = c + t * d  # conj(c + d w) = e - d w
+        p, q = a * e + b * d, b * e - a * d - t * b * d
+        x, y = (2 * p + n) // (2 * n), (2 * q + n) // (2 * n)
+        a, b, c, d = c, d, a - x * c + y * d, b - x * d - y * c - t * y * d
+    return a, b
 
 
 def reduce_tuple(t: Tuple4, kind: Surface) -> Tuple4:
-    """A primitive tuple of the same curve whose gcd invariant is 1.
-
-    Repeatedly multiplies the parametrisation by (1 + y w)/D, with y solving
-    the kernel congruences; every step strictly decreases D.  The output is
-    a tuple of the curve, so it is defined up to a unit: compare it through
-    `canonical_tuple` or `invariants`.  The output is verified against the
-    target identities; a step that fails to decrease D or a result that
-    misses them raises `ArithmeticError`.
+    """A primitive tuple of the same curve whose gcd invariant is 1: s/g, g
+    the ring gcd of s1 and s2 (x -> g x is onto E, and n(g) = D).  It is
+    defined up to a unit: compare it through `canonical_tuple` or
+    `invariants`.  A gcd that is not a divisor of norm D, or a result that
+    misses the target invariants, raises `ArithmeticError`.
     """
     k = _trace(kind)
     _require_primitive(t)
-    d0 = tuple_gcd(t, kind)
-    target = tuple(v // d0 for v in invariants(t, kind))
-    cur = t
-    while True:
-        dd = tuple_gcd(cur, kind)
-        if dd == 1:
-            break
-        step = _step(k, cur, dd)
-        if step is None or tuple_gcd(_primitive(step), kind) >= dd:
-            raise ArithmeticError(f"reduction step failed to decrease D at {cur}")
-        cur = _primitive(step)
-    if invariants(cur, kind) != target:
+    dd = tuple_gcd(t, kind)
+    if dd == 1:
+        return t
+    x, y = _ring_gcd(k, *t)
+    # s conj(g), with conj(x + y w) = (x + t y) - y w, is exact over D = n(g)
+    num = [(x + k * y) * v - y * z for v, z in zip(t, kernels._times_w(k, t))]
+    if x * x + k * x * y + y * y != dd or any(v % dd for v in num):
+        raise ArithmeticError(f"gcd {(x, y)} of {t} is no divisor of norm D = {dd}")
+    cur = tuple(v // dd for v in num)
+    if invariants(cur, kind) != tuple(v // dd for v in invariants(t, kind)):
         raise ArithmeticError(f"reduction of {t} missed the target invariants")
     return cur

@@ -78,6 +78,8 @@ class NSClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.surface, Surface):
+            raise TypeError("surface must be a Surface")
         if not isinstance(self.coeffs, tuple):
             raise TypeError("coefficients must be a tuple")
         if len(self.coeffs) != self.surface.rank:
@@ -92,6 +94,8 @@ class NSClass:
         return NSClass(self.surface, tuple(k * c for c in self.coeffs))
 
     def __add__(self, other: "NSClass") -> "NSClass":
+        if not isinstance(other, NSClass):
+            return NotImplemented
         if self.surface is not other.surface:
             raise ValueError("surface mismatch")
         return NSClass(
@@ -102,9 +106,10 @@ class NSClass:
 def ns_class(surface: Surface, coeffs: Iterable[int]) -> NSClass:
     """The class with these coefficients; a non-integer raises `TypeError`."""
     try:
-        return NSClass(surface, tuple(map(index, coeffs)))
+        coeffs = tuple(map(index, coeffs))
     except TypeError:
         raise TypeError("coefficients must be integers") from None
+    return NSClass(surface, coeffs)
 
 
 def generator_classes(surface: Surface) -> tuple[NSClass, ...]:

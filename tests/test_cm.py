@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -311,8 +312,7 @@ def test_reduce_tuple_identities(surface, t):
 
 @pytest.mark.parametrize("surface", [GAUSS, EISEN])
 def test_reduce_tuple_exhaustive_small_entries(surface):
-    # every primitive tuple with entries in [-4, 4] reduces through the
-    # congruence steps alone
+    # every primitive tuple with entries in [-4, 4] reduces by its ring gcd
     for t in product(range(-4, 5), repeat=4):
         if gcd(*t) != 1:
             continue
@@ -322,11 +322,45 @@ def test_reduce_tuple_exhaustive_small_entries(surface):
         assert invariants(red, surface) == tuple(v // dd for v in invariants(t, surface)), t
 
 
-def test_reduce_tuple_raises_when_a_step_fails(monkeypatch):
-    monkeypatch.setattr(cm, "_step", lambda t, v, dd: None)
-    assert reduce_tuple((1, 0, 1, 0), GAUSS) == (1, 0, 1, 0)  # D = 1: no step
-    with pytest.raises(ArithmeticError):
-        reduce_tuple((1, 1, 1, 1), GAUSS)
+def test_reduce_tuple_raises_when_the_gcd_is_wrong(monkeypatch):
+    # (2 + i, (2 + i)(1 + i)) has D = 5 = n(2 + i): 1 has the wrong norm, and
+    # 2 - i has norm 5 but divides neither entry
+    red = reduce_tuple((2, 1, 1, 3), GAUSS)
+    assert canonical_tuple(red, GAUSS) == canonical_tuple((1, 0, 1, 1), GAUSS)
+    for wrong in [(1, 0), (2, -1)]:
+        monkeypatch.setattr(cm, "_ring_gcd", lambda t, a, b, c, d: wrong)
+        assert reduce_tuple((1, 0, 1, 0), GAUSS) == (1, 0, 1, 0)  # D = 1: no gcd
+        with pytest.raises(ArithmeticError, match="is no divisor of norm D = 5"):
+            reduce_tuple((2, 1, 1, 3), GAUSS)
+
+
+def _ring_mul(t, g, s):
+    """(x + y w) (a + b w)."""
+    (x, y), (a, b) = g, s
+    return x * a - y * b, x * b + y * a + t * y * b
+
+
+@pytest.mark.parametrize("surface", [GAUSS, EISEN])
+@pytest.mark.parametrize("digits", [5, 20, 40])
+def test_reduce_tuple_divides_by_a_large_gcd(surface, digits):
+    # s = g u with u1, u2 coprime and n(g) ~ 10^(2 digits): one Euclid and
+    # one division give back u up to a unit
+    rng = random.Random(digits)
+    t, hi = surface.trace, 10**digits
+    cases = 0
+    while cases < 20:
+        g = (rng.randint(-hi, hi), rng.randint(-hi, hi))
+        u = tuple(rng.randint(-50, 50) for _ in range(4))
+        if gcd(*g) != 1 or not any(u) or tuple_gcd(u, surface) != 1:
+            continue
+        cases += 1
+        s = _ring_mul(t, g, u[:2]) + _ring_mul(t, g, u[2:])
+        dd = tuple_gcd(s, surface)
+        assert dd == g[0] ** 2 + t * g[0] * g[1] + g[1] ** 2
+        red = reduce_tuple(s, surface)
+        assert tuple_gcd(red, surface) == 1
+        assert invariants(red, surface) == tuple(v // dd for v in invariants(s, surface))
+        assert canonical_tuple(red, surface) == canonical_tuple(u, surface)
 
 
 @given(st.sampled_from([GAUSS, EISEN]), primitive4)

@@ -64,6 +64,14 @@ def test_surface_mismatch():
         intersect(ns_class(Surface.NO_CM, (1, 0, 0)), ns_class(Surface.CM_GAUSSIAN, (1, 0, 0, 0)))
 
 
+def test_adding_a_non_class_is_unsupported():
+    L = ns_class(Surface.NO_CM, (1, 1, 1))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        L + 1
+    with pytest.raises(ValueError, match="surface mismatch"):
+        L + ns_class(Surface.CM_GAUSSIAN, (1, 1, 1, 1))
+
+
 def test_wrong_arity():
     with pytest.raises(ValueError):
         ns_class(Surface.NO_CM, (1, 2, 3, 4))
@@ -86,6 +94,13 @@ def test_ns_class_requires_a_tuple():
         NSClass(Surface.NO_CM, (3, 2))
     with pytest.raises(TypeError, match="coefficients must be integers"):
         NSClass(Surface.NO_CM, (3, 2, -1.0))
+
+
+@pytest.mark.parametrize("make", [NSClass, ns_class])
+def test_class_requires_a_surface(make):
+    # a surface's name is not a `Surface`
+    with pytest.raises(TypeError, match="^surface must be a Surface$"):
+        make("nocm", (1, 1, 1))
 
 
 def test_ns_class_keeps_integers():
