@@ -23,9 +23,10 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import cm, nocm, oracle, seshadri_constant
-from .cross_section import cross_section
+from .cross_section import cross_section, integer_form
 from .lattice import GENERATOR_LABELS, NSClass, Surface, require_ample
 from .sampling import random_ample_classes
 
@@ -146,6 +147,12 @@ def _parse_ratio(text: str) -> Fraction:
 _SEGMENT_FIELDS = ("slope", "intercept", "witness")
 
 
+def _ratio(num: int, den: int) -> str:
+    """`_fmt(Fraction(num, den))` for den > 0, without building the `Fraction`."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def _cmd_cross_section(args) -> int:
     if args.samples < 0:
         raise UsageError(f"--samples must be at least 0, got {args.samples}")
@@ -155,15 +162,14 @@ def _cmd_cross_section(args) -> int:
     if not 0 < lam <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
     section = cross_section(lam)
-    breakpoints = [_fmt(b) for b in section.breakpoints]
-    segments = [
-        (_fmt(seg.slope), _fmt(seg.intercept), nocm.pair_label(seg.witness))
-        for seg in section.segments
-    ]
+    p, q, starts, lines = integer_form(section)
+    mu_max = f"{p}/{p + q}"  # gcd(p, p + q) = gcd(p, q) = 1
+    breakpoints = [_ratio(num, den) for num, den in starts]
+    segments = [(f"{-k}/1", _ratio(b, q), nocm.pair_label(w)) for k, b, w in lines]
     if args.format == "json":
         record = {
-            "lambda": _fmt(lam),
-            "mu_max": _fmt(section.mu_max),
+            "lambda": f"{p}/{q}",
+            "mu_max": mu_max,
             "breakpoints": breakpoints,
             "segments": [dict(zip(_SEGMENT_FIELDS, seg)) for seg in segments],
         }
@@ -172,7 +178,7 @@ def _cmd_cross_section(args) -> int:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["mu_from", "mu_to", *_SEGMENT_FIELDS])
-    edges = ["-inf", *breakpoints, _fmt(section.mu_max)]
+    edges = ["-inf", *breakpoints, mu_max]
     writer.writerows([lo, hi, *seg] for lo, hi, seg in zip(edges, edges[1:], segments))
     if args.samples > 0:
         writer.writerow([])

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +11,7 @@ import pytest
 
 import seshadri
 from seshadri import cross_section as xs
-from seshadri.cli import _build_parser, main
+from seshadri.cli import _build_parser, _fmt, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -268,12 +270,52 @@ def test_table_matches_golden(capsys, which):
             "cross_section_1_2_samples_50.csv",
             ("--lambda", "1/2", "--format", "csv", "--samples", "50"),
         ),
+        ("cross_section_618033988749_10_12.json", ("--lambda", "618033988749/1000000000000")),
+        (
+            "cross_section_355_452_samples_20.csv",
+            ("--lambda", "355/452", "--format", "csv", "--samples", "20"),
+        ),
     ],
 )
 def test_cross_section_matches_golden(capsys, golden, argv):
     code, out, _ = run_cli(capsys, "cross-section", *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def _cross_section_ratios():
+    small = [
+        Fraction(p, q) for q in range(1, 61) for p in range(1, q + 1) if math.gcd(p, q) == 1
+    ]
+    rng = random.Random(15)
+    large = set()
+    while len(large) < 100:
+        q = rng.randint(2, 10**12)
+        large.add(Fraction(rng.randint(1, q), q))
+    return small + sorted(large)
+
+
+def test_cross_section_json_matches_fraction_fields(capsys):
+    # The command prints from the hull's integers; the record must be the one
+    # `_fmt` gives on the public `Fraction` fields.
+    for lam in _cross_section_ratios():
+        section = xs.cross_section(lam)
+        record = {
+            "lambda": _fmt(lam),
+            "mu_max": _fmt(section.mu_max),
+            "breakpoints": [_fmt(b) for b in section.breakpoints],
+            "segments": [
+                {
+                    "slope": _fmt(seg.slope),
+                    "intercept": _fmt(seg.intercept),
+                    "witness": seshadri.nocm.pair_label(seg.witness),
+                }
+                for seg in section.segments
+            ],
+        }
+        assert run_cli(capsys, "cross-section", "--lambda", _fmt(lam)) == (
+            0, json.dumps(record) + "\n", ""
+        ), lam
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,12 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
 from seshadri import cross_section as xs
-from seshadri.cross_section import CrossSection, Segment, _envelope_curves, cross_section
+from seshadri.cross_section import Segment, _envelope_curves, cross_section
 from seshadri.kernels import _lin_window
 from seshadri.lattice import Surface, ns_class
 from seshadri.nocm import GENERATOR_PAIRS, pair_sort_key, seshadri_constant
@@ -38,7 +39,8 @@ def _line(lam, pair):
 
 def _fraction_section(lam):
     """Reference for the hull in `cross_section`: every line, breakpoint and
-    comparison in `Fraction`, over the same candidate pairs."""
+    comparison in `Fraction`, over the same candidate pairs.  Returns the
+    four public fields (slope_ratio, mu_max, breakpoints, segments)."""
     mu_max = lam / (1 + lam)
     by_slope = {}
     for pair in sorted(_envelope_curves(lam), key=pair_sort_key):
@@ -65,13 +67,21 @@ def _fraction_section(lam):
     while starts and starts[-1] >= mu_max:
         starts.pop()
         hull.pop()
-    section = CrossSection(lam, mu_max, tuple(starts), tuple(hull))
-    assert section.value_at(mu_max) == 0, lam
-    return section
+    assert hull[bisect_left(starts, mu_max)].value_at(mu_max) == 0, lam
+    return lam, mu_max, tuple(starts), tuple(hull)
 
 
-def _small_ratios():
-    return [F(p, q) for q in range(1, 61) for p in range(1, q + 1) if gcd(p, q) == 1]
+def _fields(section):
+    return section.slope_ratio, section.mu_max, section.breakpoints, section.segments
+
+
+def _reference_segment(reference, mu):
+    _, _, breakpoints, segments = reference
+    return segments[bisect_left(breakpoints, mu)]
+
+
+def _small_ratios(q_lo=1, q_hi=60):
+    return [F(p, q) for q in range(q_lo, q_hi + 1) for p in range(1, q + 1) if gcd(p, q) == 1]
 
 
 def _seeded_ratios():
@@ -166,6 +176,7 @@ def test_equal_s_keeps_the_lower_line(monkeypatch):
     for head in ((), ("delta",)):
         lam = F(8, 11)
         assert section(lam, *head, "f2", "f1") == section(lam, *head, "f1")
+        assert section(lam, *head, "f2") != section(lam, *head, "f1")
         lam = F(1)
         assert section(lam, *head, "f2", "f1") == section(lam, *head, "f2")
         assert section(lam, *head, "f1", "f2") == section(lam, *head, "f1")
@@ -173,12 +184,51 @@ def test_equal_s_keeps_the_lower_line(monkeypatch):
 
 @pytest.mark.parametrize(
     "ratios",
-    [_small_ratios, _seeded_ratios, lambda: LARGE_RATIOS, _seeded_large_ratios],
-    ids=["q_up_to_60", "seeded_q_up_to_10_4", "q_10_12", "seeded_q_up_to_10_12"],
+    [
+        _small_ratios, lambda: _small_ratios(61, 150), _seeded_ratios,
+        lambda: LARGE_RATIOS, _seeded_large_ratios,
+    ],
+    ids=[
+        "q_up_to_60", "q_61_to_150", "seeded_q_up_to_10_4", "q_10_12",
+        "seeded_q_up_to_10_12",
+    ],
 )
 def test_integer_hull_matches_fraction_reference(ratios):
+    # Every public field, with its type, and the values read through the
+    # section at every breakpoint, at mu_max and at seeded points left of it.
+    rng = random.Random(14)
     for lam in ratios():
-        assert cross_section(lam) == _fraction_section(lam), lam
+        section = cross_section(lam)
+        reference = _fraction_section(lam)
+        fields = _fields(section)
+        assert fields == reference, lam
+        slope_ratio, mu_max, breakpoints, segments = fields
+        assert type(slope_ratio) is type(mu_max) is F, lam
+        assert type(breakpoints) is type(segments) is tuple, lam
+        assert all(type(b) is F for b in breakpoints), lam
+        for seg in segments:
+            assert type(seg) is Segment, lam
+            assert type(seg.slope) is type(seg.intercept) is F, lam
+        seeded = [mu_max - F(rng.randint(0, 10**6), rng.randint(1, 10**6)) for _ in range(3)]
+        for mu in (*breakpoints, mu_max, *seeded):
+            expected = _reference_segment(reference, mu)
+            value = section.value_at(mu)
+            assert type(value) is F, (lam, mu)
+            assert value == expected.value_at(mu), (lam, mu)
+            assert section.witness_at(mu) == expected.witness, (lam, mu)
+
+
+def test_equality_and_hash():
+    one = cross_section(1)
+    assert one == cross_section(F(1)) and hash(one) == hash(cross_section(F(1)))
+    assert one == cross_section("1/1") and one != cross_section(F(8, 11))
+    assert cross_section(F(1, 2)) != cross_section(F(1, 3))
+    assert len({cross_section(F(8, 11)), cross_section("8/11"), one}) == 2
+    assert one != _fields(one)
+    for name in ("slope_ratio", "mu_max", "breakpoints", "segments"):
+        with pytest.raises(AttributeError):
+            setattr(one, name, getattr(one, name))
+    assert one.segments is one.segments and one.breakpoints is one.breakpoints
 
 
 @pytest.mark.parametrize("lam", LARGE_RATIOS)
@@ -243,6 +293,37 @@ def test_evaluate_outside_range():
     s = cross_section(F(1, 2))
     with pytest.raises(ValueError, match="outside nef range"):
         s.value_at(F(1, 2))
+    assert s.value_at(s.mu_max) == 0 and s.witness_at(s.mu_max) == (2, 1)
+    past = s.mu_max + F(1, 10**40)
+    for evaluate in (s.value_at, s.witness_at):
+        with pytest.raises(ValueError, match="outside nef range"):
+            evaluate(past)
+
+
+def test_int_and_str_inputs():
+    s = cross_section("8/11")
+    assert s == cross_section(F(8, 11))
+    for mu in (0, -3, "1/3", "-7/3", "97/231", 0.25):
+        assert s.value_at(mu) == s.value_at(F(mu)), mu
+        assert s.witness_at(mu) == s.witness_at(F(mu)), mu
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), "1/0"])
+def test_non_finite_input_raises_value_error(bad):
+    # inf, nan and a zero denominator are bad values, not broken invariants
+    # (ArithmeticError, CLI exit 70).
+    s = cross_section(F(8, 11))
+    for call in (cross_section, s.value_at, s.witness_at):
+        with pytest.raises(ValueError):
+            call(bad)
+
+
+@pytest.mark.parametrize("bad", [None, [1, 2], object()])
+def test_non_number_input_raises_type_error(bad):
+    s = cross_section(F(8, 11))
+    for call in (cross_section, s.value_at, s.witness_at):
+        with pytest.raises(TypeError):
+            call(bad)
 
 
 def test_left_region_witnesses():
