@@ -11,6 +11,10 @@ unit group in reduced coordinates, so it meets each curve once and needs no
 box; it names each curve by the smallest tuple of its unit orbit.
 `search_bound` is the paper's closed-form box radius, which holds every
 minimizer; it stays public and tested but is not used by the computation.
+The paper's other lemmas (the congruence count for D among them) are
+checked in the tests, and the oracle builds the Gram matrix of the same
+expression itself (`oracle.degree_form`), so it shares no code with this
+module.
 
 The ring arithmetic is written once over the trace t of the generator w = i
 resp. z (t = 0 resp. 1, `Surface.trace`): w (x + y w) = -y + (x + t y) w,
@@ -84,34 +88,6 @@ def degree_vector(t: Tuple4, kind: Surface) -> Tuple4:
     if any(x % dd for x in raw):
         raise ArithmeticError("D does not divide the raw degrees")
     return tuple(x // dd for x in raw)
-
-
-def degree_form(L: NSClass) -> tuple[tuple[int | Fraction, ...], ...]:
-    """Gram matrix of the quartic degree expression: Q(t) = D * (L . N_t).
-
-    Entries are ints on cm-i; on cm-eisenstein the diagonal is integral and
-    the off-diagonal entries are half-integers (Fractions).
-    """
-    k = _trace(L.surface)
-    a1, a2, a3, a4 = L.coeffs
-    A, C = a1 + a3 + a4, a2 + a3 + a4
-    if k == 0:  # cm-i
-        return (
-            (A, 0, -a3, -a4),
-            (0, A, a4, -a3),
-            (-a3, a4, C, 0),
-            (-a4, -a3, 0, C),
-        )
-    hA, hC = Fraction(A, 2), Fraction(C, 2)
-    p = Fraction(-2 * a3 - a4, 2)
-    q = Fraction(-a3 - 2 * a4, 2)
-    r = Fraction(a4 - a3, 2)
-    return (
-        (A, hA, p, q),
-        (hA, A, r, p),
-        (p, r, C, hC),
-        (q, p, hC, C),
-    )
 
 
 def search_bound(L: NSClass) -> Fraction:
@@ -192,24 +168,6 @@ def seshadri_constant(L: NSClass) -> CMSeshadriResult:
     if len({w.degrees for w in witnesses}) < len(witnesses):
         raise ArithmeticError("two minimizers share a degree vector")
     return CMSeshadriResult(best, tuple(witnesses))
-
-
-def congruence_solution_count(t: Tuple4) -> int:
-    """Solutions (m, n) mod D of the four kernel congruences on cm-i, by count."""
-    _require_primitive(t)
-    a, b, c, d = t
-    dd = tuple_gcd(t, Surface.CM_GAUSSIAN)
-    count = 0
-    for m in range(dd):
-        for n in range(dd):
-            if (
-                (a * m - b * n) % dd == 0
-                and (b * m + a * n) % dd == 0
-                and (c * m - d * n) % dd == 0
-                and (d * m + c * n) % dd == 0
-            ):
-                count += 1
-    return count
 
 
 def _ring_gcd(t: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:

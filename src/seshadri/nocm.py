@@ -157,18 +157,3 @@ def submaximal_curves(L: NSClass, weak: bool = False) -> frozenset[Pair]:
     threshold = isqrt(square) if weak else isqrt(square - 1)
     return _curves_up_to(_reduce(L.coeffs), threshold)
 
-
-def decompose_pair(a: int, b: int) -> tuple[int, int, int]:
-    """Write a = m c (c+d), b = m d (c+d) with gcd(c, d) = 1.
-
-    Defined whenever a, b, a+b are nonzero and a+b divides a*b; follows the
-    constructive proof: l = gcd(a, b), c = a/l, d = b/l, m = l/(c+d).
-    """
-    if a == 0 or b == 0 or a + b == 0 or (a * b) % (a + b):
-        raise ValueError(f"({a}, {b}) is not decomposable")
-    ell = gcd(a, b)
-    c, d = a // ell, b // ell
-    if ell % (c + d):
-        raise ValueError(f"({a}, {b}) is not decomposable")
-    m = ell // (c + d)
-    return m, c, d

@@ -1,13 +1,11 @@
 """Independent brute-force reference computations.
 
 Everything here validates the closed-form results by direct search: certified
-minimization of positive-definite quadratic forms over the integer lattice,
-and literal counting of congruence solutions.  The searches share no formula
-code with the closed-form modules: this module imports nothing from
-`kernels`, `nocm` or `cross_section`, its search windows are its own, and the
-only shared code is the Gram constructor `cm.degree_form` of the rank-4
-surfaces, which is itself cross-checked against hand-expanded polynomials in
-the tests.
+minimization of positive-definite quadratic forms over the integer lattice.
+The search shares no formula code with the closed-form modules: the only
+package module this module imports is `lattice`, its search windows are its
+own, and its Gram constructor `degree_form` is cross-checked against
+hand-expanded polynomials in the tests.
 
 The search is a Fincke-Pohst enumeration in integers only.  The Gram matrix
 is scaled by the lcm s of its denominators, and Bareiss's fraction-free
@@ -48,13 +46,27 @@ class ShellSearchReport:
     certified: bool
 
 
+def _rational(v) -> Fraction:
+    """`Fraction(v)`, with `ValueError` for infinities, NaN and a zero denominator."""
+    try:
+        return Fraction(v)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"not a finite rational: {v!r}") from None
+
+
 def _integer_gram(gram: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
-    """(s, s * gram) with s the lcm of the entries' denominators."""
+    """(s, s * gram) with s the lcm of the entries' denominators.
+
+    Raises `ValueError` for an empty, non-square or non-symmetric matrix and
+    for an entry that is not a finite rational (an infinity, NaN, "1/0").
+    """
     rows = [
-        [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
+        [v if isinstance(v, (int, Fraction)) else _rational(v) for v in row]
         for row in gram
     ]
     n = len(rows)
+    if n == 0:
+        raise ValueError("gram matrix must be non-empty")
     if any(len(row) != n for row in rows):
         raise ValueError("gram matrix must be square")
     s = lcm(*(v.denominator for row in rows for v in row))
@@ -87,20 +99,6 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
             for j in range(k + 1, n):
                 row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
     return minors, work
-
-
-def leading_minors(gram: Sequence[Sequence]) -> list[Fraction]:
-    """Leading principal minors of `gram`, all but the last nonzero."""
-    s, a = _integer_gram(gram)
-    minors = _bareiss(a)[0]
-    if len(minors) <= len(a):
-        raise ValueError("a leading minor other than the last vanishes")
-    return [Fraction(d, s**k) for k, d in enumerate(minors) if k]
-
-
-def is_positive_definite(gram: Sequence[Sequence]) -> bool:
-    # an early stop leaves the zero pivot last in the list
-    return all(d > 0 for d in _bareiss(_integer_gram(gram)[1])[0])
 
 
 def _search_box(
@@ -158,7 +156,10 @@ def _canonical_sign(p: tuple[int, ...]) -> tuple[int, ...]:
 def min_quadratic_form(gram: Sequence[Sequence]) -> ShellSearchReport:
     """Certified minimum of a positive-definite form over nonzero vectors.
 
-    Returns all minimizers up to sign.
+    Returns all minimizers up to sign.  Entries may be ints, `Fraction`s or
+    anything `Fraction` reads exactly (floats, strings).  Raises
+    `ValueError` for an empty, non-square, non-symmetric or indefinite
+    matrix and for an entry that is not a finite rational.
     """
     s, a = _integer_gram(gram)
     n = len(a)
@@ -194,6 +195,39 @@ def min_quadratic_form(gram: Sequence[Sequence]) -> ShellSearchReport:
     return ShellSearchReport(Fraction(best, s * scale), tuple(minimizers), radius, True)
 
 
+def degree_form(L: NSClass) -> tuple[tuple[int | Fraction, ...], ...]:
+    """Gram matrix of the curve-degree form of L on its surface.
+
+    On nocm, the binary form (c, d) -> L . N_{c,d}.  On the CM surfaces, the
+    quartic degree expression Q(t) = D * (L . N_t) in t = (a, b, c, d): ints
+    on cm-i; on cm-eisenstein the diagonal is integral and the off-diagonal
+    entries are half-integers (Fractions).
+    """
+    k = L.surface.trace
+    if k is None:  # nocm
+        a1, a2, a3 = L.coeffs
+        return ((a2 + a3, a3), (a3, a1 + a3))
+    a1, a2, a3, a4 = L.coeffs
+    A, C = a1 + a3 + a4, a2 + a3 + a4
+    if k == 0:  # cm-i
+        return (
+            (A, 0, -a3, -a4),
+            (0, A, a4, -a3),
+            (-a3, a4, C, 0),
+            (-a4, -a3, 0, C),
+        )
+    hA, hC = Fraction(A, 2), Fraction(C, 2)
+    p = Fraction(-2 * a3 - a4, 2)
+    q = Fraction(-a3 - 2 * a4, 2)
+    r = Fraction(a4 - a3, 2)
+    return (
+        (A, hA, p, q),
+        (hA, A, r, p),
+        (p, r, C, hC),
+        (q, p, hC, C),
+    )
+
+
 def nocm_seshadri(L: NSClass) -> int:
     """Reference Seshadri constant on the rank-3 surface.
 
@@ -205,9 +239,7 @@ def nocm_seshadri(L: NSClass) -> int:
     require_ample(L)
     if L.surface.trace is not None:
         raise ValueError("surface mismatch: expected the nocm surface")
-    a1, a2, a3 = L.coeffs
-    gram = ((a2 + a3, a3), (a3, a1 + a3))
-    report = min_quadratic_form(gram)
+    report = min_quadratic_form(degree_form(L))
     if any(gcd(p[0], p[1]) != 1 for p in report.minimizers):
         raise ArithmeticError(f"imprimitive form minimizer for {L.coeffs}")
     return _integral_minimum(report, L)
@@ -215,12 +247,10 @@ def nocm_seshadri(L: NSClass) -> int:
 
 def cm_seshadri(L: NSClass) -> int:
     """Reference Seshadri constant on the rank-4 surfaces."""
-    from . import cm
-
     require_ample(L)
     if L.surface.trace is None:
         raise ValueError("surface mismatch: expected a CM surface")
-    return _integral_minimum(min_quadratic_form(cm.degree_form(L)), L)
+    return _integral_minimum(min_quadratic_form(degree_form(L)), L)
 
 
 def _integral_minimum(report: ShellSearchReport, L: NSClass) -> int:
@@ -230,31 +260,3 @@ def _integral_minimum(report: ShellSearchReport, L: NSClass) -> int:
         )
     return int(report.minimum)
 
-
-def division_point_count(a: int, b: int) -> int:
-    """Number of torus points x with a x + b i(x) = 0, counted directly.
-
-    Solutions are the l-division points [m/l + i n/l], l = a^2 + b^2, with
-    l | a m - b n and l | a n + b m; for each m the first condition is a
-    linear congruence in n whose solutions are checked against the second.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("(0, 0) has no associated equation")
-    ell = a * a + b * b
-    count = 0
-    for m in range(ell):
-        # b n = a m (mod ell)
-        g = gcd(b % ell, ell)
-        if (a * m) % g:
-            continue
-        step = ell // g
-        if g == ell:  # b = 0 mod ell: any n passes the first congruence
-            n0 = 0
-        else:
-            inv = pow((b % ell) // g, -1, step)
-            n0 = ((a * m) // g * inv) % step
-        for k in range(g):
-            n = n0 + k * step
-            if (a * n + b * m) % ell == 0:
-                count += 1
-    return count

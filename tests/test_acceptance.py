@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from paper_lemmas import congruence_solution_count, division_point_count, leading_minors
 from scan_references import assert_one_minimizer_per_orbit, naive_domain_min
 from seshadri import cm, kernels, nocm, oracle
 from seshadri.cli import render_table
@@ -136,7 +137,7 @@ def test_criterion_2_rank4_table(monkeypatch):
     for coeffs, *_ in TABLE2:
         L = ns_class(GAUSS, coeffs)
         _, mins = kernels.minimize_quartic(GAUSS.trace, L.coeffs)
-        report = oracle.min_quadratic_form(cm.degree_form(L))
+        report = oracle.min_quadratic_form(oracle.degree_form(L))
         assert_one_minimizer_per_orbit(mins, report.minimizers, GAUSS)
     certified = time.perf_counter() - start
 
@@ -216,7 +217,7 @@ def test_criterion_5_hermite_and_mahler(nocm_values, cm_values):
         assert 3 * value * value <= 2 * self_intersection(L), L.coeffs
     for surface, pairs in cm_values.items():
         for L, value in pairs:
-            det = oracle.leading_minors(cm.degree_form(L))[-1]
+            det = leading_minors(oracle.degree_form(L))[-1]
             assert value**4 <= 4 * det, (surface, L.coeffs)
     _report(
         "criterion 5 (Hermite/Mahler bounds)",
@@ -245,7 +246,7 @@ def test_criterion_6_reduction_suite():
         for t in _primitive_tuples(200, seed):
             dd = cm.tuple_gcd(t, surface)
             if surface is GAUSS:
-                assert cm.congruence_solution_count(t) == dd, t
+                assert congruence_solution_count(t) == dd, t
             red = cm.reduce_tuple(t, surface)
             assert cm.tuple_gcd(red, surface) == 1, t
             assert gcd(*red) == 1, t
@@ -292,7 +293,7 @@ def test_criterion_8_division_points():
         for b in range(-15, 16):
             if a == 0 or b == 0:
                 continue
-            assert oracle.division_point_count(a, b) == a * a + b * b, (a, b)
+            assert division_point_count(a, b) == a * a + b * b, (a, b)
     _report(
         "criterion 8 (division point counts)",
         time.perf_counter() - start,

@@ -1,4 +1,5 @@
 import ast
+import doctest
 from pathlib import Path
 
 import seshadri
@@ -23,3 +24,13 @@ def test_library_has_no_assert_statement():
         tree = ast.parse(path.read_text())
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, (path.name, lines)
+
+
+def test_readme_example_runs():
+    # the README's `>>>` lines; the wrapped `breakpoints` output needs
+    # NORMALIZE_WHITESPACE
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(
+        str(readme), module_relative=False, optionflags=doctest.NORMALIZE_WHITESPACE
+    )
+    assert result.attempted > 0 and result.failed == 0, result

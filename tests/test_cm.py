@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paper_lemmas import congruence_solution_count, leading_minors
 from scan_references import HALF_BOX_WARM, half_box_seshadri
 from test_large_coefficients import near_boundary_cm_classes
 from seshadri import cm, kernels, oracle
 from seshadri.cm import (
     GENERATOR_TUPLES,
     canonical_tuple,
-    congruence_solution_count,
-    degree_form,
     degree_value,
     degree_vector,
     invariants,
@@ -115,7 +114,7 @@ def test_gram_matches_hand_expansion(coeffs, t):
     for surface, hand in ((GAUSS, _hand_gaussian), (EISEN, _hand_eisenstein)):
         L = ns_class(surface, coeffs)
         expected = hand(coeffs, t)
-        assert _gram_value(degree_form(L), t) == expected
+        assert _gram_value(oracle.degree_form(L), t) == expected
         assert degree_value(L, t) == expected
 
 
@@ -132,18 +131,18 @@ def test_form_value_is_gcd_times_curve_degree(surface, data):
 
 
 def test_gram_special_cases():
-    gram = degree_form(ns_class(GAUSS, (1, 0, 0, 0)))
+    gram = oracle.degree_form(ns_class(GAUSS, (1, 0, 0, 0)))
     for t in ((1, 2, 3, 4), (0, 1, -5, 2), (7, 0, 0, 1)):
         assert _gram_value(gram, t) == t[0] ** 2 + t[1] ** 2
-    gram = degree_form(ns_class(GAUSS, (1, 1, 1, 1)))
-    assert oracle.leading_minors(gram)[-1] == F(49)
+    gram = oracle.degree_form(ns_class(GAUSS, (1, 1, 1, 1)))
+    assert leading_minors(gram)[-1] == F(49)
     assert degree_value(ns_class(GAUSS, (4, 2, 3, -2)), (0, 1, 1, 1)) == 1
 
 
 @given(ample_classes(GAUSS))
 @settings(max_examples=60, deadline=None)
 def test_gaussian_determinant_identity(L):
-    minors = oracle.leading_minors(degree_form(L))
+    minors = leading_minors(oracle.degree_form(L))
     assert all(m > 0 for m in minors)
     assert minors[-1] == F(self_intersection(L), 2) ** 2
 
@@ -151,7 +150,7 @@ def test_gaussian_determinant_identity(L):
 @given(ample_classes(EISEN))
 @settings(max_examples=60, deadline=None)
 def test_eisenstein_form_is_positive_definite(L):
-    assert all(m > 0 for m in oracle.leading_minors(degree_form(L)))
+    assert all(m > 0 for m in leading_minors(oracle.degree_form(L)))
 
 
 @pytest.mark.parametrize(
@@ -260,7 +259,7 @@ def test_box_holds_every_unit_multiple_of_a_minimizer(surface):
     near_boundary = [L for L, *_ in near_boundary_cm_classes(surface, 100, seed=100)]
     for L in random_ample_classes(surface, 150, 100, seed=5) + near_boundary:
         radius = int(search_bound(L))
-        for t in oracle.min_quadratic_form(degree_form(L)).minimizers:
+        for t in oracle.min_quadratic_form(oracle.degree_form(L)).minimizers:
             for u in unit_orbit(t, surface):
                 assert max(map(abs, u)) <= radius, (L.coeffs, u)
 

@@ -68,7 +68,7 @@ def test_oversized_inputs_match_oracle():
     for surface in SURFACES:
         L = ns_class(surface, (10**6, 10**6, -1, -1))
         best, mins = kernels.minimize_quartic(surface.trace, L.coeffs)
-        report = oracle.min_quadratic_form(cm.degree_form(L))
+        report = oracle.min_quadratic_form(oracle.degree_form(L))
         assert best == oracle.cm_seshadri(L) == report.minimum, surface
         assert_one_minimizer_per_orbit(mins, report.minimizers, surface)
 

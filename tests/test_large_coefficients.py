@@ -43,7 +43,7 @@ def test_closed_form_matches_oracle(surface, bound):
             assert all(nocm.degree(L, p) == result.value for p in result.witnesses)
         else:
             result = cm.seshadri_constant(L)
-            report = oracle.min_quadratic_form(cm.degree_form(L))
+            report = oracle.min_quadratic_form(oracle.degree_form(L))
             assert result.value == oracle.cm_seshadri(L) == report.minimum, L.coeffs
             assert all(
                 cm.degree_value(L, w.representative) == result.value

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from paper_lemmas import decompose_pair
 from scan_references import paper_seshadri_constant, paper_submaximal_curves
 from seshadri import oracle
 from seshadri.lattice import Surface, intersect, is_ample, ns_class, self_intersection
@@ -12,7 +13,6 @@ from seshadri.nocm import (
     canonical_pair,
     class_to_pair,
     curve_class,
-    decompose_pair,
     degree,
     seshadri_constant,
     submaximal_curves,

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from seshadri import cm, oracle
+from paper_lemmas import division_point_count, is_positive_definite, leading_minors
+from seshadri import nocm, oracle
 from seshadri.lattice import Surface, ns_class
 from seshadri.sampling import random_ample_classes
 
@@ -143,6 +144,26 @@ def test_rejects_indefinite():
             oracle.min_quadratic_form(gram)
 
 
+def test_rejects_empty_gram():
+    for gram in ((), []):
+        with pytest.raises(ValueError) as info:
+            oracle.min_quadratic_form(gram)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "gram matrix must be non-empty"
+
+
+def test_rejects_non_finite_entries():
+    # Fraction(inf) raises OverflowError and Fraction("1/0") ZeroDivisionError
+    for v in (float("inf"), float("-inf"), "1/0"):
+        for gram in ([[v]], ((1, v), (v, 1))):
+            with pytest.raises(ValueError) as info:
+                oracle.min_quadratic_form(gram)
+            assert type(info.value) is ValueError
+            assert str(info.value) == f"not a finite rational: {v!r}"
+    with pytest.raises(ValueError, match="NaN"):
+        oracle.min_quadratic_form([[float("nan")]])
+
+
 def test_gram_entry_encodings_give_one_report():
     # ints, Fractions, mixed, and floats (read exactly, as Fraction(0.5) is)
     plain = ((3, 1, -1), (1, 2, 0), (-1, 0, 4))
@@ -161,7 +182,7 @@ def _random_pd_gram(rng, n, spread):
     while True:
         a = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(n)]
         g = [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
-        if oracle.is_positive_definite(g):
+        if is_positive_definite(g):
             return tuple(tuple(row) for row in g)
 
 
@@ -192,7 +213,7 @@ def _half_integral(gram):
 def _assert_matches_reference(gram):
     assert oracle.min_quadratic_form(gram) == _reference_min(gram), gram
     diag = _ldl([[F(v) for v in row] for row in gram])[0]
-    assert oracle.leading_minors(gram) == list(accumulate(diag, F.__mul__))
+    assert leading_minors(gram) == list(accumulate(diag, F.__mul__))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -204,46 +225,89 @@ def test_matches_fraction_reference_on_random_grams(n):
         _assert_matches_reference(_half_integral(gram))
 
 
-def _class_gram(L):
-    if L.surface is Surface.NO_CM:
-        a1, a2, a3 = L.coeffs
-        return ((a2 + a3, a3), (a3, a1 + a3))
-    return cm.degree_form(L)
-
-
 @pytest.mark.parametrize("bound", [10**2, 10**4, 10**6, 10**9, 10**12])
 def test_matches_fraction_reference_on_class_grams(bound):
     for surface in Surface:
         for L in random_ample_classes(surface, 15, bound, bound % 1009):
-            gram = _class_gram(L)
+            gram = oracle.degree_form(L)
             _assert_matches_reference(gram)
-            # cm.degree_form's plain ints read as its former Fraction entries
+            # degree_form's plain ints read as its former Fraction entries
             as_fractions = tuple(tuple(F(v) for v in row) for row in gram)
             assert oracle.min_quadratic_form(as_fractions) == oracle.min_quadratic_form(gram)
 
 
 def test_leading_minors_of_indefinite_and_degenerate_forms():
-    assert oracle.leading_minors(((1, 2), (2, 1))) == [1, -3]
-    assert oracle.leading_minors(((2, 1, 0), (1, 2, 1), (0, 1, -5))) == [2, 3, -17]
-    assert oracle.leading_minors(((F(1, 2), 0), (0, 0))) == [F(1, 2), 0]
+    assert leading_minors(((1, 2), (2, 1))) == [1, -3]
+    assert leading_minors(((2, 1, 0), (1, 2, 1), (0, 1, -5))) == [2, 3, -17]
+    assert leading_minors(((F(1, 2), 0), (0, 0))) == [F(1, 2), 0]
     for gram in (((1, 2), (2, 1)), ((1, 0), (0, 0)), ((0, 1), (1, 0)), ((-1, 0), (0, -1))):
-        assert not oracle.is_positive_definite(gram)
+        assert not is_positive_definite(gram)
     with pytest.raises(ValueError, match="leading minor"):
-        oracle.leading_minors(((0, 1), (1, 0)))
+        leading_minors(((0, 1), (1, 0)))
+
+
+def _package_modules_imported(source):
+    """The `seshadri` modules that `source` imports, at any depth."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                base = "seshadri." + node.module if node.module else "seshadri"
+            else:
+                base = "." * node.level + (node.module or "")
+            if base == "seshadri":  # `from . import cm` names the module cm
+                names += [f"seshadri.{alias.name}" for alias in node.names]
+            else:
+                names.append(base)
+    modules = set()
+    for name in names:
+        root, _, rest = name.partition(".")
+        if root == "seshadri":
+            modules.add(rest.partition(".")[0] or name)
+        elif root == "":  # a relative import from above the package
+            modules.add(name)
+    return modules
+
+
+@pytest.mark.parametrize(
+    "source,modules",
+    [
+        ("from .lattice import NSClass\nimport math", {"lattice"}),
+        ("def f():\n    from . import cm", {"cm"}),
+        ("from seshadri.kernels import _value", {"kernels"}),
+        ("import seshadri.nocm as n", {"nocm"}),
+        ("from seshadri import cross_section, lattice", {"cross_section", "lattice"}),
+        ("import seshadri", {"seshadri"}),
+        ("class A:\n    def f(self):\n        from ..other import x", {"..other"}),
+        ("from fractions import Fraction", set()),
+    ],
+    ids=["relative", "in_function", "absolute_from", "import_as", "two_names",
+         "bare_package", "above_package", "stdlib"],
+)
+def test_package_import_parser(source, modules):
+    assert _package_modules_imported(source) == modules
 
 
 def test_oracle_imports_no_closed_form_module():
-    # the certified search must stay independent of the code it checks
-    tree = ast.parse(Path(oracle.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
-    for name in imported:
-        assert not {"kernels", "nocm", "cross_section"} & set(name.split(".")), name
+    # the certified search must stay independent of the closed forms it
+    # checks: of the package it may import `lattice` alone, even in a function
+    source = Path(oracle.__file__).read_text()
+    assert _package_modules_imported(source) == {"lattice"}
+
+
+def test_rank3_gram_matches_nocm_degree():
+    # the rank-3 Gram's value is L . N_{c,d}, on every class of a box and a
+    # box of pairs, ample or not
+    pairs = list(product(range(-4, 5), repeat=2))
+    for coeffs in product(range(-3, 4), repeat=3):
+        L = ns_class(Surface.NO_CM, coeffs)
+        gram = oracle.degree_form(L)
+        assert len(gram) == 2 and gram[0][1] == gram[1][0]
+        for c, d in pairs:
+            value = gram[0][0] * c * c + 2 * gram[0][1] * c * d + gram[1][1] * d * d
+            assert value == nocm.degree(L, (c, d)), (coeffs, c, d)
 
 
 def test_hermite_bound_on_random_2d_forms():
@@ -251,7 +315,7 @@ def test_hermite_bound_on_random_2d_forms():
     for _ in range(60):
         gram = _random_pd_gram(rng, 2, 5)
         rep = oracle.min_quadratic_form(gram)
-        det = oracle.leading_minors(gram)[-1]
+        det = leading_minors(gram)[-1]
         assert 3 * rep.minimum**2 <= 4 * det
 
 
@@ -260,7 +324,7 @@ def test_mahler_bound_on_random_4d_forms():
     for _ in range(25):
         gram = _random_pd_gram(rng, 4, 3)
         rep = oracle.min_quadratic_form(gram)
-        det = oracle.leading_minors(gram)[-1]
+        det = leading_minors(gram)[-1]
         assert rep.minimum**4 <= 4 * det
 
 
@@ -320,12 +384,12 @@ def test_reference_invariant_violation_raises(monkeypatch, report):
 
 @pytest.mark.parametrize("a,b,expected", [(1, 0, 1), (1, 1, 2), (2, 1, 5)])
 def test_division_point_examples(a, b, expected):
-    assert oracle.division_point_count(a, b) == expected
+    assert division_point_count(a, b) == expected
 
 
 def test_division_point_rejects_zero():
     with pytest.raises(ValueError):
-        oracle.division_point_count(0, 0)
+        division_point_count(0, 0)
 
 
 def test_division_point_literal_crosscheck():
@@ -338,4 +402,4 @@ def test_division_point_literal_crosscheck():
             for n in range(ell)
             if (a * m - b * n) % ell == 0 and (a * n + b * m) % ell == 0
         )
-        assert oracle.division_point_count(a, b) == direct == ell
+        assert division_point_count(a, b) == direct == ell
