@@ -123,7 +123,12 @@ def unit_orbit(t: Tuple4, kind: Surface) -> tuple[Tuple4, ...]:
 
 
 def canonical_tuple(t: Tuple4, kind: Surface) -> Tuple4:
-    return min(unit_orbit(t, kind))
+    """The smallest tuple of the unit orbit of `t`, the normal form of its
+    curve.  Raises `ValueError` for the zero tuple, which names no curve."""
+    k = _trace(kind)
+    if not any(t):
+        raise ValueError("tuple must be nonzero")
+    return kernels._orbit_min(k, t)
 
 
 @dataclass(frozen=True)
@@ -150,21 +155,25 @@ def seshadri_constant(L: NSClass) -> CMSeshadriResult:
     undercut the minimum.  With D = 1 the raw degrees are the degree
     vector, and curves, unit orbits and classes correspond one to one, so
     two witnesses with one degree vector raise `ArithmeticError`.
+
+    One pass over the minimizers checks each of them, primitive and then
+    D = 1, and turns it into its witness; a minimizer that fails either
+    check raises `ArithmeticError`.
     """
     require_ample(L)
     k = _trace(L.surface)
     best, mins = kernels.minimize_quartic(k, L.coeffs)
     if not (best > 0 and mins):
         raise ArithmeticError("ample classes have a positive minimum")
+    witnesses = []
     for t in mins:
         if gcd(*t) != 1:
             raise ArithmeticError("a minimizer is always primitive")
-        if tuple_gcd(t, L.surface) != 1:
+        # a primitive tuple is nonzero, so tuple_gcd's zero test is not needed
+        if gcd(*invariants(t, L.surface)) != 1:
             raise ArithmeticError("a minimizer always has D = 1")
-    witnesses = sorted(
-        (CMWitness(kernels._raw_degrees(k, *t), t) for t in mins),
-        key=lambda w: w.degrees,
-    )
+        witnesses.append(CMWitness(kernels._raw_degrees(k, *t), t))
+    witnesses.sort(key=lambda w: w.degrees)
     if len({w.degrees for w in witnesses}) < len(witnesses):
         raise ArithmeticError("two minimizers share a degree vector")
     return CMSeshadriResult(best, tuple(witnesses))

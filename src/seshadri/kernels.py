@@ -23,9 +23,10 @@ scans one fundamental domain of the unit group in reduced coordinates: a > 0
 and b >= 0, or a = b = 0 with c > 0 and d >= 0.  In the coordinates (a, b)
 this is the half-open cone spanned by 1 and w (90 resp. 60 degrees wide), and
 its images under the 4 resp. 6 units tile the plane minus the origin; when
-s1 = 0 the units act on s2 alone.  Each minimizer found is mapped back and
-replaced by the smallest tuple of its unit orbit, the one normal form of a
-curve.
+s1 = 0 the units act on s2 alone.  Each minimizer (a, b, c, d) found is
+mapped back in one pass: the ring product (a + b w) f1 + (c + d w) f2 in
+plain integers, then the smallest tuple of its unit orbit (`_orbit_min`, a
+running minimum over the unit multiples), the one normal form of a curve.
 
 The walk is Fincke-Pohst style: each coordinate runs over the exact integer
 window that the previous ones leave for Q <= best, in exact integers.
@@ -83,6 +84,18 @@ def unit_orbit(t: int, v: Tuple4) -> tuple[Tuple4, ...]:
     for _ in range(3 + 2 * t):
         orbit.append(_times_w(t, orbit[-1]))
     return tuple(orbit)
+
+
+def _orbit_min(t: int, v: Tuple4) -> Tuple4:
+    """min(unit_orbit(t, v)) without building the orbit: a running minimum
+    over the 4 resp. 6 multiples of v by the powers of w."""
+    best = v
+    a, b, c, d = v
+    for _ in range(3 + 2 * t):
+        a, b, c, d = u = -b, a + t * b, -d, c + t * d
+        if u < best:
+            best = u
+    return best
 
 
 def _reduce(t: int, A: int, C: int, b0: int, b1: int):
@@ -177,9 +190,16 @@ def minimize_quartic(t: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
         raise ValueError("degree form is not positive definite")
     A, C, b0, b1, f1, f2 = _reduce(t, A, C, b0, b1)
     best, mins = quartic_min_box(t, A, C, b0, b1)
-    basis = tuple(zip(f1, _times_w(t, f1), f2, _times_w(t, f2)))
+    p0, p1, p2, p3 = f1
+    q0, q1, q2, q3 = f2
     out = []
     for a, b, c, d in mins:
-        v = tuple(a * p + b * q + c * r + d * s for p, q, r, s in basis)
-        out.append(min(unit_orbit(t, v)))
-    return best, sorted(out)
+        # (a + b w) (x + y w) = (a x - b y) + (a y + b x + t b y) w
+        out.append(_orbit_min(t, (
+            a * p0 - b * p1 + c * q0 - d * q1,
+            a * p1 + b * (p0 + t * p1) + c * q1 + d * (q0 + t * q1),
+            a * p2 - b * p3 + c * q2 - d * q3,
+            a * p3 + b * (p2 + t * p3) + c * q3 + d * (q2 + t * q3),
+        )))
+    out.sort()
+    return best, out

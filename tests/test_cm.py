@@ -59,6 +59,13 @@ def test_tuple_gcd_examples(kind, t, expected):
     assert tuple_gcd(t, kind) == expected
 
 
+@pytest.mark.parametrize("surface", [GAUSS, EISEN])
+def test_zero_tuple_names_no_curve(surface):
+    for f in (tuple_gcd, canonical_tuple):
+        with pytest.raises(ValueError, match="tuple must be nonzero"):
+            f((0, 0, 0, 0), surface)
+
+
 def test_tuple_gcd_rejects_nocm():
     with pytest.raises(ValueError, match="surface mismatch"):
         tuple_gcd((1, 0, 0, 1), Surface.NO_CM)
@@ -208,6 +215,20 @@ def test_minimizer_with_d_above_one_raises(monkeypatch):
         kernels, "minimize_quartic", lambda t, coeffs: (3, [(1, 1, 1, 1)])
     )
     with pytest.raises(ArithmeticError, match="D = 1"):
+        seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "mins, message",
+    [
+        ([(2, 0, 0, 0)], "primitive"),
+        # only the second minimizer is bad: every minimizer is checked
+        ([(1, 0, 0, 0), (1, 1, 1, 1)], "D = 1"),
+    ],
+)
+def test_every_minimizer_is_checked(monkeypatch, mins, message):
+    monkeypatch.setattr(kernels, "minimize_quartic", lambda t, coeffs: (3, mins))
+    with pytest.raises(ArithmeticError, match=message):
         seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
 
 
