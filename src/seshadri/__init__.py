@@ -22,10 +22,14 @@ __version__ = "0.1.0"
 
 
 def seshadri_constant(L: NSClass):
-    """Dispatch to the closed-form computation for the class's surface."""
-    if L.surface.trace is None:
-        return nocm.seshadri_constant(L)
-    return cm.seshadri_constant(L)
+    """Dispatch to the closed-form computation for the class's surface.
+
+    Anything but an `NSClass` goes to `nocm`, whose ampleness gate raises
+    `TypeError` for it.
+    """
+    if isinstance(L, NSClass) and L.surface.trace is not None:
+        return cm.seshadri_constant(L)
+    return nocm.seshadri_constant(L)
 
 
 __all__ = [

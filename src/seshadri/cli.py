@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import cm, nocm, oracle, seshadri_constant
-from .cross_section import cross_section, integer_form
+from .cross_section import cross_section
 from .lattice import GENERATOR_LABELS, NSClass, Surface, require_ample
 from .sampling import random_ample_classes
 
@@ -48,10 +48,6 @@ class DomainError(Exception):
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _parse_coeffs(text: str, surface: Surface) -> NSClass:
@@ -148,7 +144,7 @@ _SEGMENT_FIELDS = ("slope", "intercept", "witness")
 
 
 def _ratio(num: int, den: int) -> str:
-    """`_fmt(Fraction(num, den))` for den > 0, without building the `Fraction`."""
+    """num/den in lowest terms as "num/den", for den > 0."""
     g = gcd(num, den)
     return f"{num // g}/{den // g}"
 
@@ -162,10 +158,10 @@ def _cmd_cross_section(args) -> int:
     if not 0 < lam <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
     section = cross_section(lam)
-    p, q, starts, lines = integer_form(section)
+    p, q = lam.numerator, lam.denominator
     mu_max = f"{p}/{p + q}"  # gcd(p, p + q) = gcd(p, q) = 1
-    breakpoints = [_ratio(num, den) for num, den in starts]
-    segments = [(f"{-k}/1", _ratio(b, q), nocm.pair_label(w)) for k, b, w in lines]
+    breakpoints = [_ratio(num, den) for num, den in section.starts]
+    segments = [(f"{-k}/1", _ratio(b, q), nocm.pair_label(w)) for k, b, w in section.lines]
     if args.format == "json":
         record = {
             "lambda": f"{p}/{q}",
@@ -183,13 +179,14 @@ def _cmd_cross_section(args) -> int:
     if args.samples > 0:
         writer.writerow([])
         writer.writerow(["mu", "value"])
-        first = section.breakpoints[0] if section.breakpoints else section.mu_max - 1
-        lo = min(first, Fraction(-1)) - 1
+        # the hull always starts with Delta and F1, so `starts` is never empty
+        lo = min(Fraction(*section.starts[0]), Fraction(-1)) - 1
         span = section.mu_max - lo
         steps = max(args.samples - 1, 1)
         for i in range(args.samples):
             mu = lo + span * i / steps
-            writer.writerow([_fmt(mu), _fmt(section.value_at(mu))])
+            value = section.value_at(mu)
+            writer.writerow([_ratio(*mu.as_integer_ratio()), _ratio(*value.as_integer_ratio())])
     sys.stdout.write(out.getvalue())
     return 0
 

@@ -118,8 +118,13 @@ def degree_value(L: NSClass, t: Tuple4) -> int:
 
 
 def unit_orbit(t: Tuple4, kind: Surface) -> tuple[Tuple4, ...]:
-    """Tuples naming the same curve via unit multiples of the parametrisation."""
-    return kernels.unit_orbit(_trace(kind), t)
+    """Tuples naming the same curve via unit multiples of the parametrisation:
+    the multiples of `t` by the 4 resp. 6 units, the powers of w."""
+    k = _trace(kind)
+    orbit = [t]
+    for _ in range(3 + 2 * k):
+        orbit.append(kernels._times_w(k, orbit[-1]))
+    return tuple(orbit)
 
 
 def canonical_tuple(t: Tuple4, kind: Surface) -> Tuple4:

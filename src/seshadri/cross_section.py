@@ -4,9 +4,11 @@ For fixed rational slope t in (0, 1] the classes F1 + t*F2 - mu*Delta are nef
 for mu up to t/(1+t), and the Seshadri constant is the pointwise minimum of
 the finitely many affine functions mu -> L . N over the curves that can be
 submaximal somewhere on the ray.  The envelope is computed exactly, over
-integer lines scaled by q, and the result keeps those integers: a
-`Fraction` is built only when a caller reads a rational field of the
-`CrossSection` (once per field) or a value from `value_at`.
+integer lines scaled by q, and the result is those integers: the
+`CrossSection` named tuple holds lambda, the integer breakpoints and the
+integer lines, and a `Fraction` is built only when a caller reads
+`mu_max`, `breakpoints` or `segments` (on every access) or a value from
+`value_at`.
 
 For t = p/q, a curve N_{c,d} off the basis and the exact ratio can touch the
 envelope only if c/(c+d) approximates q/(p+q) to better than 1/(c+d)^2, so
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
+from typing import NamedTuple
 
 from .kernels import _quad_window
 from .nocm import Pair
@@ -46,102 +49,58 @@ def _rational(x) -> Fraction:
         raise ValueError(f"not a finite rational: {x!r}") from None
 
 
-class CrossSection:
-    """Piecewise-linear envelope on (-inf, mu_max].
+class CrossSection(NamedTuple):
+    """Piecewise-linear envelope on (-inf, mu_max], as the hull's integers.
 
-    Segment i governs the interval between breakpoints i-1 and i (the first
-    extends to -infinity, the last ends at mu_max); adjacent segments agree
-    at the shared breakpoint.  The result holds the hull's integers (see
-    `integer_form`); each `Fraction` field is built on first access.
+    With lambda = `slope_ratio` = p/q, breakpoint i is num/den for the i-th
+    (num, den) of `starts` (den > 0, not reduced), and segment i is the i-th
+    (k, b, witness) of `lines`, with slope -k and intercept b/q.  Segment i
+    governs the interval between breakpoints i-1 and i (the first extends to
+    -infinity, the last ends at mu_max); adjacent segments agree at the
+    shared breakpoint.  `mu_max`, `breakpoints` and `segments` build their
+    `Fraction`s on every access.
     """
 
-    __slots__ = ("_lam", "_starts", "_lines", "_mu_max", "_breakpoints", "_segments")
-
-    def __init__(
-        self,
-        lam: Fraction,
-        starts: tuple[tuple[int, int], ...],
-        lines: tuple[tuple[int, int, Pair], ...],
-    ) -> None:
-        self._lam = lam
-        self._starts = starts
-        self._lines = lines
-        self._mu_max = self._breakpoints = self._segments = None
-
-    @property
-    def slope_ratio(self) -> Fraction:
-        return self._lam
+    slope_ratio: Fraction
+    starts: tuple[tuple[int, int], ...]
+    lines: tuple[tuple[int, int, Pair], ...]
 
     @property
     def mu_max(self) -> Fraction:
-        if self._mu_max is None:
-            p = self._lam.numerator
-            self._mu_max = Fraction(p, p + self._lam.denominator)
-        return self._mu_max
+        p = self.slope_ratio.numerator
+        return Fraction(p, p + self.slope_ratio.denominator)
 
     # tuple() of lists, not of generators: CPython resizes a tuple built from
     # a generator, stranding tuples on its free lists (~2 MB RSS in 10^5 calls).
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
-        if self._breakpoints is None:
-            self._breakpoints = tuple([Fraction(num, den) for num, den in self._starts])
-        return self._breakpoints
+        return tuple([Fraction(num, den) for num, den in self.starts])
 
     @property
     def segments(self) -> tuple[Segment, ...]:
-        if self._segments is None:
-            q = self._lam.denominator
-            self._segments = tuple(
-                [Segment(Fraction(-k), Fraction(b, q), w) for k, b, w in self._lines]
-            )
-        return self._segments
-
-    def __eq__(self, other):
-        if not isinstance(other, CrossSection):
-            return NotImplemented
-        # For one lambda, equal lines give equal breakpoints and segments.
-        return self._lam == other._lam and self._lines == other._lines
-
-    def __hash__(self) -> int:
-        return hash((self._lam, self._lines))
-
-    def __repr__(self) -> str:
-        return (
-            f"CrossSection(slope_ratio={self.slope_ratio!r}, mu_max={self.mu_max!r}, "
-            f"breakpoints={self.breakpoints!r}, segments={self.segments!r})"
-        )
+        q = self.slope_ratio.denominator
+        return tuple([Segment(Fraction(-k), Fraction(b, q), w) for k, b, w in self.lines])
 
     def _line_at(self, mu) -> tuple[int, int, tuple[int, int, Pair]]:
         """(n, d, line) with mu = n/d, d > 0, and the line governing mu."""
         if not isinstance(mu, Fraction):
             mu = _rational(mu)
         n, d = mu.numerator, mu.denominator
-        p = self._lam.numerator
-        if n * (p + self._lam.denominator) > p * d:
+        p = self.slope_ratio.numerator
+        if n * (p + self.slope_ratio.denominator) > p * d:
             raise ValueError("outside nef range")
         # the first breakpoint num/den >= n/d; den > 0
-        i = bisect_left(self._starts, 0, key=lambda s: s[0] * d - n * s[1])
-        return n, d, self._lines[i]
+        i = bisect_left(self.starts, 0, key=lambda s: s[0] * d - n * s[1])
+        return n, d, self.lines[i]
 
     def value_at(self, mu) -> Fraction:
         n, d, (k, b, _) = self._line_at(mu)
-        q = self._lam.denominator
+        q = self.slope_ratio.denominator
         return Fraction(b * d - q * k * n, q * d)
 
     def witness_at(self, mu) -> Pair:
         _, _, (_, _, witness) = self._line_at(mu)
         return witness
-
-
-def integer_form(section: CrossSection):
-    """The integers behind `section`: (p, q, starts, lines).
-
-    lambda = p/q in lowest terms; breakpoint i is num/den for the i-th
-    (num, den) of `starts`, with den > 0 but not reduced; segment i is the
-    i-th (k, b, witness) of `lines`, with slope -k and intercept b/q.
-    """
-    lam = section._lam
-    return lam.numerator, lam.denominator, section._starts, section._lines
 
 
 def _envelope_curves(lam: Fraction) -> list[Pair]:

@@ -77,18 +77,9 @@ def _times_w(t: int, v: Tuple4) -> Tuple4:
     return (-b, a + t * b, -d, c + t * d)
 
 
-def unit_orbit(t: int, v: Tuple4) -> tuple[Tuple4, ...]:
-    """The tuples of the curve of v: its multiples by the 4 resp. 6 units,
-    the powers of w."""
-    orbit = [v]
-    for _ in range(3 + 2 * t):
-        orbit.append(_times_w(t, orbit[-1]))
-    return tuple(orbit)
-
-
 def _orbit_min(t: int, v: Tuple4) -> Tuple4:
-    """min(unit_orbit(t, v)) without building the orbit: a running minimum
-    over the 4 resp. 6 multiples of v by the powers of w."""
+    """The least of the 4 resp. 6 multiples of v by the powers of w (the orbit
+    `cm.unit_orbit` lists), as a running minimum without building the orbit."""
     best = v
     a, b, c, d = v
     for _ in range(3 + 2 * t):

@@ -193,9 +193,12 @@ def ample_violations(x: NSClass) -> list[str]:
 def require_ample(x: NSClass) -> int:
     """L^2 of `x`, which must be ample (L^2 > 0, so the result is positive).
 
-    This is the one ampleness gate of every entry point.  Raises
-    `ValueError("not ample: ...")` listing the failed inequalities.
+    This is the one ampleness gate of every entry point.  Raises `TypeError`
+    if `x` is not an `NSClass`, and `ValueError("not ample: ...")` listing
+    the failed inequalities.
     """
+    if not isinstance(x, NSClass):
+        raise TypeError(f"expected an NSClass, got {type(x).__name__}")
     square = ample_square(x.surface, x.coeffs)
     if not square:
         raise ValueError("not ample: " + "; ".join(ample_violations(x)))

@@ -2,8 +2,10 @@ import ast
 import doctest
 from pathlib import Path
 
+import pytest
+
 import seshadri
-from seshadri import Surface, ns_class, seshadri_constant
+from seshadri import Surface, cm, nocm, ns_class, oracle, seshadri_constant
 
 
 def test_dispatch_by_surface():
@@ -12,6 +14,25 @@ def test_dispatch_by_surface():
     rank4 = seshadri_constant(ns_class(Surface.CM_GAUSSIAN, (4, 2, 3, -2)))
     assert rank4.value == 1
     assert [w.degrees for w in rank4.witnesses] == [(1, 2, 1, 5)]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        seshadri_constant,
+        nocm.seshadri_constant,
+        nocm.submaximal_curves,
+        cm.seshadri_constant,
+        cm.search_bound,
+        oracle.nocm_seshadri,
+        oracle.cm_seshadri,
+    ],
+    ids=lambda f: f"{f.__module__}.{f.__name__}",
+)
+@pytest.mark.parametrize("value", [None, (7, 6, -3), "x"], ids=["None", "tuple", "str"])
+def test_a_non_class_raises_type_error(entry, value):
+    with pytest.raises(TypeError, match="expected an NSClass"):
+        entry(value)
 
 
 def test_version():

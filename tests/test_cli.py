@@ -11,7 +11,7 @@ import pytest
 
 import seshadri
 from seshadri import cross_section as xs
-from seshadri.cli import _build_parser, _fmt, main
+from seshadri.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -293,6 +293,11 @@ def _cross_section_ratios():
         q = rng.randint(2, 10**12)
         large.add(Fraction(rng.randint(1, q), q))
     return small + sorted(large)
+
+
+def _fmt(q):
+    """The reference `num/den` of a `Fraction`, independent of the CLI."""
+    return f"{q.numerator}/{q.denominator}"
 
 
 def test_cross_section_json_matches_fraction_fields(capsys):

@@ -225,10 +225,10 @@ def test_equality_and_hash():
     assert cross_section(F(1, 2)) != cross_section(F(1, 3))
     assert len({cross_section(F(8, 11)), cross_section("8/11"), one}) == 2
     assert one != _fields(one)
-    for name in ("slope_ratio", "mu_max", "breakpoints", "segments"):
+    assert one == (one.slope_ratio, one.starts, one.lines)
+    for name in ("slope_ratio", "starts", "lines", "mu_max", "breakpoints", "segments"):
         with pytest.raises(AttributeError):
             setattr(one, name, getattr(one, name))
-    assert one.segments is one.segments and one.breakpoints is one.breakpoints
 
 
 @pytest.mark.parametrize("lam", LARGE_RATIOS)
