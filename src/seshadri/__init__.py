@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 def seshadri_constant(L: NSClass):
     """Dispatch to the closed-form computation for the class's surface.
 
-    Anything but an `NSClass` goes to `nocm`, whose ampleness gate raises
-    `TypeError` for it.
+    Both return a `lattice.SeshadriResult`.  Anything but an `NSClass` goes
+    to `nocm`, whose ampleness gate raises `TypeError` for it.
     """
     if isinstance(L, NSClass) and L.surface.trace is not None:
         return cm.seshadri_constant(L)

@@ -24,12 +24,12 @@ result is defined up to a unit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import kernels
-from .lattice import NSClass, Surface, require_ample
+from .lattice import NSClass, SeshadriResult, Surface, _require_class, require_ample
 
 Tuple4 = tuple[int, int, int, int]
 
@@ -114,6 +114,7 @@ def search_bound(L: NSClass) -> Fraction:
 
 def degree_value(L: NSClass, t: Tuple4) -> int:
     """The quartic degree expression (undivided by D) at an integer tuple."""
+    _require_class(L)
     return kernels._value(_trace(L.surface), *L.coeffs, *t)
 
 
@@ -136,20 +137,13 @@ def canonical_tuple(t: Tuple4, kind: Surface) -> Tuple4:
     return kernels._orbit_min(k, t)
 
 
-@dataclass(frozen=True)
-class CMWitness:
+class CMWitness(NamedTuple):
     degrees: Tuple4
     representative: Tuple4
 
 
-@dataclass(frozen=True)
-class CMSeshadriResult:
-    value: int
-    witnesses: tuple[CMWitness, ...]
-
-
-def seshadri_constant(L: NSClass) -> CMSeshadriResult:
-    """Minimum curve degree, with all computing curves.
+def seshadri_constant(L: NSClass) -> SeshadriResult:
+    """Minimum curve degree and all computing curves, as a `SeshadriResult`.
 
     `kernels.minimize_quartic` returns the minimum of the degree expression
     over nonzero tuples, found by Gauss reduction of the Hermitian form and
@@ -178,10 +172,10 @@ def seshadri_constant(L: NSClass) -> CMSeshadriResult:
         if gcd(*invariants(t, L.surface)) != 1:
             raise ArithmeticError("a minimizer always has D = 1")
         witnesses.append(CMWitness(kernels._raw_degrees(k, *t), t))
-    witnesses.sort(key=lambda w: w.degrees)
+    witnesses.sort()  # by degree vector, the first field
     if len({w.degrees for w in witnesses}) < len(witnesses):
         raise ArithmeticError("two minimizers share a degree vector")
-    return CMSeshadriResult(best, tuple(witnesses))
+    return SeshadriResult(best, tuple(witnesses))
 
 
 def _ring_gcd(t: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:

@@ -21,32 +21,23 @@ s = c + d; on equal s the smaller intercept wins, and then the first line.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
 from typing import NamedTuple
 
 from .kernels import _quad_window
+from .lattice import _rational
 from .nocm import Pair
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     slope: Fraction
     intercept: Fraction
     witness: Pair
 
     def value_at(self, mu: Fraction) -> Fraction:
         return self.intercept + self.slope * mu
-
-
-def _rational(x) -> Fraction:
-    """`Fraction(x)`, with `ValueError` for infinities, NaN and a zero denominator."""
-    try:
-        return Fraction(x)
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"not a finite rational: {x!r}") from None
 
 
 class CrossSection(NamedTuple):

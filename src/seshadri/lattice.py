@@ -15,14 +15,17 @@ The Gram matrices `_GRAM` are the definition of the intersection form, and
 the general functions (`intersect`, `generator_pairings`, `is_nef`, ...)
 read them.  The ampleness test, which every entry point runs, is written out
 in straight-line integers over the trace (`ample_square`); the tests pin it
-to `_GRAM` on every class of a coefficient box.
+to `_GRAM` on every class of a coefficient box.  The functions that take a
+class raise `TypeError` for anything else.  `SeshadriResult` is the one
+result of a Seshadri-constant computation, on every surface.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from operator import index, mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class Surface(Enum):
@@ -121,8 +124,15 @@ def generator_classes(surface: Surface) -> tuple[NSClass, ...]:
     )
 
 
+def _require_class(x) -> None:
+    if not isinstance(x, NSClass):
+        raise TypeError(f"expected an NSClass, got {type(x).__name__}")
+
+
 def intersect(x: NSClass, y: NSClass) -> int:
     """Intersection number of two classes on the same surface."""
+    _require_class(x)
+    _require_class(y)
     if x.surface is not y.surface:
         raise ValueError("surface mismatch")
     return sum(map(mul, generator_pairings(x), y.coeffs))
@@ -130,12 +140,13 @@ def intersect(x: NSClass, y: NSClass) -> int:
 
 def generator_pairings(x: NSClass) -> tuple[int, ...]:
     """Intersection of `x` with each basis curve, in basis order."""
+    _require_class(x)
     return tuple(sum(map(mul, row, x.coeffs)) for row in _GRAM[x.surface])
 
 
 def self_intersection(x: NSClass) -> int:
     # L^2 = sum_i a_i (L . basis_i)
-    return sum(map(mul, x.coeffs, generator_pairings(x)))
+    return sum(map(mul, generator_pairings(x), x.coeffs))
 
 
 # The ampleness test per surface in straight-line integers: p_i are the
@@ -171,6 +182,7 @@ def ample_square(surface: Surface, coeffs: tuple[int, ...]) -> int:
 
 def is_ample(x: NSClass) -> bool:
     """Strict positivity against the basis curves and of x^2."""
+    _require_class(x)
     return ample_square(x.surface, x.coeffs) > 0
 
 
@@ -204,3 +216,18 @@ def require_ample(x: NSClass) -> int:
         raise ValueError("not ample: " + "; ".join(ample_violations(x)))
     return square
 
+
+class SeshadriResult(NamedTuple):
+    """A Seshadri constant and its computing curves: a frozenset of pairs on
+    nocm, a tuple of `cm.CMWitness` sorted by degree vector on CM surfaces."""
+
+    value: int
+    witnesses: frozenset | tuple
+
+
+def _rational(x) -> Fraction:
+    """`Fraction(x)`, with `ValueError` for infinities, NaN and a zero denominator."""
+    try:
+        return Fraction(x)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"not a finite rational: {x!r}") from None

@@ -14,11 +14,10 @@ coefficients, is kept in the tests as the reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .kernels import _quad_window
-from .lattice import GENERATOR_LABELS, NSClass, Surface, require_ample
+from .lattice import GENERATOR_LABELS, NSClass, SeshadriResult, Surface, _require_class, require_ample
 
 Pair = tuple[int, int]
 
@@ -70,6 +69,7 @@ def _require_nocm(L: NSClass) -> None:
 
 def degree(L: NSClass, pair: Pair) -> int:
     """L . N_{c,d}, evaluated through the explicit quadratic form."""
+    _require_class(L)
     _require_nocm(L)
     a1, a2, a3 = L.coeffs
     c, d = pair
@@ -87,12 +87,6 @@ def pair_sort_key(pair: Pair) -> tuple:
     if pair in GENERATOR_PAIRS:
         return (0, GENERATOR_PAIRS.index(pair))
     return (1, pair)
-
-
-@dataclass(frozen=True)
-class SeshadriResult:
-    value: int
-    witnesses: frozenset[Pair]
 
 
 def _reduce(coeffs: tuple[int, int, int]) -> tuple[int, int, int, Pair, Pair]:
@@ -134,11 +128,11 @@ def _curves_up_to(form: tuple[int, int, int, Pair, Pair], threshold: int) -> fro
 
 
 def seshadri_constant(L: NSClass) -> SeshadriResult:
-    """The Seshadri constant of an ample class, with all computing curves.
+    """The Seshadri constant of an ample class and all computing curves.
 
     The constant is the minimum of the degree form over primitive vectors,
     which is the first entry of its reduced form; the witnesses are the
-    primitive vectors attaining it.
+    canonical pairs of the primitive vectors attaining it, in a frozenset.
     """
     require_ample(L)
     _require_nocm(L)

@@ -30,28 +30,18 @@ step of the search builds a Fraction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .lattice import NSClass, require_ample
+from .lattice import NSClass, _rational, _require_class, require_ample
 
 
-@dataclass(frozen=True)
-class ShellSearchReport:
+class ShellSearchReport(NamedTuple):
     minimum: Fraction
     minimizers: tuple[tuple[int, ...], ...]
     radius_searched: int
     certified: bool
-
-
-def _rational(v) -> Fraction:
-    """`Fraction(v)`, with `ValueError` for infinities, NaN and a zero denominator."""
-    try:
-        return Fraction(v)
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"not a finite rational: {v!r}") from None
 
 
 def _integer_gram(gram: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
@@ -203,6 +193,7 @@ def degree_form(L: NSClass) -> tuple[tuple[int | Fraction, ...], ...]:
     on cm-i; on cm-eisenstein the diagonal is integral and the off-diagonal
     entries are half-integers (Fractions).
     """
+    _require_class(L)
     k = L.surface.trace
     if k is None:  # nocm
         a1, a2, a3 = L.coeffs

@@ -120,7 +120,7 @@ def half_box_seshadri(L):
         if vec not in by_degrees or rep < by_degrees[vec]:
             by_degrees[vec] = rep
     witnesses = tuple(cm.CMWitness(vec, by_degrees[vec]) for vec in sorted(by_degrees))
-    return cm.CMSeshadriResult(best, witnesses)
+    return SeshadriResult(best, witnesses)
 
 
 def assert_one_minimizer_per_orbit(mins, oracle_minimizers, surface):

@@ -1,11 +1,14 @@
 import ast
 import doctest
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import seshadri
-from seshadri import Surface, cm, nocm, ns_class, oracle, seshadri_constant
+from seshadri import Surface, cm, cross_section, lattice, nocm, ns_class, oracle, seshadri_constant
+
+AMPLE_NOCM = ns_class(Surface.NO_CM, (7, 6, -3))
 
 
 def test_dispatch_by_surface():
@@ -14,6 +17,45 @@ def test_dispatch_by_surface():
     rank4 = seshadri_constant(ns_class(Surface.CM_GAUSSIAN, (4, 2, 3, -2)))
     assert rank4.value == 1
     assert [w.degrees for w in rank4.witnesses] == [(1, 2, 1, 5)]
+
+
+def test_every_result_is_a_named_tuple_of_its_fields():
+    results = [
+        seshadri_constant(ns_class(surface, coeffs))
+        for surface, coeffs in [
+            (Surface.NO_CM, (7, 6, -3)),
+            (Surface.CM_GAUSSIAN, (4, 2, 3, -2)),
+            (Surface.CM_EISENSTEIN, (2, 2, 1, -1)),
+        ]
+    ]
+    assert {type(result) for result in results} == {lattice.SeshadriResult}
+    assert nocm.SeshadriResult is lattice.SeshadriResult
+    for result in results:
+        assert result == (result.value, result.witnesses)
+    for witness in results[1].witnesses + results[2].witnesses:
+        assert witness == (witness.degrees, witness.representative)
+    for segment in cross_section.cross_section(Fraction(8, 11)).segments:
+        assert segment == (segment.slope, segment.intercept, segment.witness)
+    report = oracle.min_quadratic_form(((2, 1), (1, 2)))
+    assert report == (report.minimum, report.minimizers, report.radius_searched, True)
+
+
+# The two-argument functions, with the value in one argument and a valid
+# class or curve in the other.
+def intersect_on_the_left(x):
+    return lattice.intersect(x, AMPLE_NOCM)
+
+
+def intersect_on_the_right(x):
+    return lattice.intersect(AMPLE_NOCM, x)
+
+
+def nocm_degree(x):
+    return nocm.degree(x, (1, 0))
+
+
+def cm_degree_value(x):
+    return cm.degree_value(x, (1, 0, 0, 0))
 
 
 @pytest.mark.parametrize(
@@ -26,6 +68,15 @@ def test_dispatch_by_surface():
         cm.search_bound,
         oracle.nocm_seshadri,
         oracle.cm_seshadri,
+        oracle.degree_form,
+        lattice.is_ample,
+        lattice.is_nef,
+        lattice.self_intersection,
+        lattice.generator_pairings,
+        intersect_on_the_left,
+        intersect_on_the_right,
+        nocm_degree,
+        cm_degree_value,
     ],
     ids=lambda f: f"{f.__module__}.{f.__name__}",
 )
