@@ -11,13 +11,15 @@ its lattice rank and, on rank 4, the trace t of the ring generator w
 (w^2 = t w - 1, Delta . Sigma = 2 - t), None on rank 3.  Other modules read
 these attributes and keep no table per surface.
 
-The Gram matrices `_GRAM` are the definition of the intersection form, and
-the general functions (`intersect`, `generator_pairings`, `is_nef`, ...)
-read them.  The ampleness test, which every entry point runs, is written out
-in straight-line integers over the trace (`ample_square`); the tests pin it
-to `_GRAM` on every class of a coefficient box.  The functions that take a
-class raise `TypeError` for anything else.  `SeshadriResult` is the one
-result of a Seshadri-constant computation, on every surface.
+`generator_pairings` is the one statement of the intersection form: the
+pairings of a class with the basis curves, written straight-line over the
+trace, from which `intersect`, `self_intersection`, `is_nef` and
+`ample_violations` are built.  Ampleness, which every entry point checks
+through `require_ample`, is two inequalities, L.F1 > 0 and L^2 > 0 (the
+light-cone argument is in `ample_square`); the tests pin the pairings to
+full literal Gram matrices.  The functions that take a class raise
+`TypeError` for anything else.  `SeshadriResult` is the one result of a
+Seshadri-constant computation, on every surface.
 """
 from __future__ import annotations
 
@@ -42,35 +44,7 @@ class Surface(Enum):
         return member
 
 
-# Gram matrices of the basis (F1, F2, Delta[, Sigma]).  All basis curves are
-# elliptic, hence have self-intersection 0; the only pairing that differs
-# between the two rank-4 surfaces is Delta . Sigma (2 resp. 1).
-_GRAM = {
-    Surface.NO_CM: (
-        (0, 1, 1),
-        (1, 0, 1),
-        (1, 1, 0),
-    ),
-    Surface.CM_GAUSSIAN: (
-        (0, 1, 1, 1),
-        (1, 0, 1, 1),
-        (1, 1, 0, 2),
-        (1, 1, 2, 0),
-    ),
-    Surface.CM_EISENSTEIN: (
-        (0, 1, 1, 1),
-        (1, 0, 1, 1),
-        (1, 1, 0, 1),
-        (1, 1, 1, 0),
-    ),
-}
-
 GENERATOR_LABELS = ("F1", "F2", "Delta", "Sigma")
-
-
-def gram_matrix(surface: Surface) -> tuple[tuple[int, ...], ...]:
-    """Intersection matrix of the basis curves of `surface`."""
-    return _GRAM[surface]
 
 
 @dataclass(frozen=True)
@@ -141,7 +115,15 @@ def intersect(x: NSClass, y: NSClass) -> int:
 def generator_pairings(x: NSClass) -> tuple[int, ...]:
     """Intersection of `x` with each basis curve, in basis order."""
     _require_class(x)
-    return tuple(sum(map(mul, row, x.coeffs)) for row in _GRAM[x.surface])
+    # Every basis curve is elliptic (self-intersection 0) and any two
+    # distinct ones meet once, except Delta . Sigma = k = 2 - trace.
+    t = x.surface.trace
+    if t is None:
+        a1, a2, a3 = x.coeffs
+        return a2 + a3, a1 + a3, a1 + a2
+    a1, a2, a3, a4 = x.coeffs
+    k = 2 - t
+    return a2 + a3 + a4, a1 + a3 + a4, a1 + a2 + k * a4, a1 + a2 + k * a3
 
 
 def self_intersection(x: NSClass) -> int:
@@ -149,39 +131,31 @@ def self_intersection(x: NSClass) -> int:
     return sum(map(mul, generator_pairings(x), x.coeffs))
 
 
-# The ampleness test per surface in straight-line integers: p_i are the
-# rows of `_GRAM` times the coefficients, i.e. the pairings with F1, F2,
-# Delta[, Sigma], and k = Delta.Sigma = 2 - trace.  Each returns L^2 if the
-# class is ample and 0 otherwise.  On these surfaces the basis curves cut out
-# the nef cone, so strict positivity against them plus L^2 > 0 characterises
-# ampleness.
-
-def _nocm_ample_square(a1: int, a2: int, a3: int) -> int:
-    p1, p2, p3 = a2 + a3, a1 + a3, a1 + a2
-    square = a1 * p1 + a2 * p2 + a3 * p3
-    return square if p1 > 0 and p2 > 0 and p3 > 0 and square > 0 else 0
-
-
-def _cm_ample_square(k: int, a1: int, a2: int, a3: int, a4: int) -> int:
-    p1, p2, p3, p4 = a2 + a3 + a4, a1 + a3 + a4, a1 + a2 + k * a4, a1 + a2 + k * a3
-    square = a1 * p1 + a2 * p2 + a3 * p3 + a4 * p4
-    return square if p1 > 0 and p2 > 0 and p3 > 0 and p4 > 0 and square > 0 else 0
-
-
 def ample_square(surface: Surface, coeffs: tuple[int, ...]) -> int:
     """L^2 of the class with these coefficients if it is ample, else 0.
 
-    Works on the raw tuple, so a caller that rejects most candidates builds
-    no class.
+    L is ample if and only if L.F1 > 0 and L^2 > 0.  On an abelian surface
+    no curve has negative square, so the ample cone is the component of the
+    positive cone {L^2 > 0} that holds the ample classes.  F1 is nef,
+    nonzero and F1^2 = 0, so by the Hodge index theorem L.F1 != 0 whenever
+    L^2 > 0, and the sign of L.F1 picks the ample component.  Works on the
+    raw tuple, so a caller that rejects most candidates builds no class.
     """
+    # L.F1 from `generator_pairings`, and L^2 = sum a_i (L . basis_i) expanded
     t = surface.trace
     if t is None:
-        return _nocm_ample_square(*coeffs)
-    return _cm_ample_square(2 - t, *coeffs)
+        a1, a2, a3 = coeffs
+        f1 = a2 + a3
+        square = 2 * (a1 * f1 + a2 * a3)
+    else:
+        a1, a2, a3, a4 = coeffs
+        f1 = a2 + a3 + a4
+        square = 2 * (a1 * f1 + a2 * (a3 + a4) + (2 - t) * a3 * a4)
+    return square if f1 > 0 and square > 0 else 0
 
 
 def is_ample(x: NSClass) -> bool:
-    """Strict positivity against the basis curves and of x^2."""
+    """L.F1 > 0 and L^2 > 0, which characterise ampleness (`ample_square`)."""
     _require_class(x)
     return ample_square(x.surface, x.coeffs) > 0
 

@@ -10,9 +10,9 @@ from seshadri.lattice import (
     GENERATOR_LABELS,
     NSClass,
     Surface,
+    ample_square,
     generator_classes,
     generator_pairings,
-    gram_matrix,
     intersect,
     is_ample,
     is_nef,
@@ -21,7 +21,39 @@ from seshadri.lattice import (
     self_intersection,
 )
 
+from test_large_coefficients import (
+    NEAR_BOUNDARY_SIZES,
+    near_boundary_classes,
+    near_boundary_cm_classes,
+)
+
 coeff = st.integers(min_value=-200, max_value=200)
+
+# The intersection matrices of the basis (F1, F2, Delta[, Sigma]), written
+# out in full: the reference the library's straight-line pairings are pinned to.
+GRAM = {
+    Surface.NO_CM: (
+        (0, 1, 1),
+        (1, 0, 1),
+        (1, 1, 0),
+    ),
+    Surface.CM_GAUSSIAN: (
+        (0, 1, 1, 1),
+        (1, 0, 1, 1),
+        (1, 1, 0, 2),
+        (1, 1, 2, 0),
+    ),
+    Surface.CM_EISENSTEIN: (
+        (0, 1, 1, 1),
+        (1, 0, 1, 1),
+        (1, 1, 0, 1),
+        (1, 1, 1, 0),
+    ),
+}
+
+
+def gram_pairings(surface, coeffs):
+    return tuple(sum(map(mul, row, coeffs)) for row in GRAM[surface])
 
 
 def classes(surface):
@@ -29,18 +61,16 @@ def classes(surface):
 
 
 def test_gram_matrices():
-    assert gram_matrix(Surface.NO_CM) == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-    g = gram_matrix(Surface.CM_GAUSSIAN)
-    assert g[2][3] == g[3][2] == 2
-    assert all(g[i][i] == 0 for i in range(4))
-    e = gram_matrix(Surface.CM_EISENSTEIN)
-    assert all(e[i][j] == (0 if i == j else 1) for i in range(4) for j in range(4))
+    # each basis curve pairs with the basis as its full row of the table
+    for surface in Surface:
+        for g, row in zip(generator_classes(surface), GRAM[surface], strict=True):
+            assert generator_pairings(g) == row, (surface, g.coeffs)
 
 
 @pytest.mark.parametrize("surface", list(Surface), ids=lambda s: s.value)
 def test_surface_facts_match_gram(surface):
     # the rank and trace that every module reads agree with the definition
-    gram = gram_matrix(surface)
+    gram = GRAM[surface]
     assert len(gram) == surface.rank
     assert (surface.trace is None) == (surface is Surface.NO_CM)
     if surface.trace is not None:
@@ -205,11 +235,10 @@ def test_generators_are_nef_not_ample():
 
 @pytest.mark.parametrize("surface", list(Surface))
 def test_straight_line_forms_match_gram_on_a_box(surface):
-    # `_GRAM` is the definition: every value is recomputed from its rows
-    gram = gram_matrix(surface)
+    # `GRAM` is the definition: every value is recomputed from its rows
     for coeffs in product(range(-5, 6), repeat=surface.rank):
         L = ns_class(surface, coeffs)
-        pairings = tuple(sum(map(mul, row, coeffs)) for row in gram)
+        pairings = gram_pairings(surface, coeffs)
         square = sum(map(mul, coeffs, pairings))
         assert generator_pairings(L) == pairings
         assert self_intersection(L) == square
@@ -231,3 +260,47 @@ def test_not_ample_message_examples():
     with pytest.raises(ValueError) as info:
         require_ample(ns_class(Surface.CM_GAUSSIAN, (1, -1, 0, 0)))
     assert str(info.value) == "not ample: L.F1 = -1 <= 0; L.Delta = 0 <= 0; L.Sigma = 0 <= 0; L^2 = -2 <= 0"
+
+
+def assert_gate_matches_gram(L):
+    # the library's two-inequality gate against every literal-table pairing
+    pairings = gram_pairings(L.surface, L.coeffs)
+    square = sum(map(mul, L.coeffs, pairings))
+    ample = min(pairings) > 0 and square > 0
+    assert is_ample(L) is ample, L.coeffs
+    assert ample_square(L.surface, L.coeffs) == (square if ample else 0), L.coeffs
+    if ample:
+        assert require_ample(L) == square, L.coeffs
+        return
+    failed = [f"L.{n} = {p} <= 0" for n, p in zip(GENERATOR_LABELS, pairings) if p <= 0]
+    failed += [f"L^2 = {square} <= 0"] if square <= 0 else []
+    with pytest.raises(ValueError) as info:
+        require_ample(L)
+    assert str(info.value) == "not ample: " + "; ".join(failed)
+
+
+# any size up to 10^40, with extra weight on magnitudes of 10^39 to 10^40
+big = (
+    st.integers(min_value=-(10**40), max_value=10**40)
+    | st.integers(min_value=10**39, max_value=10**40)
+    | st.integers(min_value=-(10**40), max_value=-(10**39))
+)
+
+
+@given(st.sampled_from(list(Surface)), st.data())
+@settings(max_examples=300)
+def test_light_cone_gate_at_large_coefficients(surface, data):
+    coeffs = data.draw(st.tuples(*[big] * surface.rank))
+    assert_gate_matches_gram(ns_class(surface, coeffs))
+
+
+@pytest.mark.parametrize("size", NEAR_BOUNDARY_SIZES)
+def test_light_cone_gate_near_the_boundary(size):
+    # classes just inside the nef cone, and their negatives just outside
+    found = [L for L, *_ in near_boundary_classes(size, seed=size % 983)]
+    for surface in (Surface.CM_GAUSSIAN, Surface.CM_EISENSTEIN):
+        found += [L for L, *_ in near_boundary_cm_classes(surface, size, seed=size % 983)]
+    for L in found:
+        assert is_ample(L), L.coeffs
+        for x in (L, -1 * L):
+            assert_gate_matches_gram(x)
