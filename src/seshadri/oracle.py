@@ -4,13 +4,15 @@ Everything here validates the closed-form results by direct search: certified
 minimization of positive-definite quadratic forms over the integer lattice.
 The search shares no formula code with the closed-form modules: the only
 package module this module imports is `lattice`, its search windows are its
-own, and its Gram constructor `degree_form` is cross-checked against
-hand-expanded polynomials in the tests.
+own, and its Gram constructor `_scaled_degree_form` (seen through
+`degree_form`) is cross-checked against hand-expanded polynomials in the
+tests.
 
 The search is a Fincke-Pohst enumeration in integers only.  The Gram matrix
-is scaled by the lcm s of its denominators, and Bareiss's fraction-free
-elimination of the integer matrix gives its leading minors D_0 = 1, D_1, ...,
-D_n and integer rows B with
+is scaled by the lcm s of its denominators (`min_quadratic_form`), or built
+scaled by the oracle itself (`nocm_seshadri`, `cm_seshadri`), and Bareiss's
+fraction-free elimination of the integer matrix gives its leading minors
+D_0 = 1, D_1, ..., D_n and integer rows B with
 
     s * Q(x) = sum_i (D_{i+1} x_i + N_i)^2 / (D_i D_{i+1}),
     N_i = sum_{j>i} B_ij x_j.
@@ -38,6 +40,16 @@ from .lattice import NSClass, _rational, _require_class, require_ample
 
 
 class ShellSearchReport(NamedTuple):
+    """A certified form minimum.
+
+    `minimum` is the least value over nonzero integer vectors and
+    `minimizers` every vector attaining it, one of each pair +-x (the one
+    whose first nonzero coordinate is positive), sorted.  `radius_searched`
+    is the box radius r at which the eigenvalue bound certified the search:
+    every vector outside [-r, r]^n takes a larger value than the minimum
+    found inside it.  `certified` is always True.
+    """
+
     minimum: Fraction
     minimizers: tuple[tuple[int, ...], ...]
     radius_searched: int
@@ -106,16 +118,36 @@ def _search_box(
     x = [0] * n
     found: list[tuple[int, ...]] = []
     running = best
+    d0, w0, terms0 = levels[0]
+
+    # |d t + centre| <= r  <=>  w (d t + centre)^2 <= running - partial,
+    # which is >= 0 on entry to every level
+    def bottom(partial: int, nonzero: bool) -> None:
+        # level 0: `nonzero` says some coordinate of x above it is nonzero
+        nonlocal running, found
+        centre = 0
+        for j, b in terms0:
+            centre += b * x[j]
+        r = isqrt((running - partial) // w0)
+        lo = max(-((r + centre) // d0), -radius)
+        hi = min((r - centre) // d0, radius)
+        for t in range(lo, hi + 1):
+            if nonzero or t:
+                y = d0 * t + centre
+                value = partial + w0 * y * y
+                if value < running:
+                    running = value
+                    x[0] = t
+                    found = [tuple(x)]
+                elif value == running:
+                    x[0] = t
+                    found.append(tuple(x))
 
     def rec(i: int, partial: int, nonzero: bool) -> None:
-        # `nonzero`: some coordinate above level i is nonzero
-        nonlocal running, found
         d, w, terms = levels[i]
         centre = 0
         for j, b in terms:
             centre += b * x[j]
-        # |d t + centre| <= r  <=>  w (d t + centre)^2 <= running - partial,
-        # which is >= 0 on entry
         r = isqrt((running - partial) // w)
         lo = max(-((r + centre) // d), -radius)
         hi = min((r - centre) // d, radius)
@@ -125,22 +157,16 @@ def _search_box(
             if value > running:
                 continue
             x[i] = t
-            if i:
+            if i > 1:
                 rec(i - 1, value, nonzero or t != 0)
-            elif nonzero or t:
-                if value < running:
-                    running, found = value, []
-                found.append(tuple(x))
+            else:
+                bottom(value, nonzero or t != 0)
 
-    rec(n - 1, 0, False)
+    if n == 1:
+        bottom(0, False)
+    else:
+        rec(n - 1, 0, False)
     return running, found
-
-
-def _canonical_sign(p: tuple[int, ...]) -> tuple[int, ...]:
-    for v in p:
-        if v:
-            return p if v > 0 else tuple(-c for c in p)
-    return p
 
 
 def min_quadratic_form(gram: Sequence[Sequence]) -> ShellSearchReport:
@@ -149,31 +175,43 @@ def min_quadratic_form(gram: Sequence[Sequence]) -> ShellSearchReport:
     Returns all minimizers up to sign.  Entries may be ints, `Fraction`s or
     anything `Fraction` reads exactly (floats, strings).  Raises
     `ValueError` for an empty, non-square, non-symmetric or indefinite
-    matrix and for an entry that is not a finite rational.
+    matrix and for an entry that is not a finite rational.  The class
+    functions `nocm_seshadri` and `cm_seshadri` enter the same core
+    `_minimize` through the oracle's own integer Gram, which needs neither
+    this validation nor the scaling.
     """
-    s, a = _integer_gram(gram)
+    return _minimize(*_integer_gram(gram))
+
+
+def _minimize(s: int, a: list[list[int]]) -> ShellSearchReport:
+    """The certified search on the integer matrix a = s * gram, s > 0.
+
+    Raises `ValueError` if a is not positive definite.
+    """
     n = len(a)
     minors, rows = _bareiss(a)
-    if any(d <= 0 for d in minors):
+    if min(minors) <= 0:
         raise ValueError("not positive definite")
-    scale = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
-    levels = [
-        (minors[i + 1], scale // (minors[i] * minors[i + 1]),
-         [(j, rows[i][j]) for j in range(i + 1, n) if rows[i][j]])
-        for i in range(n)
-    ]
+    scale = lcm(*[minors[i] * minors[i + 1] for i in range(n)])
+    levels = []
+    for i in range(n):
+        d, row = minors[i + 1], rows[i]
+        levels.append(
+            (d, scale // (minors[i] * d), [(j, row[j]) for j in range(i + 1, n) if row[j]])
+        )
 
-    gersh = min(2 * a[i][i] - sum(abs(v) for v in a[i]) for i in range(n))
-    row_max = max(sum(abs(v) for v in row) for row in a)
-    # lam_num / lam_den bounds the smallest eigenvalue of s * gram, and values
-    # carry P = scale; neither the stopping test nor the floor in `needed`
-    # depends on whether that fraction is reduced
+    sums = [sum(map(abs, row)) for row in a]
+    gersh = min([2 * a[i][i] - sums[i] for i in range(n)])
+    row_max = max(sums)
+    # lam_num / lam_den bounds the smallest eigenvalue of a, and values carry
+    # P = scale; neither the stopping test nor the floor in `needed` depends
+    # on whether that fraction is reduced
     lam_num, lam_den = minors[n], row_max ** (n - 1)
     if gersh * lam_den >= lam_num:
         lam_num, lam_den = gersh, 1
     lam_num *= scale
 
-    best = scale * min(a[i][i] for i in range(n))
+    best = scale * min([a[i][i] for i in range(n)])
     radius = 1
     while True:
         best, pts = _search_box(levels, radius, best)
@@ -181,8 +219,46 @@ def min_quadratic_form(gram: Sequence[Sequence]) -> ShellSearchReport:
             break
         needed = isqrt(best * lam_den // lam_num) + 1
         radius = max(2 * radius, needed)
-    minimizers = sorted({_canonical_sign(p) for p in pts})
+    # pts is every point of the box attaining the minimum, so it is closed
+    # under x -> -x; one of each pair has its first nonzero coordinate
+    # positive, which is to say it is lexicographically above zero
+    zero = (0,) * n
+    minimizers = sorted([p for p in pts if p > zero])
     return ShellSearchReport(Fraction(best, s * scale), tuple(minimizers), radius, True)
+
+
+def _scaled_degree_form(L: NSClass) -> tuple[int, list[list[int]]]:
+    """(s, s * degree_form(L)) with s the lcm of the Gram's denominators.
+
+    The oracle's one statement of the degree form: s is 1 on nocm and cm-i,
+    and on cm-eisenstein 1 exactly when every half-entry is integral.
+    """
+    k = L.surface.trace
+    if k is None:  # nocm
+        a1, a2, a3 = L.coeffs
+        return 1, [[a2 + a3, a3], [a3, a1 + a3]]
+    a1, a2, a3, a4 = L.coeffs
+    A, C = a1 + a3 + a4, a2 + a3 + a4
+    if k == 0:  # cm-i
+        return 1, [
+            [A, 0, -a3, -a4],
+            [0, A, a4, -a3],
+            [-a3, a4, C, 0],
+            [-a4, -a3, 0, C],
+        ]
+    # cm-eisenstein: 2G, since G's off-diagonal entries are A/2, C/2, p/2,
+    # q/2 and r/2
+    p, q, r = -2 * a3 - a4, -a3 - 2 * a4, a4 - a3
+    a = [
+        [2 * A, A, p, q],
+        [A, 2 * A, r, p],
+        [p, r, 2 * C, C],
+        [q, p, C, 2 * C],
+    ]
+    # p is even iff a4 is, q iff a3 is; then A = a1 and C = a2 mod 2
+    if (a1 | a2 | a3 | a4) & 1:
+        return 2, a
+    return 1, [[v // 2 for v in row] for row in a]
 
 
 def degree_form(L: NSClass) -> tuple[tuple[int | Fraction, ...], ...]:
@@ -191,31 +267,15 @@ def degree_form(L: NSClass) -> tuple[tuple[int | Fraction, ...], ...]:
     On nocm, the binary form (c, d) -> L . N_{c,d}.  On the CM surfaces, the
     quartic degree expression Q(t) = D * (L . N_t) in t = (a, b, c, d): ints
     on cm-i; on cm-eisenstein the diagonal is integral and the off-diagonal
-    entries are half-integers (Fractions).
+    entries are half-integers (Fractions).  A view of `_scaled_degree_form`.
     """
     _require_class(L)
-    k = L.surface.trace
-    if k is None:  # nocm
-        a1, a2, a3 = L.coeffs
-        return ((a2 + a3, a3), (a3, a1 + a3))
-    a1, a2, a3, a4 = L.coeffs
-    A, C = a1 + a3 + a4, a2 + a3 + a4
-    if k == 0:  # cm-i
-        return (
-            (A, 0, -a3, -a4),
-            (0, A, a4, -a3),
-            (-a3, a4, C, 0),
-            (-a4, -a3, 0, C),
-        )
-    hA, hC = Fraction(A, 2), Fraction(C, 2)
-    p = Fraction(-2 * a3 - a4, 2)
-    q = Fraction(-a3 - 2 * a4, 2)
-    r = Fraction(a4 - a3, 2)
-    return (
-        (A, hA, p, q),
-        (hA, A, r, p),
-        (p, r, C, hC),
-        (q, p, hC, C),
+    s, a = _scaled_degree_form(L)
+    if L.surface.trace != 1:  # s == 1
+        return tuple(map(tuple, a))
+    return tuple(
+        tuple(v // s if i == j else Fraction(v, s) for j, v in enumerate(row))
+        for i, row in enumerate(a)
     )
 
 
@@ -230,7 +290,7 @@ def nocm_seshadri(L: NSClass) -> int:
     require_ample(L)
     if L.surface.trace is not None:
         raise ValueError("surface mismatch: expected the nocm surface")
-    report = min_quadratic_form(degree_form(L))
+    report = _minimize(*_scaled_degree_form(L))
     if any(gcd(p[0], p[1]) != 1 for p in report.minimizers):
         raise ArithmeticError(f"imprimitive form minimizer for {L.coeffs}")
     return _integral_minimum(report, L)
@@ -241,7 +301,7 @@ def cm_seshadri(L: NSClass) -> int:
     require_ample(L)
     if L.surface.trace is None:
         raise ValueError("surface mismatch: expected a CM surface")
-    return _integral_minimum(min_quadratic_form(degree_form(L)), L)
+    return _integral_minimum(_minimize(*_scaled_degree_form(L)), L)
 
 
 def _integral_minimum(report: ShellSearchReport, L: NSClass) -> int:

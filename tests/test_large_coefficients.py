@@ -28,8 +28,9 @@ from seshadri.sampling import random_ample_classes
 
 BOUNDS = (10**4, 10**6, 10**9, 10**12)
 
-# classes per (surface, bound): the rank-3 pair costs ~0.1 ms, a rank-4
-# class ~0.6 ms
+# classes per (surface, bound): one rank-3 class costs ~0.05-0.06 ms here,
+# one rank-4 class ~0.4-0.7 ms (best of 5 per bound, Python 3.11.7, one
+# pinned CPU)
 COUNTS = {Surface.NO_CM: 250, Surface.CM_GAUSSIAN: 100, Surface.CM_EISENSTEIN: 100}
 
 

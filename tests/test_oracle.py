@@ -13,6 +13,14 @@ from seshadri.lattice import Surface, ns_class
 from seshadri.sampling import random_ample_classes
 
 
+def _canonical_sign(p):
+    """p or -p, whichever has its first nonzero coordinate positive."""
+    for v in p:
+        if v:
+            return p if v > 0 else tuple(-c for c in p)
+    return p
+
+
 # Reference: the Fraction-arithmetic Fincke-Pohst search the integer oracle
 # replaced, kept to pin `min_quadratic_form` down report for report.
 def _ldl(m):
@@ -96,7 +104,7 @@ def _reference_min(gram):
         if lam * (radius + 1) ** 2 > best:
             break
         radius = max(2 * radius, isqrt(floor(best / lam)) + 1)
-    minimizers = sorted({oracle._canonical_sign(p) for p in pts})
+    minimizers = sorted({_canonical_sign(p) for p in pts})
     return oracle.ShellSearchReport(best, tuple(minimizers), radius, True)
 
 
@@ -112,7 +120,7 @@ def _literal_min(gram, radius):
         if best is None or q < best:
             best, mins = q, set()
         if q == best:
-            mins.add(oracle._canonical_sign(x))
+            mins.add(_canonical_sign(x))
     return best, mins
 
 
@@ -377,7 +385,8 @@ def test_reference_surface_mismatch_messages():
     ],
 )
 def test_reference_invariant_violation_raises(monkeypatch, report):
-    monkeypatch.setattr(oracle, "min_quadratic_form", lambda gram: report)
+    # the class functions call the integer core on their own Gram
+    monkeypatch.setattr(oracle, "_minimize", lambda s, a: report)
     with pytest.raises(ArithmeticError):
         oracle.nocm_seshadri(ns_class(Surface.NO_CM, (7, 6, -3)))
 
