@@ -19,16 +19,22 @@ D_0 = 1, D_1, ..., D_n and integer rows B with
 
 Multiplying by P = lcm_i(D_i D_{i+1}) makes every partial sum, the running
 best and the budget an integer, and each level's window an exact `isqrt`.
+Above level 0 each window is walked outward from its centre, the t nearest
+-N_i / D_{i+1} (Schnorr and Euchner's order): the level's term only grows
+away from it, so each direction stops at its first value above the running
+best, and short vectors lower that best early.  Level 0's windows hold about
+one point, and there the plain walk is cheaper.
 
 Certification: outside a box of radius r every lattice vector x satisfies
 Q(x) >= lam * |x|^2 >= lam * (r+1)^2 for any exact lower bound lam > 0 on the
-smallest eigenvalue, so once lam * (r+1)^2 exceeds the best value found the
-search is provably complete.  We use the larger of the Gershgorin bound and
+smallest eigenvalue.  We use the larger of the Gershgorin bound and
 det / (max row sum)^(n-1), both taken on the scaled integer matrix with
-det = D_n; the latter is always positive for a definite form, so the
-expanding search terminates.  lam is kept as an integer numerator and
-denominator and the two bounds are compared by cross-multiplication, so no
-step of the search builds a Fraction.
+det = D_n; the latter is always positive for a definite form.  The search
+starts from the least diagonal entry, a value the form takes, and is one pass
+over the box whose radius r = isqrt(best / lam) makes lam * (r+1)^2 exceed
+that starting value, hence the minimum: the pass is complete by construction.
+lam is kept as an integer numerator and denominator and the two bounds are
+compared by cross-multiplication, so no step of the search builds a Fraction.
 """
 from __future__ import annotations
 
@@ -45,9 +51,10 @@ class ShellSearchReport(NamedTuple):
     `minimum` is the least value over nonzero integer vectors and
     `minimizers` every vector attaining it, one of each pair +-x (the one
     whose first nonzero coordinate is positive), sorted.  `radius_searched`
-    is the box radius r at which the eigenvalue bound certified the search:
-    every vector outside [-r, r]^n takes a larger value than the minimum
-    found inside it.  `certified` is always True.
+    is the box radius r that the eigenvalue bound certified for the starting
+    value, the form's least diagonal entry: every vector outside [-r, r]^n
+    takes a larger value than that entry, hence than the minimum found
+    inside.  `certified` is always True.
     """
 
     minimum: Fraction
@@ -151,16 +158,21 @@ def _search_box(
         r = isqrt((running - partial) // w)
         lo = max(-((r + centre) // d), -radius)
         hi = min((r - centre) // d, radius)
-        for t in range(lo, hi + 1):
-            y = d * t + centre
-            value = partial + w * y * y
-            if value > running:
-                continue
-            x[i] = t
-            if i > 1:
-                rec(i - 1, value, nonzero or t != 0)
-            else:
-                bottom(value, nonzero or t != 0)
+        # centre-out: t0 minimizes |d t + centre| over the window, and the
+        # value only grows away from it while `running` only falls, so each
+        # direction ends at its first value above `running`
+        t0 = max(min((d // 2 - centre) // d, hi), lo)
+        for ts in (range(t0, hi + 1), range(t0 - 1, lo - 1, -1)):
+            for t in ts:
+                y = d * t + centre
+                value = partial + w * y * y
+                if value > running:
+                    break
+                x[i] = t
+                if i > 1:
+                    rec(i - 1, value, nonzero or t != 0)
+                else:
+                    bottom(value, nonzero or t != 0)
 
     if n == 1:
         bottom(0, False)
@@ -204,21 +216,18 @@ def _minimize(s: int, a: list[list[int]]) -> ShellSearchReport:
     gersh = min([2 * a[i][i] - sums[i] for i in range(n)])
     row_max = max(sums)
     # lam_num / lam_den bounds the smallest eigenvalue of a, and values carry
-    # P = scale; neither the stopping test nor the floor in `needed` depends
-    # on whether that fraction is reduced
+    # P = scale; the floor in `radius` does not depend on whether that
+    # fraction is reduced
     lam_num, lam_den = minors[n], row_max ** (n - 1)
     if gersh * lam_den >= lam_num:
         lam_num, lam_den = gersh, 1
     lam_num *= scale
 
+    # one pass certifies: lam (radius + 1)^2 > the starting best >= the
+    # minimum, and lam <= min diag gives radius >= 1
     best = scale * min([a[i][i] for i in range(n)])
-    radius = 1
-    while True:
-        best, pts = _search_box(levels, radius, best)
-        if lam_num * (radius + 1) ** 2 > best * lam_den:
-            break
-        needed = isqrt(best * lam_den // lam_num) + 1
-        radius = max(2 * radius, needed)
+    radius = isqrt(best * lam_den // lam_num)
+    best, pts = _search_box(levels, radius, best)
     # pts is every point of the box attaining the minimum, so it is closed
     # under x -> -x; one of each pair has its first nonzero coordinate
     # positive, which is to say it is lexicographically above zero

@@ -16,14 +16,22 @@ def random_ample_classes(
     """
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be at least 1, got {coeff_bound}")
-    rng = random.Random(seed)
-    # randrange(width) draws exactly as randint(-bound, bound) did (one
-    # _randbelow(width) call each), which keeps the seeded stream
+    # each coefficient is randrange(width) - bound, drawn as randrange's
+    # _randbelow draws it (k bits, redrawn until below width), so the seeded
+    # stream is the one randint(-bound, bound) gave
+    getrandbits = random.Random(seed).getrandbits
     width = 2 * coeff_bound + 1
+    k = width.bit_length()
     rank = surface.rank
     out: list[NSClass] = []
     while len(out) < count:
-        coeffs = tuple(rng.randrange(width) - coeff_bound for _ in range(rank))
+        draws = []
+        for _ in range(rank):
+            r = getrandbits(k)
+            while r >= width:
+                r = getrandbits(k)
+            draws.append(r - coeff_bound)
+        coeffs = tuple(draws)
         # most draws are rejected, and only the kept ones become classes
         if ample_square(surface, coeffs):
             out.append(NSClass(surface, coeffs))

@@ -97,13 +97,10 @@ def _reference_min(gram):
     gersh = min(m[i][i] - sum(abs(m[i][j]) for j in range(n) if j != i) for i in range(n))
     row_max = max(sum(abs(v) for v in row) for row in m)
     lam = max(gersh, prod(diag) / row_max ** (n - 1))
+    # one pass: lam (radius + 1)^2 exceeds the starting best
     best = min(m[i][i] for i in range(n))
-    radius = 1
-    while True:
-        best, pts = _search_box(diag, upper, radius, best)
-        if lam * (radius + 1) ** 2 > best:
-            break
-        radius = max(2 * radius, isqrt(floor(best / lam)) + 1)
+    radius = isqrt(floor(best / lam))
+    best, pts = _search_box(diag, upper, radius, best)
     minimizers = sorted({_canonical_sign(p) for p in pts})
     return oracle.ShellSearchReport(best, tuple(minimizers), radius, True)
 
@@ -231,6 +228,50 @@ def test_matches_fraction_reference_on_random_grams(n):
         gram = _random_pd_gram(rng, n, 4)
         _assert_matches_reference(gram)
         _assert_matches_reference(_half_integral(gram))
+
+
+def _unimodular(rng, n, size):
+    """Seeded (U, U^-1) of determinant 1, built by column steps
+    col_j += k col_i until an entry of U reaches `size`."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in u]
+    while max(abs(v) for row in u for v in row) < size:
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-3, -2, -1, 1, 2, 3))
+        for row in u:
+            row[j] += k * row[i]
+        inv[i] = [a - k * b for a, b in zip(inv[i], inv[j])]
+    return u, inv
+
+
+def _product(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+# U entries of ~10^3 give Gram entries of ~10^8 on a basis far from reduced.
+# Rank 4 runs at ~10^2: its 60 forms take ~0.6 s there and ~20 s at 10^3;
+# rank 3 takes ~1.2 s and rank 2 ~0.3 s (Python 3.11.7)
+@pytest.mark.parametrize("n,size", [(2, 10**3), (3, 10**3), (4, 10**2)])
+def test_ill_conditioned_bases_keep_the_minimum(n, size):
+    # Q(U y) = Q(x) for y = U^-1 x, so U^T G U has G's minimum and its
+    # minimizers are U^-1 of G's, up to sign
+    rng, unimodular_rng = random.Random(40 + n), random.Random(n)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(30):
+        gram = _random_pd_gram(rng, n, 4)
+        u, inv = _unimodular(unimodular_rng, n, size)
+        assert _product(u, inv) == identity
+        for g in (gram, _half_integral(gram)):
+            want = oracle.min_quadratic_form(g)
+            moved = _product(_product(list(zip(*u)), g), u)
+            rep = oracle.min_quadratic_form(moved)
+            assert rep.minimum == want.minimum, moved
+            images = {
+                _canonical_sign(tuple(sum(a * b for a, b in zip(row, x)) for row in inv))
+                for x in want.minimizers
+            }
+            assert rep.minimizers == tuple(sorted(images)), moved
 
 
 @pytest.mark.parametrize("bound", [10**2, 10**4, 10**6, 10**9, 10**12])

@@ -34,13 +34,14 @@ def test_class_path_equals_generic_path(surface, bound):
 
 
 def test_class_path_equals_generic_path_near_the_boundary():
-    # the sizes the oracle already reaches in test_large_coefficients
-    for size in (10**2, 10**4):
+    # sizes the oracle reaches in test_large_coefficients, each searched twice
+    for size in (10**2, 10**4, 10**6):
         for L, *_ in near_boundary_classes(size, seed=size % 983):
             _assert_class_path_matches(L)
     for surface in (Surface.CM_GAUSSIAN, EISENSTEIN):
-        for L, *_ in near_boundary_cm_classes(surface, 10**2, seed=10**2 % 983):
-            _assert_class_path_matches(L)
+        for size in (10**2, 10**3):
+            for L, *_ in near_boundary_cm_classes(surface, size, seed=size % 983):
+                _assert_class_path_matches(L)
 
 
 def test_class_path_on_both_eisenstein_scalings():

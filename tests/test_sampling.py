@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import seshadri
-from seshadri.lattice import Surface, is_ample
+from seshadri.lattice import Surface, ample_square, is_ample
 from seshadri.sampling import random_ample_classes
 
 
@@ -53,6 +54,25 @@ def test_seeded_stream_is_pinned():
             drawn = random_ample_classes(surface, 5, bound, seed)
             assert [L.coeffs for L in drawn] == coeffs, (surface, bound, seed)
             assert all(map(is_ample, drawn))
+
+
+def _reference_stream(surface, count, bound, seed):
+    # the draw the sampler's seeded stream was defined by
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        coeffs = tuple(rng.randrange(2 * bound + 1) - bound for _ in range(surface.rank))
+        if ample_square(surface, coeffs):
+            out.append(coeffs)
+    return out
+
+
+@pytest.mark.parametrize("bound", [1, 8, 100, 10**12, 2**70], ids=str)
+@pytest.mark.parametrize("surface", list(Surface), ids=lambda s: s.value)
+def test_stream_matches_randrange_reference(surface, bound):
+    for seed in range(200):
+        drawn = [L.coeffs for L in random_ample_classes(surface, 3, bound, seed)]
+        assert drawn == _reference_stream(surface, 3, bound, seed), seed
 
 
 @pytest.mark.parametrize("bound", [0, -3])
