@@ -19,11 +19,14 @@ D_0 = 1, D_1, ..., D_n and integer rows B with
 
 Multiplying by P = lcm_i(D_i D_{i+1}) makes every partial sum, the running
 best and the budget an integer, and each level's window an exact `isqrt`.
-Above level 0 each window is walked outward from its centre, the t nearest
--N_i / D_{i+1} (Schnorr and Euchner's order): the level's term only grows
-away from it, so each direction stops at its first value above the running
-best, and short vectors lower that best early.  Level 0's windows hold about
-one point, and there the plain walk is cheaper.
+Each window is walked outward from its centre, the t nearest -N_i / D_{i+1}
+(Schnorr and Euchner's order): the level's term only grows away from it, so
+each direction stops at its first value above the running best, and short
+vectors lower that best early.  Q(-x) = Q(x), so the search keeps one of each
+pair +-x, the one whose last nonzero coordinate is positive (Fincke and
+Pohst's sign rule): while every coordinate above a level is zero, so is its
+centre, and its window is cut to t >= 0, or t >= 1 at level 0, which also
+never reaches x = 0.  One level routine thus serves every level.
 
 Certification: outside a box of radius r every lattice vector x satisfies
 Q(x) >= lam * |x|^2 >= lam * (r+1)^2 for any exact lower bound lam > 0 on the
@@ -115,53 +118,39 @@ def _search_box(
     radius: int,
     best: int,
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """All x in [-radius, radius]^n with P s Q(x) <= best, via exact windows.
+    """One of each pair +-x in [-radius, radius]^n with P s Q(x) <= best.
 
     Level i is (D_{i+1}, w_i = P / (D_i D_{i+1}), the nonzero terms (j, B_ij)
     of N_i).  Returns the smallest scaled value found (or `best` if none) and
-    every nonzero x attaining it.
+    every x attaining it whose last nonzero coordinate is positive, so x = 0
+    is never reached.
     """
-    n = len(levels)
-    x = [0] * n
+    x = [0] * len(levels)
     found: list[tuple[int, ...]] = []
     running = best
-    d0, w0, terms0 = levels[0]
 
     # |d t + centre| <= r  <=>  w (d t + centre)^2 <= running - partial,
-    # which is >= 0 on entry to every level
-    def bottom(partial: int, nonzero: bool) -> None:
-        # level 0: `nonzero` says some coordinate of x above it is nonzero
+    # which is >= 0 on entry to every level; `free` says some coordinate of x
+    # above level i is nonzero
+    def rec(i: int, partial: int, free: bool) -> None:
         nonlocal running, found
-        centre = 0
-        for j, b in terms0:
-            centre += b * x[j]
-        r = isqrt((running - partial) // w0)
-        lo = max(-((r + centre) // d0), -radius)
-        hi = min((r - centre) // d0, radius)
-        for t in range(lo, hi + 1):
-            if nonzero or t:
-                y = d0 * t + centre
-                value = partial + w0 * y * y
-                if value < running:
-                    running = value
-                    x[0] = t
-                    found = [tuple(x)]
-                elif value == running:
-                    x[0] = t
-                    found.append(tuple(x))
-
-    def rec(i: int, partial: int, nonzero: bool) -> None:
         d, w, terms = levels[i]
-        centre = 0
-        for j, b in terms:
-            centre += b * x[j]
         r = isqrt((running - partial) // w)
-        lo = max(-((r + centre) // d), -radius)
-        hi = min((r - centre) // d, radius)
+        centre = 0
+        if free:
+            for j, b in terms:
+                centre += b * x[j]
+            lo = max(-((r + centre) // d), -radius)
+            hi = min((r - centre) // d, radius)
+            t0 = max(min((d // 2 - centre) // d, hi), lo)
+        else:
+            # x above level i is zero, and so is the centre: t >= 0 keeps
+            # one of each pair +-x, and t >= 1 at level 0 skips x = 0
+            hi = min(r // d, radius)
+            lo = t0 = 0 if i else 1
         # centre-out: t0 minimizes |d t + centre| over the window, and the
         # value only grows away from it while `running` only falls, so each
         # direction ends at its first value above `running`
-        t0 = max(min((d // 2 - centre) // d, hi), lo)
         for ts in (range(t0, hi + 1), range(t0 - 1, lo - 1, -1)):
             for t in ts:
                 y = d * t + centre
@@ -169,15 +158,15 @@ def _search_box(
                 if value > running:
                     break
                 x[i] = t
-                if i > 1:
-                    rec(i - 1, value, nonzero or t != 0)
+                if i:
+                    rec(i - 1, value, free or t != 0)
+                elif value < running:
+                    running = value
+                    found = [tuple(x)]
                 else:
-                    bottom(value, nonzero or t != 0)
+                    found.append(tuple(x))
 
-    if n == 1:
-        bottom(0, False)
-    else:
-        rec(n - 1, 0, False)
+    rec(len(levels) - 1, 0, False)
     return running, found
 
 
@@ -187,10 +176,11 @@ def min_quadratic_form(gram: Sequence[Sequence]) -> ShellSearchReport:
     Returns all minimizers up to sign.  Entries may be ints, `Fraction`s or
     anything `Fraction` reads exactly (floats, strings).  Raises
     `ValueError` for an empty, non-square, non-symmetric or indefinite
-    matrix and for an entry that is not a finite rational.  The class
-    functions `nocm_seshadri` and `cm_seshadri` enter the same core
-    `_minimize` through the oracle's own integer Gram, which needs neither
-    this validation nor the scaling.
+    matrix and for an entry that is not a finite rational, and `TypeError`
+    for an entry that is not a number (None, a complex, an arbitrary
+    object).  The class functions `nocm_seshadri` and `cm_seshadri` enter
+    the same core `_minimize` through the oracle's own integer Gram, which
+    needs neither this validation nor the scaling.
     """
     return _minimize(*_integer_gram(gram))
 
@@ -228,11 +218,11 @@ def _minimize(s: int, a: list[list[int]]) -> ShellSearchReport:
     best = scale * min([a[i][i] for i in range(n)])
     radius = isqrt(best * lam_den // lam_num)
     best, pts = _search_box(levels, radius, best)
-    # pts is every point of the box attaining the minimum, so it is closed
-    # under x -> -x; one of each pair has its first nonzero coordinate
-    # positive, which is to say it is lexicographically above zero
-    zero = (0,) * n
-    minimizers = sorted([p for p in pts if p > zero])
+    # pts holds one of each pair +-x, the one whose last nonzero coordinate
+    # is positive; report the one whose first is
+    minimizers = sorted(
+        [p if next(filter(None, p)) > 0 else tuple([-v for v in p]) for p in pts]
+    )
     return ShellSearchReport(Fraction(best, s * scale), tuple(minimizers), radius, True)
 
 

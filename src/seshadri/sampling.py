@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from operator import index
 
 from .lattice import NSClass, Surface, ample_square
 
@@ -11,9 +12,12 @@ def random_ample_classes(
 ) -> list[NSClass]:
     """`count` pseudo-random ample classes with |coefficients| <= bound.
 
-    Raises ValueError if `coeff_bound` < 1: the box then holds no ample
-    class, and the rejection loop would never end.
+    Raises TypeError if `count` or `coeff_bound` is not an integer (read
+    with `operator.index`, as `ns_class` reads coefficients), and ValueError
+    if `coeff_bound` < 1: the box then holds no ample class, and the
+    rejection loop would never end.
     """
+    count, coeff_bound = index(count), index(coeff_bound)
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be at least 1, got {coeff_bound}")
     # each coefficient is randrange(width) - bound, drawn as randrange's

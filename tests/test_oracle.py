@@ -169,6 +169,13 @@ def test_rejects_non_finite_entries():
         oracle.min_quadratic_form([[float("nan")]])
 
 
+@pytest.mark.parametrize("bad", [None, 1j, object()])
+def test_non_number_entry_raises_type_error(bad):
+    for gram in ([[bad]], ((1, bad), (bad, 1))):
+        with pytest.raises(TypeError):
+            oracle.min_quadratic_form(gram)
+
+
 def test_gram_entry_encodings_give_one_report():
     # ints, Fractions, mixed, and floats (read exactly, as Fraction(0.5) is)
     plain = ((3, 1, -1), (1, 2, 0), (-1, 0, 4))
@@ -221,13 +228,32 @@ def _assert_matches_reference(gram):
     assert leading_minors(gram) == list(accumulate(diag, F.__mul__))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_matches_fraction_reference_on_random_grams(n):
     rng = random.Random(40 + n)
     for _ in range(30):
         gram = _random_pd_gram(rng, n, 4)
         _assert_matches_reference(gram)
         _assert_matches_reference(_half_integral(gram))
+
+
+def test_root_lattices_match_reference():
+    # Cartan matrices of A2, D4, E6 and E8 (Bourbaki's numbering, from 0):
+    # minimum 2 on the roots, so the minimizers are half the kissing number:
+    # many tied minimizers, each to be kept once of its pair +-x
+    for n, edges, roots in (
+        (2, {(0, 1)}, 3),
+        (4, {(0, 1), (1, 2), (1, 3)}, 12),
+        (6, {(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)}, 36),
+        (8, {(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)}, 120),
+    ):
+        gram = [
+            [2 if i == j else -((i, j) in edges or (j, i) in edges) for j in range(n)]
+            for i in range(n)
+        ]
+        rep = oracle.min_quadratic_form(gram)
+        assert rep == _reference_min(gram), n
+        assert rep.minimum == 2 and len(rep.minimizers) == roots, n
 
 
 def _unimodular(rng, n, size):

@@ -75,6 +75,13 @@ def test_stream_matches_randrange_reference(surface, bound):
         assert drawn == _reference_stream(surface, 3, bound, seed), seed
 
 
+@pytest.mark.parametrize("count,bound", [(2.5, 8), (0.1, 8), (2, 8.0)])
+def test_non_integer_count_or_bound_raises_type_error(count, bound):
+    # 2.5 used to give 3 classes, 0.1 one class, and 8.0 an AttributeError
+    with pytest.raises(TypeError):
+        random_ample_classes(Surface.NO_CM, count, bound, seed=0)
+
+
 @pytest.mark.parametrize("bound", [0, -3])
 def test_bound_below_one_raises(bound):
     # in a child process: the bound-0 loop used to spin forever, and the
