@@ -28,16 +28,20 @@ Pohst's sign rule): while every coordinate above a level is zero, so is its
 centre, and its window is cut to t >= 0, or t >= 1 at level 0, which also
 never reaches x = 0.  One level routine thus serves every level.
 
-Certification: outside a box of radius r every lattice vector x satisfies
-Q(x) >= lam * |x|^2 >= lam * (r+1)^2 for any exact lower bound lam > 0 on the
-smallest eigenvalue.  We use the larger of the Gershgorin bound and
-det / (max row sum)^(n-1), both taken on the scaled integer matrix with
-det = D_n; the latter is always positive for a definite form.  The search
-starts from the least diagonal entry, a value the form takes, and is one pass
-over the box whose radius r = isqrt(best / lam) makes lam * (r+1)^2 exceed
-that starting value, hence the minimum: the pass is complete by construction.
-lam is kept as an integer numerator and denominator and the two bounds are
-compared by cross-multiplication, so no step of the search builds a Fraction.
+Completeness: the windows are exact, so the single pass from the least
+diagonal entry, a value the form takes, visits every x with s * Q(x) at most
+the running best, hence every minimizer.  No box bounds the search.  The
+box radius `min_quadratic_form` reports bounds where the search went: with
+x_i, ..., x_{n-1} fixed, level i's partial sum is the least value of s * Q
+over real x_0, ..., x_{i-1}, so its window only admits x_i with
+lam * (x_i^2 + ... + x_{n-1}^2) <= the starting value, for any exact lower
+bound lam > 0 on the smallest eigenvalue of s * gram: every coordinate the
+search visits lies in [-r, r] with r = isqrt(start / lam).  lam is the
+larger of the Gershgorin bound and det / (max row sum)^(n-1), both taken on
+the scaled integer matrix with det = D_n; the latter is always positive for
+a definite form.  It is kept as an integer numerator and denominator and
+the two bounds are compared by cross-multiplication, so no step builds a
+Fraction.
 """
 from __future__ import annotations
 
@@ -53,11 +57,12 @@ class ShellSearchReport(NamedTuple):
 
     `minimum` is the least value over nonzero integer vectors and
     `minimizers` every vector attaining it, one of each pair +-x (the one
-    whose first nonzero coordinate is positive), sorted.  `radius_searched`
-    is the box radius r that the eigenvalue bound certified for the starting
-    value, the form's least diagonal entry: every vector outside [-r, r]^n
-    takes a larger value than that entry, hence than the minimum found
-    inside.  `certified` is always True.
+    whose first nonzero coordinate is positive), sorted.  The search's exact
+    windows make it complete.  `radius_searched` is the box radius r that
+    an eigenvalue bound gives for the starting value, the form's least
+    diagonal entry: [-r, r]^n provably contains every window of the search,
+    and every vector outside it takes a larger value than that entry.
+    `certified` is always True.
     """
 
     minimum: Fraction
@@ -114,11 +119,9 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 
 
 def _search_box(
-    levels: list[tuple[int, int, list[tuple[int, int]]]],
-    radius: int,
-    best: int,
+    levels: list[tuple[int, int, list[tuple[int, int]]]], best: int
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """One of each pair +-x in [-radius, radius]^n with P s Q(x) <= best.
+    """One of each pair +-x with P s Q(x) <= best.
 
     Level i is (D_{i+1}, w_i = P / (D_i D_{i+1}), the nonzero terms (j, B_ij)
     of N_i).  Returns the smallest scaled value found (or `best` if none) and
@@ -140,13 +143,12 @@ def _search_box(
         if free:
             for j, b in terms:
                 centre += b * x[j]
-            lo = max(-((r + centre) // d), -radius)
-            hi = min((r - centre) // d, radius)
+            lo, hi = -((r + centre) // d), (r - centre) // d
             t0 = max(min((d // 2 - centre) // d, hi), lo)
         else:
             # x above level i is zero, and so is the centre: t >= 0 keeps
             # one of each pair +-x, and t >= 1 at level 0 skips x = 0
-            hi = min(r // d, radius)
+            hi = r // d
             lo = t0 = 0 if i else 1
         # centre-out: t0 minimizes |d t + centre| over the window, and the
         # value only grows away from it while `running` only falls, so each
@@ -180,15 +182,36 @@ def min_quadratic_form(gram: Sequence[Sequence]) -> ShellSearchReport:
     for an entry that is not a number (None, a complex, an arbitrary
     object).  The class functions `nocm_seshadri` and `cm_seshadri` enter
     the same core `_minimize` through the oracle's own integer Gram, which
-    needs neither this validation nor the scaling.
+    needs neither this validation nor the scaling, and read its minimum
+    without building a report.
     """
-    return _minimize(*_integer_gram(gram))
+    s, a = _integer_gram(gram)
+    det, scale, best, pts = _minimize(a)
+    n = len(a)
+    sums = [sum(map(abs, row)) for row in a]
+    gersh = min([2 * a[i][i] - sums[i] for i in range(n)])
+    # lam_num / lam_den bounds the smallest eigenvalue of a; the floor in
+    # `radius` does not depend on whether that fraction is reduced
+    lam_num, lam_den = det, max(sums) ** (n - 1)
+    if gersh * lam_den >= lam_num:
+        lam_num, lam_den = gersh, 1
+    # lam (radius + 1)^2 exceeds the starting value, the least diagonal
+    # entry, so [-radius, radius]^n holds every window of the search; lam
+    # <= min diag gives radius >= 1
+    radius = isqrt(min([a[i][i] for i in range(n)]) * lam_den // lam_num)
+    # pts holds one of each pair +-x, the one whose last nonzero coordinate
+    # is positive; report the one whose first is
+    mins = [p if next(filter(None, p)) > 0 else tuple([-v for v in p]) for p in pts]
+    return ShellSearchReport(Fraction(best, s * scale), tuple(sorted(mins)), radius, True)
 
 
-def _minimize(s: int, a: list[list[int]]) -> ShellSearchReport:
-    """The certified search on the integer matrix a = s * gram, s > 0.
+def _minimize(a: list[list[int]]) -> tuple[int, int, int, list[tuple[int, ...]]]:
+    """The search on the integer matrix a: (det a, P, P * m, the minimizers).
 
-    Raises `ValueError` if a is not positive definite.
+    m is the least value of x^T a x over nonzero integer x, and the
+    minimizers are every x attaining it, one of each pair +-x, the one whose
+    last nonzero coordinate is positive.  Raises `ValueError` if a is not
+    positive definite.
     """
     n = len(a)
     minors, rows = _bareiss(a)
@@ -201,29 +224,10 @@ def _minimize(s: int, a: list[list[int]]) -> ShellSearchReport:
         levels.append(
             (d, scale // (minors[i] * d), [(j, row[j]) for j in range(i + 1, n) if row[j]])
         )
-
-    sums = [sum(map(abs, row)) for row in a]
-    gersh = min([2 * a[i][i] - sums[i] for i in range(n)])
-    row_max = max(sums)
-    # lam_num / lam_den bounds the smallest eigenvalue of a, and values carry
-    # P = scale; the floor in `radius` does not depend on whether that
-    # fraction is reduced
-    lam_num, lam_den = minors[n], row_max ** (n - 1)
-    if gersh * lam_den >= lam_num:
-        lam_num, lam_den = gersh, 1
-    lam_num *= scale
-
-    # one pass certifies: lam (radius + 1)^2 > the starting best >= the
-    # minimum, and lam <= min diag gives radius >= 1
-    best = scale * min([a[i][i] for i in range(n)])
-    radius = isqrt(best * lam_den // lam_num)
-    best, pts = _search_box(levels, radius, best)
-    # pts holds one of each pair +-x, the one whose last nonzero coordinate
-    # is positive; report the one whose first is
-    minimizers = sorted(
-        [p if next(filter(None, p)) > 0 else tuple([-v for v in p]) for p in pts]
-    )
-    return ShellSearchReport(Fraction(best, s * scale), tuple(minimizers), radius, True)
+    # the least diagonal entry is a value the form takes, so the search
+    # starts there and its exact windows find every minimizer in one pass
+    best, pts = _search_box(levels, scale * min([a[i][i] for i in range(n)]))
+    return minors[n], scale, best, pts
 
 
 def _scaled_degree_form(L: NSClass) -> tuple[int, list[list[int]]]:
@@ -289,10 +293,10 @@ def nocm_seshadri(L: NSClass) -> int:
     require_ample(L)
     if L.surface.trace is not None:
         raise ValueError("surface mismatch: expected the nocm surface")
-    report = _minimize(*_scaled_degree_form(L))
-    if any(gcd(p[0], p[1]) != 1 for p in report.minimizers):
+    value, pts = _class_minimum(L)
+    if any(gcd(p[0], p[1]) != 1 for p in pts):
         raise ArithmeticError(f"imprimitive form minimizer for {L.coeffs}")
-    return _integral_minimum(report, L)
+    return value
 
 
 def cm_seshadri(L: NSClass) -> int:
@@ -300,13 +304,19 @@ def cm_seshadri(L: NSClass) -> int:
     require_ample(L)
     if L.surface.trace is None:
         raise ValueError("surface mismatch: expected a CM surface")
-    return _integral_minimum(_minimize(*_scaled_degree_form(L)), L)
+    return _class_minimum(L)[0]
 
 
-def _integral_minimum(report: ShellSearchReport, L: NSClass) -> int:
-    if report.minimum.denominator != 1:
+def _class_minimum(L: NSClass) -> tuple[int, list[tuple[int, ...]]]:
+    """The degree form's minimum, which must be an integer, and its minimizers.
+
+    The minimizers are `_minimize`'s, one of each pair +-x; no report is built.
+    """
+    s, a = _scaled_degree_form(L)
+    _, scale, best, pts = _minimize(a)
+    value, rest = divmod(best, s * scale)
+    if rest:
         raise ArithmeticError(
-            f"non-integral form minimum {report.minimum} for {L.coeffs}"
+            f"non-integral form minimum {Fraction(best, s * scale)} for {L.coeffs}"
         )
-    return int(report.minimum)
-
+    return value, pts

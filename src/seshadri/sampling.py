@@ -14,12 +14,14 @@ def random_ample_classes(
 
     Raises TypeError if `count` or `coeff_bound` is not an integer (read
     with `operator.index`, as `ns_class` reads coefficients), and ValueError
-    if `coeff_bound` < 1: the box then holds no ample class, and the
-    rejection loop would never end.
+    if `coeff_bound` < 1 (the box then holds no ample class, and the
+    rejection loop would never end) or `count` < 0.  `count` = 0 gives [].
     """
     count, coeff_bound = index(count), index(coeff_bound)
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be at least 1, got {coeff_bound}")
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     # each coefficient is randrange(width) - bound, drawn as randrange's
     # _randbelow draws it (k bits, redrawn until below width), so the seeded
     # stream is the one randint(-bound, bound) gave

@@ -6,6 +6,8 @@ from math import floor, isqrt, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paper_lemmas import division_point_count, is_positive_definite, leading_minors
 from seshadri import nocm, oracle
@@ -237,6 +239,32 @@ def test_matches_fraction_reference_on_random_grams(n):
         _assert_matches_reference(_half_integral(gram))
 
 
+@st.composite
+def _pd_grams(draw):
+    """A^T A + k I for an integer n x n matrix A, n = 1..4, k = 1..3, or
+    its half-integral variant."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    k = draw(st.integers(1, 3))
+    gram = tuple(
+        tuple(sum(row[i] * row[j] for row in a) + k * (i == j) for j in range(n))
+        for i in range(n)
+    )
+    return _half_integral(gram) if draw(st.booleans()) else gram
+
+
+@given(_pd_grams())
+@settings(max_examples=200, deadline=None)
+def test_box_free_search_matches_the_boxed_reference(gram):
+    # the reference clamps its windows to its eigenvalue box; the oracle's
+    # exact windows need no box, and the radius it reports holds them all
+    rep = oracle.min_quadratic_form(gram)
+    assert rep == _reference_min(gram)
+    r = rep.radius_searched
+    assert all(-r <= v <= r for p in rep.minimizers for v in p)
+
+
 def test_root_lattices_match_reference():
     # Cartan matrices of A2, D4, E6 and E8 (Bourbaki's numbering, from 0):
     # minimum 2 on the roots, so the minimizers are half the kissing number:
@@ -447,15 +475,28 @@ def test_reference_surface_mismatch_messages():
 @pytest.mark.parametrize(
     "report",
     [
-        oracle.ShellSearchReport(F(3, 2), ((1, 0),), 1, True),
-        oracle.ShellSearchReport(F(4), ((2, 0),), 1, True),
+        # (class function, class, the core's (P, P * m, minimizers), error);
+        # the Gram's s is 1 on nocm and cm-i, and 2 for this odd
+        # cm-eisenstein class
+        (oracle.nocm_seshadri, Surface.NO_CM, (7, 6, -3), (2, 3, [(1, 0)]),
+         "non-integral form minimum 3/2 for (7, 6, -3)"),
+        (oracle.nocm_seshadri, Surface.NO_CM, (7, 6, -3), (1, 4, [(2, 0)]),
+         "imprimitive form minimizer for (7, 6, -3)"),
+        (oracle.nocm_seshadri, Surface.NO_CM, (7, 6, -3), (3, 6, [(1, 0), (2, 2)]),
+         "imprimitive form minimizer for (7, 6, -3)"),
+        (oracle.cm_seshadri, Surface.CM_GAUSSIAN, (1, 1, 0, 0), (2, 3, [(1, 0, 0, 0)]),
+         "non-integral form minimum 3/2 for (1, 1, 0, 0)"),
+        (oracle.cm_seshadri, Surface.CM_EISENSTEIN, (1, 1, 0, 0), (1, 3, [(1, 0, 0, 0)]),
+         "non-integral form minimum 3/2 for (1, 1, 0, 0)"),
     ],
 )
 def test_reference_invariant_violation_raises(monkeypatch, report):
+    fn, surface, coeffs, found, message = report
     # the class functions call the integer core on their own Gram
-    monkeypatch.setattr(oracle, "_minimize", lambda s, a: report)
-    with pytest.raises(ArithmeticError):
-        oracle.nocm_seshadri(ns_class(Surface.NO_CM, (7, 6, -3)))
+    monkeypatch.setattr(oracle, "_minimize", lambda a: (1, *found))
+    with pytest.raises(ArithmeticError) as info:
+        fn(ns_class(surface, coeffs))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("a,b,expected", [(1, 0, 1), (1, 1, 2), (2, 1, 5)])

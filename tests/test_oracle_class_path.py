@@ -2,9 +2,10 @@
 
 `nocm_seshadri` and `cm_seshadri` hand the oracle's own integer Gram
 `_scaled_degree_form(L) = (s, s * G)` straight to the search core `_minimize`,
-skipping the validation and scaling of `min_quadratic_form`.  These tests
-require that shortcut to give the generic path's report, and `degree_form` to
-be a view of the same builder with its entry types unchanged.
+skipping the validation and scaling of `min_quadratic_form`, and read the
+minimum from the core's integers without building a report.  These tests
+require that shortcut to give the generic path's minimum and minimizers, and
+`degree_form` to be a view of the same builder with its entry types unchanged.
 """
 from fractions import Fraction as F
 from itertools import product
@@ -15,15 +16,25 @@ from seshadri import oracle
 from seshadri.lattice import Surface, is_ample, ns_class
 from seshadri.sampling import random_ample_classes
 from test_large_coefficients import near_boundary_classes, near_boundary_cm_classes
+from test_oracle import _canonical_sign
 
 EISENSTEIN = Surface.CM_EISENSTEIN
 
 
 def _assert_class_path_matches(L):
-    direct = oracle._minimize(*oracle._scaled_degree_form(L))
+    s, a = oracle._scaled_degree_form(L)
+    _, scale, best, pts = oracle._minimize(a)
     generic = oracle.min_quadratic_form(oracle.degree_form(L))
-    assert direct == generic, L.coeffs
-    assert type(direct.minimum) is F and direct.certified is True
+    assert type(generic.minimum) is F and generic.certified is True
+    # the class function's integer is the generic minimum
+    fn = oracle.nocm_seshadri if L.surface is Surface.NO_CM else oracle.cm_seshadri
+    value = fn(L)
+    assert type(value) is int and value == generic.minimum, L.coeffs
+    assert F(best, s * scale) == generic.minimum, L.coeffs
+    # the core keeps one of each pair +-x, the one whose last nonzero
+    # coordinate is positive; normalised, they are the generic minimizers
+    assert all(next(filter(None, reversed(p))) > 0 for p in pts), L.coeffs
+    assert tuple(sorted(map(_canonical_sign, pts))) == generic.minimizers, L.coeffs
 
 
 @pytest.mark.parametrize("bound", [8, 100, 10**4, 10**12])

@@ -100,3 +100,16 @@ def test_bound_below_one_raises(bound):
         env={**os.environ, "PYTHONPATH": src}, check=True,
     )
     assert proc.stdout == f"coefficient bound must be at least 1, got {bound}\n"
+
+
+@pytest.mark.parametrize("count", [-1, -3])
+def test_negative_count_raises(count):
+    # -3 used to return [] as if no class had been asked for
+    with pytest.raises(ValueError) as info:
+        random_ample_classes(Surface.NO_CM, count, 8, seed=0)
+    assert str(info.value) == f"count must be at least 0, got {count}"
+
+
+@pytest.mark.parametrize("surface", list(Surface), ids=lambda s: s.value)
+def test_zero_count_is_empty(surface):
+    assert random_ample_classes(surface, 0, 8, seed=0) == []
