@@ -6,9 +6,11 @@ with z = e^(i pi/3) (order Z[z]).  The degree of such a curve against a line
 bundle is an explicit quartic expression in (a, b, c, d) divided by the gcd
 invariant D; the Seshadri constant is the minimum of the undivided
 expression, a positive-definite binary Hermitian form over the order.
-`kernels` Gauss-reduces that form and walks one fundamental domain of the
-unit group in reduced coordinates, so it meets each curve once and needs no
-box; it names each curve by the smallest tuple of its unit orbit.
+`kernels` Gauss-reduces that form.  When the reduced form has C > A the
+reduction proves the minimum A and its one curve; on a tie C = A it walks
+one fundamental domain of the unit group in reduced coordinates, so it
+meets each curve once and needs no box.  It names each curve by the
+smallest tuple of its unit orbit.
 `search_bound` is the paper's closed-form box radius, which holds every
 minimizer; it stays public and tested but is not used by the computation.
 The paper's other lemmas (the congruence count for D among them) are
@@ -146,9 +148,10 @@ def seshadri_constant(L: NSClass) -> SeshadriResult:
     """Minimum curve degree and all computing curves, as a `SeshadriResult`.
 
     `kernels.minimize_quartic` returns the minimum of the degree expression
-    over nonzero tuples, found by Gauss reduction of the Hermitian form and
-    a walk in reduced coordinates, with one tuple per minimizing curve: the
-    smallest of its unit orbit, which is the witness's representative.
+    over nonzero tuples, found by Gauss reduction of the Hermitian form,
+    followed on ties (C = A) by a walk in reduced coordinates, with one tuple
+    per minimizing curve: the smallest of its unit orbit, which is the
+    witness's representative.
     Every minimizer has D = 1: with g the ring gcd of s1 and s2, the tuple
     s/g of the same curve, with n(g) = D, has value Q/D, so D > 1 would
     undercut the minimum.  With D = 1 the raw degrees are the degree

@@ -1,4 +1,4 @@
-"""Rank-4 minimum: one Gauss reduction and one walk for both CM surfaces.
+"""Rank-4 minimum: one Gauss reduction, and one walk on ties, for both CM surfaces.
 
 On both CM surfaces a curve is the image of x -> (s1 x, s2 x) with
 s1 = a + b*w, s2 = c + d*w, where w = i (order Z[i]) or w = e^(i pi/3)
@@ -12,10 +12,20 @@ with Lc = a b0 + b b1 and Ld = a (t b0 - b1) + b b0.  Both orders are
 Euclidean, so `_reduce` Gauss-reduces the form over the order: it replaces
 the second basis vector f2 by f2 - k f1, k the ring element nearest to the
 projection coefficient mu, and swaps the two while the second is shorter.
-Afterwards |mu|^2 <= 1/2 and C >= A, hence Q >= min(C, 2C - A) >= A off the
-line s2 = 0: A, the value at f1, is the minimum.  The walk does not rely on
-that; it enumerates Q <= best from best = A and lowers best if it finds less,
-so the result depends only on the basis change being unimodular.
+Afterwards C >= A and 0 is the ring element nearest mu, so |mu|^2 <= 1/2, and
+
+    Q = A n(s1 + mu s2) + (C - A |mu|^2) n(s2).
+
+For a unit s2 = u, n(s1 + mu u) = |s1 u^-1 + mu|^2 >= |mu|^2, so Q >= C.  For
+n(s2) >= 2, Q >= 2 (C - A |mu|^2) >= 2C - A.  For s2 = 0, Q = A n(s1).  So if
+C > A, every tuple with s2 != 0 has Q > A, and the only curve of degree A is
+f1's unit orbit (Cohen, GTM 138, sec. 5.4): `minimize_quartic` returns it
+without a walk.  It checks the premise in integers first.  A step f2 -= k f1
+by a unit k = x + y w changes C by A - x b0 - y b1, and 0 is nearest mu
+exactly when no step by one of the 4 resp. 6 units, the Voronoi-relevant
+vectors of the order, lowers C.  If one would, the reduction is at fault and
+it raises `ArithmeticError`.  Ties C = A take the walk, which enumerates
+Q <= best from best = A and lowers best if it finds less.
 
 Multiplying (s1, s2) by a unit names the same curve and keeps Q, and units
 commute with the basis change, which is linear over the order.  So the walk
@@ -130,8 +140,9 @@ def quartic_min_box(t: int, A: int, C: int, b0: int,
 
     Walks the domain tuples with Q <= best, starting from best = A (the
     value at (1, 0, 0, 0)), and returns the minimum with every domain tuple
-    attaining it: one per unit orbit.  The name is older than the reduction;
-    the benchmark's tracer measures the walk under it.
+    attaining it: one per unit orbit.  `minimize_quartic` calls it only on
+    reduced forms with C = A.  The name is older than the reduction; the
+    benchmark's tracer measures the walk under it.
     """
     m = 4 - t * t
     # minimizing over real (c, d) gives the branch bound delta n(a, b) <= m C Q,
@@ -172,7 +183,8 @@ def minimize_quartic(t: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
 
     Returns the minimum with the sorted list of the curves attaining it, each
     as the smallest tuple of its unit orbit.  Raises `ValueError` when the
-    form is not positive definite.
+    form is not positive definite, and `ArithmeticError` when the reduced
+    form fails the integer check that 0 is the ring element nearest mu.
     """
     a1, a2, a3, a4 = coeffs
     A, C = a1 + a3 + a4, a2 + a3 + a4
@@ -180,6 +192,12 @@ def minimize_quartic(t: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
     if not (A > 0 and (4 - t * t) * A * C > b0 * b0 - t * b0 * b1 + b1 * b1):
         raise ValueError("degree form is not positive definite")
     A, C, b0, b1, f1, f2 = _reduce(t, A, C, b0, b1)
+    # the unit steps change C by A - b0, A + b0, A - b1, A + b1 and, on Z[w],
+    # A + b0 - b1, A - b0 + b1
+    if not (A >= abs(b0) and A >= abs(b1) and (not t or A >= abs(b1 - b0))):
+        raise ArithmeticError("a unit step lowers the reduced form's C")
+    if C > A:  # the module docstring's bound: only f1's orbit reaches A
+        return A, [_orbit_min(t, f1)]
     best, mins = quartic_min_box(t, A, C, b0, b1)
     p0, p1, p2, p3 = f1
     q0, q1, q2, q3 = f2

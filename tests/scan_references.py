@@ -7,6 +7,8 @@ walk of `kernels`.  `half_box_seshadri` is the rank-4 computation as it
 stood before the domain walk: the pruned walk over the half-box a >= 0,
 which meets each curve through several unit multiples, followed by
 `cm.reduce_tuple` and `cm.canonical_tuple` on every minimizer.
+`count_walks` counts the walks `kernels.minimize_quartic` runs, which it
+skips when the reduced form proves the minimum.
 
 `paper_seshadri_constant` and `paper_submaximal_curves` are the paper's
 rank-3 formula, the reference for the reduced-form computation in `nocm`:
@@ -17,7 +19,7 @@ through the sort permutation with `nocm.class_to_pair`.
 from itertools import product
 from math import gcd, isqrt
 
-from seshadri import cm
+from seshadri import cm, kernels
 from seshadri.kernels import _lin_window, _quad_window, _value
 from seshadri.lattice import require_ample, self_intersection
 from seshadri.nocm import SeshadriResult, class_to_pair
@@ -132,6 +134,20 @@ def assert_one_minimizer_per_orbit(mins, oracle_minimizers, surface):
     assert len(set(orbits)) == len(orbits), ("two minimizers in one orbit", mins)
     want = {cm.canonical_tuple(t, surface) for t in oracle_minimizers}
     assert set(orbits) == want, (mins, sorted(want))
+
+
+def count_walks(monkeypatch):
+    """Count the calls of `kernels.quartic_min_box` from here on: returns a
+    one-element list that holds the count."""
+    walks = [0]
+    walk = kernels.quartic_min_box
+
+    def counted(*args):
+        walks[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(kernels, "quartic_min_box", counted)
+    return walks
 
 
 def _sort_descending(coeffs):

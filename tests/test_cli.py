@@ -346,6 +346,14 @@ def test_cross_section_json_matches_fraction_fields(capsys):
             "curves_nocm_52_30_m19.json",
             ("curves", "--surface", "nocm", "--coeffs", "52,30,-19"),
         ),
+        (
+            "epsilon_cm_i_m25_m37_57_51_oracle.json",
+            ("epsilon", "--surface", "cm-i", "--coeffs", "-25,-37,57,51", "--check-oracle"),
+        ),
+        (
+            "epsilon_cm_eisenstein_m35_41_42_36_oracle.json",
+            ("epsilon", "--surface", "cm-eisenstein", "--coeffs", "-35,41,42,36", "--check-oracle"),
+        ),
     ],
 )
 def test_record_matches_golden(capsys, golden, argv):

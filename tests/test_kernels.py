@@ -3,11 +3,17 @@ from itertools import product
 
 import pytest
 
-from scan_references import assert_one_minimizer_per_orbit, in_domain, naive_domain_min
-from seshadri import cm, kernels, oracle
+from scan_references import (
+    assert_one_minimizer_per_orbit,
+    count_walks,
+    in_domain,
+    naive_domain_min,
+)
+from seshadri import cli, cm, kernels, oracle
 from seshadri.cm import search_bound, unit_orbit
 from seshadri.kernels import _lin_window, _quad_window, _value
 from seshadri.lattice import Surface, ns_class
+from seshadri.sampling import random_ample_classes
 
 SURFACES = (Surface.CM_GAUSSIAN, Surface.CM_EISENSTEIN)
 
@@ -100,3 +106,83 @@ def test_domain_meets_each_unit_orbit_once(surface):
     for t in product(range(-3, 4), repeat=4):
         if any(t):
             assert sum(map(in_domain, unit_orbit(t, surface))) == 1, t
+
+
+def _times(t, a, b, x, y):
+    """(a + b w)(x + y w) as (real, w) coordinates."""
+    return a * x - b * y, a * y + b * x + t * b * y
+
+
+def _form(t, coeffs):
+    """The Hermitian degree form (A, C, b0, b1) of `coeffs`."""
+    a1, a2, a3, a4 = coeffs
+    return a1 + a3 + a4, a2 + a3 + a4, -2 * a3 - t * a4, (2 - t) * a4 - t * a3
+
+
+def _walk_reference(t, coeffs):
+    """`minimize_quartic` with the walk on every reduced form, ties or not:
+    reduce, walk, map each minimizer back by the ring product and sort."""
+    A, C, b0, b1, f1, f2 = kernels._reduce(t, *_form(t, coeffs))
+    best, mins = kernels.quartic_min_box(t, A, C, b0, b1)
+    out = []
+    for a, b, c, d in mins:
+        tup = []
+        for i in (0, 2):  # s1, then s2, of (a + b w) f1 + (c + d w) f2
+            u = _times(t, a, b, f1[i], f1[i + 1])
+            v = _times(t, c, d, f2[i], f2[i + 1])
+            tup += [u[0] + v[0], u[1] + v[1]]
+        out.append(kernels._orbit_min(t, tuple(tup)))
+    return best, sorted(out)
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.value)
+def test_shortcut_matches_walk(surface):
+    # the C > A return against the walk it skips; bound 8 holds most ties
+    t = surface.trace
+    for bound in (8, 10**4, 10**30):
+        for L in random_ample_classes(surface, 500, bound, seed=bound % 991):
+            assert kernels.minimize_quartic(t, L.coeffs) == _walk_reference(t, L.coeffs), L
+
+
+def _one_step_off(reduce):
+    """`_reduce` followed by one step f2 -= k f1, k = -1 or 1 against the sign
+    of b0: the basis stays unimodular and the form exact, but the step back
+    lowers C, so 0 is no longer the ring element nearest mu."""
+    def off(t, A, C, b0, b1):
+        A, C, b0, b1, f1, f2 = reduce(t, A, C, b0, b1)
+        k = -1 if b0 > 0 else 1
+        C += A - k * b0
+        b0 -= 2 * k * A
+        b1 -= t * k * A
+        return A, C, b0, b1, f1, tuple(y - k * x for x, y in zip(f1, f2))
+    return off
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.value)
+def test_unreduced_form_raises(surface, monkeypatch, capsys):
+    # the shortcut trusts the reduction, so a form one unit step off must
+    # raise, and the CLI must exit 70, never answer
+    t = surface.trace
+    monkeypatch.setattr(kernels, "_reduce", _one_step_off(kernels._reduce))
+    for L in random_ample_classes(surface, 20, 100, seed=5):
+        A, C, b0, b1, f1, f2 = kernels._reduce(t, *_form(t, L.coeffs))
+        # the off form is still exact: A and C are the degrees at f1 and f2
+        assert (A, C) == (_value(t, *L.coeffs, *f1), _value(t, *L.coeffs, *f2))
+        with pytest.raises(ArithmeticError, match="unit step"):
+            kernels.minimize_quartic(t, L.coeffs)
+        coeffs = ",".join(map(str, L.coeffs))
+        assert cli.main(["epsilon", "--surface", surface.value, "--coeffs", coeffs]) == 70
+        assert "internal error" in capsys.readouterr().err
+
+
+# the TABLE2_CLASSES whose reduced form has C > A; the other seven are ties
+TABLE2_SHORTCUT = {(2, 1, 0, 0), (1, 0, 1, 1), (-1, 2, 1, 2), (4, 2, 3, -2), (8, 5, -1, -2)}
+
+
+def test_table2_paths(monkeypatch):
+    walks = count_walks(monkeypatch)
+    for coeffs in cli.TABLE2_CLASSES:
+        before = walks[0]
+        kernels.minimize_quartic(Surface.CM_GAUSSIAN.trace, coeffs)
+        assert walks[0] - before == (coeffs not in TABLE2_SHORTCUT), coeffs
+    assert walks[0] == len(cli.TABLE2_CLASSES) - len(TABLE2_SHORTCUT) == 7

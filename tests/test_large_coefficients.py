@@ -4,8 +4,8 @@ coefficients, far beyond the example tables.
 Each case draws a fixed seeded set of ample classes with |coefficients| up to
 the bound and requires the closed-form constant to equal the certified
 lattice minimum, with every reported witness attaining it.  On the rank-4
-surfaces the reduced walk's minimizers must also meet each unit orbit of the
-oracle's minimizers exactly once.  `seshadri check
+surfaces the minimizers of `kernels.minimize_quartic` must also meet each
+unit orbit of the oracle's minimizers exactly once.  `seshadri check
 --bound 1000000000000 --count 200` runs the same comparison on more classes.
 
 Rejection sampling from a box almost never lands near the boundary of the
@@ -19,6 +19,7 @@ import pytest
 
 from scan_references import (
     assert_one_minimizer_per_orbit,
+    count_walks,
     paper_seshadri_constant,
     paper_submaximal_curves,
 )
@@ -167,10 +168,16 @@ CM_SURFACES = [Surface.CM_GAUSSIAN, Surface.CM_EISENSTEIN]
 
 @pytest.mark.parametrize("size", NEAR_BOUNDARY_SIZES)
 @pytest.mark.parametrize("surface", CM_SURFACES, ids=lambda s: s.value)
-def test_near_boundary_rank4_known_answer(surface, size):
-    for L, value, curves in near_boundary_cm_classes(surface, size, seed=size % 983):
+def test_near_boundary_rank4_known_answer(surface, size, monkeypatch):
+    # a form with C > A is answered by its reduction alone, a tie C = A by
+    # one walk
+    walks = count_walks(monkeypatch)
+    classes = near_boundary_cm_classes(surface, size, seed=size % 983)
+    for (A, C, _, _), (L, value, curves) in zip(REDUCED_HERMITIAN[surface], classes):
         assert is_ample(L), L.coeffs
+        before = walks[0]
         result = cm.seshadri_constant(L)
+        assert walks[0] - before == (C == A), L.coeffs
         assert result.value == value, L.coeffs
         assert len(result.witnesses) == curves, L.coeffs
         assert all(
