@@ -24,8 +24,8 @@ without a walk.  It checks the premise in integers first.  A step f2 -= k f1
 by a unit k = x + y w changes C by A - x b0 - y b1, and 0 is nearest mu
 exactly when no step by one of the 4 resp. 6 units, the Voronoi-relevant
 vectors of the order, lowers C.  If one would, the reduction is at fault and
-it raises `ArithmeticError`.  Ties C = A take the walk, which enumerates
-Q <= best from best = A and lowers best if it finds less.
+it raises `ArithmeticError`.  Ties C = A take the walk, which lists the
+tuples with Q <= A; a value below A contradicts the bound and also raises.
 
 Multiplying (s1, s2) by a unit names the same curve and keeps Q, and units
 commute with the basis change, which is linear over the order.  So the walk
@@ -39,7 +39,7 @@ plain integers, then the smallest tuple of its unit orbit (`_orbit_min`, a
 running minimum over the unit multiples), the one normal form of a curve.
 
 The walk is Fincke-Pohst style: each coordinate runs over the exact integer
-window that the previous ones leave for Q <= best, in exact integers.
+window that the previous ones leave for Q <= A, in exact integers.
 """
 from __future__ import annotations
 
@@ -134,25 +134,24 @@ def _reduce(t: int, A: int, C: int, b0: int, b1: int):
         A, C, b0, b1, f1, f2 = C, A, b0, t * b0 - b1, f2, f1
 
 
-def quartic_min_box(t: int, A: int, C: int, b0: int,
-                    b1: int) -> tuple[int, list[Tuple4]]:
-    """Minimum of the definite form (A, C, b0, b1) over the domain tuples.
+def quartic_min_box(t: int, A: int, C: int, b0: int, b1: int) -> list[Tuple4]:
+    """Every domain tuple where the reduced form (A, C, b0, b1) takes A.
 
-    Walks the domain tuples with Q <= best, starting from best = A (the
-    value at (1, 0, 0, 0)), and returns the minimum with every domain tuple
-    attaining it: one per unit orbit.  `minimize_quartic` calls it only on
-    reduced forms with C = A.  The name is older than the reduction; the
+    Walks the domain tuples with Q <= A, the value at (1, 0, 0, 0): one per
+    unit orbit of the curves of degree A.  A value below A contradicts the
+    module docstring's bound and raises `ArithmeticError`.  `minimize_quartic`
+    calls it only on ties C = A.  The name is older than the reduction; the
     benchmark's tracer measures the walk under it.
     """
     m = 4 - t * t
     # minimizing over real (c, d) gives the branch bound delta n(a, b) <= m C Q,
     # and n(a, b) >= a^2 on the domain's b >= 0
     delta = m * A * C - (b0 * b0 - t * b0 * b1 + b1 * b1)
-    best, mins = A, []
+    mins = []
     a = 0
-    while delta * a * a <= m * C * best:
+    while delta * a * a <= m * C * A:
         if a:
-            blo, bhi = _quad_window(delta, delta * t * a, delta * a * a - m * C * best)
+            blo, bhi = _quad_window(delta, delta * t * a, delta * a * a - m * C * A)
             bs = range(max(blo, 0), bhi + 1)
         else:  # s1 = 0: the units act on s2 alone
             bs = (0,)
@@ -161,21 +160,18 @@ def quartic_min_box(t: int, A: int, C: int, b0: int,
             Ld = a * (t * b0 - b1) + b * b0
             K = A * (a * a + t * a * b + b * b)
             clo, chi = _quad_window(
-                m * C * C, 2 * C * (2 * Lc - t * Ld), 4 * C * (K - best) - Ld * Ld
+                m * C * C, 2 * C * (2 * Lc - t * Ld), 4 * C * (K - A) - Ld * Ld
             )
             for c in range(clo if a else max(clo, 1), chi + 1):
                 rest = K + C * c * c + Lc * c
                 f = t * C * c + Ld
-                dlo, dhi = _lin_window(2 * C, f, f * f - 4 * C * (rest - best))
+                dlo, dhi = _lin_window(2 * C, f, f * f - 4 * C * (rest - A))
                 for d in range(dlo if a else max(dlo, 0), dhi + 1):
-                    q = rest + d * (C * d + f)
-                    if q < best:
-                        best = q
-                        mins = [(a, b, c, d)]
-                    elif q == best:
-                        mins.append((a, b, c, d))
+                    if rest + d * (C * d + f) < A:
+                        raise ArithmeticError("a value below the reduced form's A")
+                    mins.append((a, b, c, d))
         a += 1
-    return best, mins
+    return mins
 
 
 def minimize_quartic(t: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
@@ -184,7 +180,8 @@ def minimize_quartic(t: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
     Returns the minimum with the sorted list of the curves attaining it, each
     as the smallest tuple of its unit orbit.  Raises `ValueError` when the
     form is not positive definite, and `ArithmeticError` when the reduced
-    form fails the integer check that 0 is the ring element nearest mu.
+    form fails the integer check that 0 is the ring element nearest mu or
+    the walk finds a value below A.
     """
     a1, a2, a3, a4 = coeffs
     A, C = a1 + a3 + a4, a2 + a3 + a4
@@ -198,7 +195,7 @@ def minimize_quartic(t: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
         raise ArithmeticError("a unit step lowers the reduced form's C")
     if C > A:  # the module docstring's bound: only f1's orbit reaches A
         return A, [_orbit_min(t, f1)]
-    best, mins = quartic_min_box(t, A, C, b0, b1)
+    mins = quartic_min_box(t, A, C, b0, b1)
     p0, p1, p2, p3 = f1
     q0, q1, q2, q3 = f2
     out = []
@@ -211,4 +208,4 @@ def minimize_quartic(t: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
             a * p3 + b * (p2 + t * p3) + c * q3 + d * (q2 + t * q3),
         )))
     out.sort()
-    return best, out
+    return A, out

@@ -30,18 +30,7 @@ never reaches x = 0.  One level routine thus serves every level.
 
 Completeness: the windows are exact, so the single pass from the least
 diagonal entry, a value the form takes, visits every x with s * Q(x) at most
-the running best, hence every minimizer.  No box bounds the search.  The
-box radius `min_quadratic_form` reports bounds where the search went: with
-x_i, ..., x_{n-1} fixed, level i's partial sum is the least value of s * Q
-over real x_0, ..., x_{i-1}, so its window only admits x_i with
-lam * (x_i^2 + ... + x_{n-1}^2) <= the starting value, for any exact lower
-bound lam > 0 on the smallest eigenvalue of s * gram: every coordinate the
-search visits lies in [-r, r] with r = isqrt(start / lam).  lam is the
-larger of the Gershgorin bound and det / (max row sum)^(n-1), both taken on
-the scaled integer matrix with det = D_n; the latter is always positive for
-a definite form.  It is kept as an integer numerator and denominator and
-the two bounds are compared by cross-multiplication, so no step builds a
-Fraction.
+the running best, hence every minimizer.  No box bounds the search.
 """
 from __future__ import annotations
 
@@ -58,17 +47,11 @@ class ShellSearchReport(NamedTuple):
     `minimum` is the least value over nonzero integer vectors and
     `minimizers` every vector attaining it, one of each pair +-x (the one
     whose first nonzero coordinate is positive), sorted.  The search's exact
-    windows make it complete.  `radius_searched` is the box radius r that
-    an eigenvalue bound gives for the starting value, the form's least
-    diagonal entry: [-r, r]^n provably contains every window of the search,
-    and every vector outside it takes a larger value than that entry.
-    `certified` is always True.
+    windows make it complete.
     """
 
     minimum: Fraction
     minimizers: tuple[tuple[int, ...], ...]
-    radius_searched: int
-    certified: bool
 
 
 def _integer_gram(gram: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
@@ -186,27 +169,15 @@ def min_quadratic_form(gram: Sequence[Sequence]) -> ShellSearchReport:
     without building a report.
     """
     s, a = _integer_gram(gram)
-    det, scale, best, pts = _minimize(a)
-    n = len(a)
-    sums = [sum(map(abs, row)) for row in a]
-    gersh = min([2 * a[i][i] - sums[i] for i in range(n)])
-    # lam_num / lam_den bounds the smallest eigenvalue of a; the floor in
-    # `radius` does not depend on whether that fraction is reduced
-    lam_num, lam_den = det, max(sums) ** (n - 1)
-    if gersh * lam_den >= lam_num:
-        lam_num, lam_den = gersh, 1
-    # lam (radius + 1)^2 exceeds the starting value, the least diagonal
-    # entry, so [-radius, radius]^n holds every window of the search; lam
-    # <= min diag gives radius >= 1
-    radius = isqrt(min([a[i][i] for i in range(n)]) * lam_den // lam_num)
+    scale, best, pts = _minimize(a)
     # pts holds one of each pair +-x, the one whose last nonzero coordinate
     # is positive; report the one whose first is
     mins = [p if next(filter(None, p)) > 0 else tuple([-v for v in p]) for p in pts]
-    return ShellSearchReport(Fraction(best, s * scale), tuple(sorted(mins)), radius, True)
+    return ShellSearchReport(Fraction(best, s * scale), tuple(sorted(mins)))
 
 
-def _minimize(a: list[list[int]]) -> tuple[int, int, int, list[tuple[int, ...]]]:
-    """The search on the integer matrix a: (det a, P, P * m, the minimizers).
+def _minimize(a: list[list[int]]) -> tuple[int, int, list[tuple[int, ...]]]:
+    """The search on the integer matrix a: (P, P * m, the minimizers).
 
     m is the least value of x^T a x over nonzero integer x, and the
     minimizers are every x attaining it, one of each pair +-x, the one whose
@@ -227,7 +198,7 @@ def _minimize(a: list[list[int]]) -> tuple[int, int, int, list[tuple[int, ...]]]
     # the least diagonal entry is a value the form takes, so the search
     # starts there and its exact windows find every minimizer in one pass
     best, pts = _search_box(levels, scale * min([a[i][i] for i in range(n)]))
-    return minors[n], scale, best, pts
+    return scale, best, pts
 
 
 def _scaled_degree_form(L: NSClass) -> tuple[int, list[list[int]]]:
@@ -313,7 +284,7 @@ def _class_minimum(L: NSClass) -> tuple[int, list[tuple[int, ...]]]:
     The minimizers are `_minimize`'s, one of each pair +-x; no report is built.
     """
     s, a = _scaled_degree_form(L)
-    _, scale, best, pts = _minimize(a)
+    scale, best, pts = _minimize(a)
     value, rest = divmod(best, s * scale)
     if rest:
         raise ArithmeticError(

@@ -37,7 +37,7 @@ def test_every_result_is_a_named_tuple_of_its_fields():
     for segment in cross_section.cross_section(Fraction(8, 11)).segments:
         assert segment == (segment.slope, segment.intercept, segment.witness)
     report = oracle.min_quadratic_form(((2, 1), (1, 2)))
-    assert report == (report.minimum, report.minimizers, report.radius_searched, True)
+    assert report == (report.minimum, report.minimizers)
 
 
 # The two-argument functions, with the value in one argument and a valid

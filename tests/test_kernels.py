@@ -123,7 +123,7 @@ def _walk_reference(t, coeffs):
     """`minimize_quartic` with the walk on every reduced form, ties or not:
     reduce, walk, map each minimizer back by the ring product and sort."""
     A, C, b0, b1, f1, f2 = kernels._reduce(t, *_form(t, coeffs))
-    best, mins = kernels.quartic_min_box(t, A, C, b0, b1)
+    mins = kernels.quartic_min_box(t, A, C, b0, b1)
     out = []
     for a, b, c, d in mins:
         tup = []
@@ -132,7 +132,7 @@ def _walk_reference(t, coeffs):
             v = _times(t, c, d, f2[i], f2[i + 1])
             tup += [u[0] + v[0], u[1] + v[1]]
         out.append(kernels._orbit_min(t, tuple(tup)))
-    return best, sorted(out)
+    return A, sorted(out)
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.value)
@@ -173,6 +173,18 @@ def test_unreduced_form_raises(surface, monkeypatch, capsys):
         coeffs = ",".join(map(str, L.coeffs))
         assert cli.main(["epsilon", "--surface", surface.value, "--coeffs", coeffs]) == 70
         assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.value)
+def test_walk_below_A_raises(surface):
+    # (A, C, b0, b1) = (2, 2, 3, 0) is a definite tie, but not reduced: a unit
+    # step lowers C, and (1, 0, -1, 0) takes A + C - b0 = 1 < A, which the
+    # walk at the fixed bound A must not return as a minimum
+    t = surface.trace
+    A, C, b0, b1 = 2, 2, 3, 0
+    assert (4 - t * t) * A * C > b0 * b0 - t * b0 * b1 + b1 * b1
+    with pytest.raises(ArithmeticError, match="below the reduced form's A"):
+        kernels.quartic_min_box(t, A, C, b0, b1)
 
 
 # the TABLE2_CLASSES whose reduced form has C > A; the other seven are ties

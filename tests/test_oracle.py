@@ -104,7 +104,7 @@ def _reference_min(gram):
     radius = isqrt(floor(best / lam))
     best, pts = _search_box(diag, upper, radius, best)
     minimizers = sorted({_canonical_sign(p) for p in pts})
-    return oracle.ShellSearchReport(best, tuple(minimizers), radius, True)
+    return oracle.ShellSearchReport(best, tuple(minimizers))
 
 
 def _literal_min(gram, radius):
@@ -125,7 +125,7 @@ def _literal_min(gram, radius):
 
 def test_identity_forms():
     rep = oracle.min_quadratic_form(((1, 0), (0, 1)))
-    assert rep.minimum == 1 and rep.certified
+    assert rep.minimum == 1
     assert rep.minimizers == ((0, 1), (1, 0))
     rep = oracle.min_quadratic_form([[1 if i == j else 0 for j in range(4)] for i in range(4)])
     assert rep.minimum == 1
@@ -203,13 +203,12 @@ def _random_pd_gram(rng, n, spread):
 def test_windowed_search_matches_literal_scan():
     # scan a box just large enough to hold every reported minimizer: any
     # point in it matching the reported minimum is a global minimizer, so
-    # set equality plus the certification flag pins the result down
+    # set equality plus the complete search pins the result down
     rng = random.Random(20)
     for n in (2, 4):
         for _ in range(25 if n == 2 else 10):
             gram = _random_pd_gram(rng, n, 3)
             rep = oracle.min_quadratic_form(gram)
-            assert rep.certified
             radius = max(2, *(abs(v) for p in rep.minimizers for v in p))
             best, mins = _literal_min(gram, radius)
             assert rep.minimum == best
@@ -258,11 +257,9 @@ def _pd_grams(draw):
 @settings(max_examples=200, deadline=None)
 def test_box_free_search_matches_the_boxed_reference(gram):
     # the reference clamps its windows to its eigenvalue box; the oracle's
-    # exact windows need no box, and the radius it reports holds them all
+    # exact windows need no box and find the same report
     rep = oracle.min_quadratic_form(gram)
     assert rep == _reference_min(gram)
-    r = rep.radius_searched
-    assert all(-r <= v <= r for p in rep.minimizers for v in p)
 
 
 def test_root_lattices_match_reference():
@@ -493,7 +490,7 @@ def test_reference_surface_mismatch_messages():
 def test_reference_invariant_violation_raises(monkeypatch, report):
     fn, surface, coeffs, found, message = report
     # the class functions call the integer core on their own Gram
-    monkeypatch.setattr(oracle, "_minimize", lambda a: (1, *found))
+    monkeypatch.setattr(oracle, "_minimize", lambda a: found)
     with pytest.raises(ArithmeticError) as info:
         fn(ns_class(surface, coeffs))
     assert str(info.value) == message

@@ -23,9 +23,9 @@ EISENSTEIN = Surface.CM_EISENSTEIN
 
 def _assert_class_path_matches(L):
     s, a = oracle._scaled_degree_form(L)
-    _, scale, best, pts = oracle._minimize(a)
+    scale, best, pts = oracle._minimize(a)
     generic = oracle.min_quadratic_form(oracle.degree_form(L))
-    assert type(generic.minimum) is F and generic.certified is True
+    assert type(generic.minimum) is F
     # the class function's integer is the generic minimum
     fn = oracle.nocm_seshadri if L.surface is Surface.NO_CM else oracle.cm_seshadri
     value = fn(L)
