@@ -19,18 +19,24 @@ D_0 = 1, D_1, ..., D_n and integer rows B with
 
 Multiplying by P = lcm_i(D_i D_{i+1}) makes every partial sum, the running
 best and the budget an integer, and each level's window an exact `isqrt`.
-Each window is walked outward from its centre, the t nearest -N_i / D_{i+1}
-(Schnorr and Euchner's order): the level's term only grows away from it, so
-each direction stops at its first value above the running best, and short
-vectors lower that best early.  Q(-x) = Q(x), so the search keeps one of each
-pair +-x, the one whose last nonzero coordinate is positive (Fincke and
-Pohst's sign rule): while every coordinate above a level is zero, so is its
-centre, and its window is cut to t >= 0, or t >= 1 at level 0, which also
-never reaches x = 0.  One level routine thus serves every level.
+Above level 0, each window is walked outward from its centre, the t nearest
+-N_i / D_{i+1} (Schnorr and Euchner's order): the level's term only grows
+away from it, so each direction stops at its first value above the running
+best, and short vectors lower that best early.  Q(-x) = Q(x), so the search
+keeps one of each pair +-x, the one whose last nonzero coordinate is
+positive (Fincke and Pohst's sign rule): while every coordinate above a
+level is zero, so is its centre, and its window is cut to t >= 0; level 0
+then takes t = 1, which never reaches x = 0.
 
 Completeness: the windows are exact, so the single pass from the least
-diagonal entry, a value the form takes, visits every x with s * Q(x) at most
-the running best, hence every minimizer.  No box bounds the search.
+diagonal entry, a value the form takes, would reach every x with s * Q(x)
+at most the running best; no box bounds it.  Level 0 skips no minimizer and
+needs no window: with x above it fixed and nonzero, it adds w_0 y^2,
+y = d t + N_0, d = D_1.  t0 = (d // 2 - N_0) // d puts y_0 = d t0 + N_0 in
+(-d/2, d/2], and any other t moves y_0 by a nonzero multiple of d, to
+|y| > |y_0|, save t0 - 1 at a half-way tie y_0 = d/2 (d even), |y| = |y_0|.
+So only t0, and t0 - 1 at a tie, can give a minimizer; both are kept.  With
+x above zero, the value is w_0 d^2 t^2, and the sign rule leaves t = 1.
 """
 from __future__ import annotations
 
@@ -101,57 +107,68 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return minors, work
 
 
-def _search_box(
+def _search(
     levels: list[tuple[int, int, list[tuple[int, int]]]], best: int
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """One of each pair +-x with P s Q(x) <= best.
+    """The least P s Q(x) <= best over nonzero x, and every x attaining it.
 
     Level i is (D_{i+1}, w_i = P / (D_i D_{i+1}), the nonzero terms (j, B_ij)
-    of N_i).  Returns the smallest scaled value found (or `best` if none) and
-    every x attaining it whose last nonzero coordinate is positive, so x = 0
-    is never reached.
+    of N_i).  Returns (best, []) if no value is at most `best`.  Of each pair
+    +-x, only the x whose last nonzero coordinate is positive is visited.
     """
     x = [0] * len(levels)
     found: list[tuple[int, ...]] = []
     running = best
+    d0, w0, terms0 = levels[0]
 
-    # |d t + centre| <= r  <=>  w (d t + centre)^2 <= running - partial,
-    # which is >= 0 on entry to every level; `free` says some coordinate of x
-    # above level i is nonzero
-    def rec(i: int, partial: int, free: bool) -> None:
+    # `free`: some coordinate of x above the level is nonzero; `_` is level 0
+    def last(_: int, partial: int, free: bool) -> None:
         nonlocal running, found
+        centre = 0
+        for j, b in terms0:
+            centre += b * x[j]
+        t = (d0 // 2 - centre) // d0 if free else 1
+        y = d0 * t + centre
+        value = partial + w0 * y * y
+        if value <= running:
+            if value < running:
+                running, found = value, []
+            found.append((t, *x[1:]))
+            if 2 * y == d0:  # the half-way tie: t - 1 gives -y
+                found.append((t - 1, *x[1:]))
+
+    # |d t + centre| <= r  <=>  w (d t + centre)^2 <= running - partial, which
+    # is >= 0 on entry.  A nonempty window holds t0, the t nearest its centre;
+    # the value grows away from t0 while `running` falls, so each direction
+    # ends at its first value above it.  x above zero makes centre, t0 and lo 0.
+    def walk(i: int, partial: int, free: bool) -> None:
         d, w, terms = levels[i]
+        down = walk if i > 1 else last
         r = isqrt((running - partial) // w)
         centre = 0
-        if free:
-            for j, b in terms:
-                centre += b * x[j]
-            lo, hi = -((r + centre) // d), (r - centre) // d
-            t0 = max(min((d // 2 - centre) // d, hi), lo)
-        else:
-            # x above level i is zero, and so is the centre: t >= 0 keeps
-            # one of each pair +-x, and t >= 1 at level 0 skips x = 0
-            hi = r // d
-            lo = t0 = 0 if i else 1
-        # centre-out: t0 minimizes |d t + centre| over the window, and the
-        # value only grows away from it while `running` only falls, so each
-        # direction ends at its first value above `running`
-        for ts in (range(t0, hi + 1), range(t0 - 1, lo - 1, -1)):
-            for t in ts:
-                y = d * t + centre
-                value = partial + w * y * y
-                if value > running:
-                    break
-                x[i] = t
-                if i:
-                    rec(i - 1, value, free or t != 0)
-                elif value < running:
-                    running = value
-                    found = [tuple(x)]
-                else:
-                    found.append(tuple(x))
+        for j, b in terms:
+            centre += b * x[j]
+        t = t0 = (d // 2 - centre) // d
+        hi = (r - centre) // d
+        while t <= hi:
+            y = d * t + centre
+            value = partial + w * y * y
+            if value > running:
+                break
+            x[i] = t
+            down(i - 1, value, free or t != 0)
+            t += 1
+        t, lo = t0 - 1, (-((r + centre) // d) if free else 0)
+        while t >= lo:
+            y = d * t + centre
+            value = partial + w * y * y
+            if value > running:
+                break
+            x[i] = t
+            down(i - 1, value, True)
+            t -= 1
 
-    rec(len(levels) - 1, 0, False)
+    (walk if len(levels) > 1 else last)(len(levels) - 1, 0, False)
     return running, found
 
 
@@ -181,7 +198,9 @@ def _minimize(a: list[list[int]]) -> tuple[int, int, list[tuple[int, ...]]]:
 
     m is the least value of x^T a x over nonzero integer x, and the
     minimizers are every x attaining it, one of each pair +-x, the one whose
-    last nonzero coordinate is positive.  Raises `ValueError` if a is not
+    last nonzero coordinate is positive.  `_search` walks `_bareiss`'s
+    levels from P times the least diagonal entry, a value the form takes, so
+    its one pass finds every minimizer.  Raises `ValueError` if a is not
     positive definite.
     """
     n = len(a)
@@ -190,14 +209,10 @@ def _minimize(a: list[list[int]]) -> tuple[int, int, list[tuple[int, ...]]]:
         raise ValueError("not positive definite")
     scale = lcm(*[minors[i] * minors[i + 1] for i in range(n)])
     levels = []
-    for i in range(n):
-        d, row = minors[i + 1], rows[i]
-        levels.append(
-            (d, scale // (minors[i] * d), [(j, row[j]) for j in range(i + 1, n) if row[j]])
-        )
-    # the least diagonal entry is a value the form takes, so the search
-    # starts there and its exact windows find every minimizer in one pass
-    best, pts = _search_box(levels, scale * min([a[i][i] for i in range(n)]))
+    for i, row in enumerate(rows):
+        terms = [(j, row[j]) for j in range(i + 1, n) if row[j]]
+        levels.append((minors[i + 1], scale // (minors[i] * minors[i + 1]), terms))
+    best, pts = _search(levels, scale * min([a[i][i] for i in range(n)]))
     return scale, best, pts
 
 

@@ -123,8 +123,8 @@ def test_near_boundary_matches_paper_formula(size):
 
 
 def test_near_boundary_matches_oracle():
-    # the unreduced oracle takes ~0.004 s, ~0.03 s and ~0.36 s for the six
-    # classes at these sizes and ~4 s at 10^10 (Python 3.11.7)
+    # the unreduced oracle takes ~0.0005 s, ~0.004 s and ~0.05-0.06 s for the
+    # six classes at these sizes and ~0.9-1.3 s at 10^10 (Python 3.11.7)
     for size in (10**4, 10**6, 10**8):
         for L, *_ in near_boundary_classes(size, size % 983):
             assert nocm.seshadri_constant(L).value == oracle.nocm_seshadri(L), L.coeffs
@@ -187,8 +187,8 @@ def test_near_boundary_rank4_known_answer(surface, size, monkeypatch):
 
 @pytest.mark.parametrize("surface", CM_SURFACES, ids=lambda s: s.value)
 def test_near_boundary_rank4_matches_oracle(surface):
-    # the unreduced oracle takes ~0.01 s for the four classes at 10^2,
-    # ~0.12 s at 10^3 and ~1.6-2.2 s at 10^4 (Python 3.11.7)
+    # the unreduced oracle takes ~0.001 s for the four classes at 10^2,
+    # ~0.015-0.025 s at 10^3 and ~0.3-0.6 s at 10^4 (Python 3.11.7)
     for size in (10**2, 10**3):
         for L, value, _ in near_boundary_cm_classes(surface, size, seed=size % 983):
             assert cm.seshadri_constant(L).value == oracle.cm_seshadri(L) == value, L.coeffs

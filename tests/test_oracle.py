@@ -139,6 +139,45 @@ def test_small_2d_example():
     assert rep.minimum == best and set(rep.minimizers) == mins
 
 
+def test_one_by_one_grams_match_reference():
+    # level 0 is the only level and nothing lies above it: t = 1 alone
+    for v in (1, 2, 7, 10**12, F(1, 3), F(7, 2), 0.25, "5/6"):
+        gram = ((v,),)
+        assert oracle.min_quadratic_form(gram) == _reference_min(gram) == (F(v), ((1,),))
+
+
+# Level 0 of [[D1, b], [b, c]] at x = (t, x1) is w (D1 t + b x1)^2.  For even
+# D1 with b x1 = D1/2 mod D1 its centre sits half-way: t0 and t0 - 1 tie, and
+# both are kept, once each.  For odd D1 no t ties with t0.
+@pytest.mark.parametrize(
+    "gram,minimizers",
+    [
+        (((2, 1), (1, 2)), ((0, 1), (1, -1), (1, 0))),  # t0 = 0, mirror -1
+        (((4, 2), (2, 3)), ((0, 1), (1, -1))),  # the mirror is a minimizer
+        (((4, -2), (-2, 3)), ((0, 1), (1, 1))),  # t0 = 1, mirror 0
+        (((6, -9), (-9, 15)), ((1, 1), (2, 1))),  # t0 = 2, mirror 1
+        (((6, 3), (3, 2)), ((0, 1), (1, -2), (1, -1))),  # ties at x1 = 1, 2
+        (((3, 1), (1, 2)), ((0, 1),)),  # odd D1: t = -1 gives 3, not 2
+        (((5, 2), (2, 2)), ((0, 1),)),
+        (((5, -2), (-2, 2)), ((0, 1),)),
+    ],
+)
+def test_half_way_centre_keeps_each_mirror_once(gram, minimizers):
+    rep = oracle.min_quadratic_form(gram)
+    assert rep == _reference_min(gram)
+    assert rep.minimizers == minimizers
+    assert (rep.minimum, set(minimizers)) == _literal_min(gram, 4)
+
+
+@pytest.mark.parametrize("d1", range(1, 9))
+def test_two_by_two_grams_match_reference(d1):
+    # every b mod D1, so every offset of the level-0 centre, both parities
+    for b in range(-d1, d1 + 1):
+        for c in range(b * b // d1 + 1, b * b // d1 + d1 + 3):
+            gram = ((d1, b), (b, c))
+            assert oracle.min_quadratic_form(gram) == _reference_min(gram), gram
+
+
 def test_rejects_indefinite():
     with pytest.raises(ValueError, match="not positive definite"):
         oracle.min_quadratic_form(((1, 2), (2, 1)))
@@ -301,8 +340,8 @@ def _product(a, b):
 
 
 # U entries of ~10^3 give Gram entries of ~10^8 on a basis far from reduced.
-# Rank 4 runs at ~10^2: its 60 forms take ~0.6 s there and ~20 s at 10^3;
-# rank 3 takes ~1.2 s and rank 2 ~0.3 s (Python 3.11.7)
+# Rank 4 runs at ~10^2: its 60 forms take ~0.2 s there and ~5-7 s at 10^3;
+# rank 3 takes ~0.5 s and rank 2 ~0.1 s (Python 3.11.7)
 @pytest.mark.parametrize("n,size", [(2, 10**3), (3, 10**3), (4, 10**2)])
 def test_ill_conditioned_bases_keep_the_minimum(n, size):
     # Q(U y) = Q(x) for y = U^-1 x, so U^T G U has G's minimum and its
