@@ -50,7 +50,14 @@ class UsageError(Exception):
     pass
 
 
+def _bare_value(text) -> str:
+    """The option value as typed: argparse 3.11 strips a bare "--" value
+    (`--coeffs=--`, which `--coeffs --` becomes) and hands over []."""
+    return text if isinstance(text, str) else "--"
+
+
 def _parse_coeffs(text: str, surface: Surface) -> NSClass:
+    text = _bare_value(text)
     try:
         values = tuple(int(v) for v in text.split(","))
     except ValueError:
@@ -131,6 +138,7 @@ def _cmd_curves(args) -> int:
 
 
 def _parse_ratio(text: str) -> Fraction:
+    text = _bare_value(text)
     try:
         if "/" in text:
             num, den = text.split("/")

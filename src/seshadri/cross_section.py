@@ -10,23 +10,33 @@ integer lines, and a `Fraction` is built only when a caller reads
 `mu_max`, `breakpoints` or `segments` (on every access) or a value from
 `value_at`.
 
-For t = p/q, a curve N_{c,d} off the basis and the exact ratio can touch the
-envelope only if c/(c+d) approximates q/(p+q) to better than 1/(c+d)^2, so
-the candidates are convergents and intermediate fractions of the continued
-fraction of q/(p+q).  They are enumerated level by level, O(1) work per
-partial quotient and O(log q) in all, instead of a walk over every c + d up
-to (p+q)/sqrt(2).  They stream into the hull in one pass, by non-decreasing
-s = c + d; on equal s the smaller intercept wins, and then the first line.
+For t = p/q and S = p + q, a curve N_{c,d} with c, d >= 1 can touch the
+envelope only if 2 e^2 s^2 <= S^2, where s = c + d and e = |q s - S c|;
+every other curve sits strictly above it everywhere.  e = 0 is N_{q,p}, the
+last convergent of q/S.  For e >= 1, |q/S - c/s| < 1/s^2, so c/s is a
+convergent or an intermediate fraction (h2 + j h1) / (t2 + j t1),
+1 <= j <= a, of the continued fraction of q/S (Legendre; Hardy & Wright,
+ch. X), already in lowest terms.  Along one level e = A - j B falls and s
+rises linearly in j, so e s is concave and the j breaking the bound form one
+exact integer window, which the walk skips: O(1) work per partial quotient,
+O(log q) in all, instead of a walk over every s up to S/sqrt(2).
+
+`cross_section` makes the candidates and builds the hull in one pass, with
+no candidate list: Delta (s = 0), F1 (the first level's j = 1, e s = p),
+then s = t2 + j t1 strictly rising with j up to the next convergent's
+denominator t2 + a t1, and from there on in the next level.  F2 = (0, 1) is
+left out: its line has F1's slope and the intercept q >= p, so it lies on
+or above F1's everywhere and never governs alone (at p = q it ties F1,
+which is kept).  Two guards raise `ArithmeticError`: the slopes must fall
+strictly from line to line, and the envelope must vanish at mu_max.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
 from math import isqrt
 from typing import NamedTuple
 
-from .kernels import _quad_window
 from .lattice import _rational
 from .nocm import Pair
 
@@ -94,53 +104,23 @@ class CrossSection(NamedTuple):
         return witness
 
 
-def _envelope_curves(lam: Fraction) -> list[Pair]:
-    """Curve pairs that can be weakly submaximal somewhere on the ray.
-
-    Besides the basis curves, a pair (c, d) with c, d >= 1 can only touch
-    the envelope if 2 k^2 s^2 <= S^2, where S = p + q, s = c + d and
-    k = |q s - S c|; every other curve sits strictly above the envelope
-    everywhere.  k = 0 is the exact-ratio pair (q, p), the last convergent
-    of q/S.  For k >= 1 the bound gives |q/S - c/s| < 1/s^2, so c/s is a
-    convergent or an intermediate fraction (h2 + j h1) / (t2 + j t1),
-    1 <= j <= a, of the continued fraction of q/S (Legendre; Hardy &
-    Wright, ch. X), and such fractions are already in lowest terms.  Along
-    one level k = A - j B falls and s rises linearly in j, so k s is concave
-    and the j breaking the bound form one exact integer window: the
-    survivors are the two ends of [1, a] outside it.  The cost is O(1) per
-    partial quotient, O(log q) in all.
-
-    The list has no repeats and is in hull order: Delta (s = 0), F1 = (1, 0)
-    (first level, j = 1: k s = p <= M), F2 (s = 1: ties F1, loses as p <= q),
-    then s = t2 + j t1 strictly rising with j up to t1' = t2 + a t1, the next
-    convergent's denominator, and from t1 + t1' on in the next level.
-    """
-    p, q = lam.numerator, lam.denominator
-    S = p + q
-    M = isqrt(S * S // 2)  # k s <= M  <=>  2 k^2 s^2 <= S^2
-    pairs: list[Pair] = [(1, -1)]
-    # Convergents h2/t2, h1/t1 of q/S from 1/0, 0/1; A, B their |q t - S h|.
-    h2, t2, h1, t1 = 1, 0, 0, 1
-    A, B = S, q
-    while B:
-        a = A // B
-        lo, hi = _quad_window(B * t1, B * t2 - A * t1, M + 1 - A * t2)
-        for j in chain(range(1, min(lo, a + 1)), range(max(hi, 0) + 1, a + 1)):
-            c = h2 + j * h1
-            pairs.append((c, t2 + j * t1 - c))
-        h2, t2, h1, t1 = h1, t1, h2 + a * h1, t2 + a * t1
-        A, B = B, A - a * B
-    pairs.insert(2, (0, 1))  # F2, right after F1 = pairs[1]
-    return pairs
+def _partial_quotients(n: int, d: int) -> list[int]:
+    """The partial quotients of n/d, n, d >= 1, by Euclid's algorithm."""
+    quotients = []
+    while d:
+        a = n // d
+        quotients.append(a)
+        n, d = d, n - a * d
+    return quotients
 
 
 def cross_section(lam) -> CrossSection:
     """Exact lower envelope of the candidate degree lines on the ray.
 
-    Lines are scaled by q: N_{c,d} gives q (L . N) = b - q s^2 mu with
-    s = c + d and b = q d^2 + p c^2, so the hull runs on integers only.
-    Increasing s^2 = decreasing slope = left-to-right order on the envelope;
-    the line (k, b) meets (k0, b0) at mu = (b - b0) / (q (k - k0)).
+    Lines are scaled by q: N_{c,d} gives q (L . N) = b - q k mu with k = s^2
+    and b = q d^2 + p c^2, so the hull runs on integers only.  Increasing k
+    = decreasing slope = left-to-right order on the envelope; the line
+    (k, b) meets (k0, b0) at mu = (b - b0) / (q (k - k0)).
     """
     if not isinstance(lam, Fraction):
         lam = _rational(lam)
@@ -148,32 +128,48 @@ def cross_section(lam) -> CrossSection:
     if not 0 < p <= q:
         raise ValueError("lambda out of range")
     S = p + q  # mu_max = p / S
-    hull: list[tuple[int, int, Pair]] = []
+    M = isqrt(S * S // 2) + 1  # e s < M  <=>  2 e^2 s^2 <= S^2
+    k0, b0 = 0, S  # Delta = (1, -1)
+    hull: list[tuple[int, int, Pair]] = [(k0, b0, (1, -1))]
     starts: list[tuple[int, int]] = []
-    for pair in _envelope_curves(lam):
-        c, d = pair
-        k, b = (c + d) ** 2, q * d * d + p * c * c
-        if hull and k <= hull[-1][0]:  # equal s: the lower line, else the first
-            if k < hull[-1][0]:
+    # Convergents h2/t2, h1/t1 of q/S from 1/0, 0/1; A, B their |q t - S h|.
+    h2, t2, h1, t1 = 1, 0, 0, 1
+    A, B = S, q
+    for a in _partial_quotients(S, q):
+        # j is skipped iff (B t1) j^2 + (B t2 - A t1) j + M - A t2 <= 0,
+        # iff |2 B t1 j + f| <= isqrt(disc)
+        u, f = 2 * B * t1, B * t2 - A * t1
+        disc = f * f - 2 * u * (M - A * t2)
+        if disc < 0:  # no j is skipped
+            lo = hi = a + 1
+        else:
+            r = isqrt(disc)
+            lo, hi = -((f + r) // u), (r - f) // u
+        j = 1 if lo > 1 else max(hi + 1, 1)
+        while j <= a:
+            c, s = h2 + j * h1, t2 + j * t1
+            d = s - c
+            k, b = s * s, q * d * d + p * c * c
+            if k <= k0:
                 raise ArithmeticError(f"candidates of lambda = {lam} out of order")
-            if b >= hull[-1][1]:
-                continue
-            del hull[-1], starts[-1:]
-        while hull:
-            k0, b0, _ = hull[-1]
             num, den = b - b0, q * (k - k0)
-            if starts and num * starts[-1][1] <= starts[-1][0] * den:
+            while starts and num * starts[-1][1] <= starts[-1][0] * den:
                 del hull[-1], starts[-1]
-            else:
-                starts.append((num, den))
-                break
-        hull.append((k, b, pair))
+                k0, b0, _ = hull[-1]
+                num, den = b - b0, q * (k - k0)
+            starts.append((num, den))
+            hull.append((k, b, (c, d)))
+            k0, b0 = k, b
+            j += 1
+            if j == lo:
+                j = hi + 1
+        h2, t2, h1, t1 = h1, t1, h2 + a * h1, t2 + a * t1
+        A, B = B, A - a * B
 
     # The envelope must vanish at mu_max, where q (L . N) = (q d - p c)^2 / S
     # is 0 only for N_{q,p}: when the check passes, every other line is
     # positive there and every breakpoint lies left of it, so none is clipped.
-    k, b, _ = hull[-1]
-    if b * S != q * k * p:
+    if b0 * S != q * k0 * p:
         raise ArithmeticError(
             f"envelope of lambda = {lam} does not vanish at mu_max = {p}/{S}"
         )

@@ -15,11 +15,17 @@ rank-3 formula, the reference for the reduced-form computation in `nocm`:
 sort the coefficients, take the basis curves and the exact-ratio pair, and
 scan every s = c + d below the paper's bound, then carry the pairs back
 through the sort permutation with `nocm.class_to_pair`.
+
+`envelope_curves` and `two_pass_section` are `cross_section.cross_section`
+as it stood before the fused pass: the list of candidate pairs, F2 included,
+then the integer hull over that list with the equal-s rule (the lower line
+wins, and on a tie the first listed).
 """
-from itertools import product
+from itertools import chain, product
 from math import gcd, isqrt
 
 from seshadri import cm, kernels
+from seshadri.cross_section import CrossSection
 from seshadri.kernels import _lin_window, _quad_window, _value
 from seshadri.lattice import require_ample, self_intersection
 from seshadri.nocm import SeshadriResult, class_to_pair
@@ -275,3 +281,64 @@ def paper_submaximal_curves(L, weak=False):
             found.add((c, d))
 
     return frozenset(_unsort_pair(w, order) for w in found)
+
+
+def envelope_curves(lam):
+    """Curve pairs that can be weakly submaximal somewhere on the ray.
+
+    Besides the basis curves, the pairs (c, d), c, d >= 1, with
+    2 k^2 s^2 <= S^2 (S = p + q, s = c + d, k = |q s - S c|): the
+    convergents and intermediate fractions c/s of q/S that the bound leaves,
+    found level by level with one `_quad_window` per partial quotient.  The
+    list has no repeats and is in hull order: Delta (s = 0), F1 = (1, 0) and
+    F2 = (0, 1) (s = 1), then strictly rising s.
+    """
+    p, q = lam.numerator, lam.denominator
+    S = p + q
+    M = isqrt(S * S // 2)  # k s <= M  <=>  2 k^2 s^2 <= S^2
+    pairs = [(1, -1)]
+    # Convergents h2/t2, h1/t1 of q/S from 1/0, 0/1; A, B their |q t - S h|.
+    h2, t2, h1, t1 = 1, 0, 0, 1
+    A, B = S, q
+    while B:
+        a = A // B
+        lo, hi = _quad_window(B * t1, B * t2 - A * t1, M + 1 - A * t2)
+        for j in chain(range(1, min(lo, a + 1)), range(max(hi, 0) + 1, a + 1)):
+            c = h2 + j * h1
+            pairs.append((c, t2 + j * t1 - c))
+        h2, t2, h1, t1 = h1, t1, h2 + a * h1, t2 + a * t1
+        A, B = B, A - a * B
+    pairs.insert(2, (0, 1))  # F2, right after F1 = pairs[1]
+    return pairs
+
+
+def two_pass_section(lam, pairs=None):
+    """The integer hull over `pairs` (default: `envelope_curves(lam)`), by
+    non-decreasing s; on equal s the smaller intercept wins, and then the
+    first line.  Raises `ArithmeticError` on falling s, and when the
+    envelope does not vanish at mu_max."""
+    p, q = lam.numerator, lam.denominator
+    S = p + q
+    hull, starts = [], []
+    for pair in envelope_curves(lam) if pairs is None else pairs:
+        c, d = pair
+        k, b = (c + d) ** 2, q * d * d + p * c * c
+        if hull and k <= hull[-1][0]:
+            if k < hull[-1][0]:
+                raise ArithmeticError(f"candidates of lambda = {lam} out of order")
+            if b >= hull[-1][1]:
+                continue
+            del hull[-1], starts[-1:]
+        while hull:
+            k0, b0, _ = hull[-1]
+            num, den = b - b0, q * (k - k0)
+            if starts and num * starts[-1][1] <= starts[-1][0] * den:
+                del hull[-1], starts[-1]
+            else:
+                starts.append((num, den))
+                break
+        hull.append((k, b, pair))
+    k, b, _ = hull[-1]
+    if b * S != q * k * p:
+        raise ArithmeticError(f"envelope of lambda = {lam} does not vanish at mu_max")
+    return CrossSection(lam, tuple(starts), tuple(hull))

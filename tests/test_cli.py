@@ -112,6 +112,11 @@ def test_integers_of_any_size_are_exact(capsys, digits):
         ("cross-section", "--lambda", "1/0"),
         # samples are csv rows; json (the default format) has none
         ("cross-section", "--lambda", "1/2", "--samples", "5"),
+        # a bare "--" is a value, not the end of the options
+        ("cross-section", "--lambda", "--"),
+        ("cross-section", "--lambda=--"),
+        ("epsilon", "--surface", "nocm", "--coeffs", "--"),
+        ("curves", "--surface", "nocm", "--coeffs=--"),
     ],
 )
 def test_bad_input_exits_64_with_message(capsys, argv):
@@ -122,15 +127,13 @@ def test_bad_input_exits_64_with_message(capsys, argv):
 
 
 def test_internal_error_exits_70(capsys, monkeypatch):
-    # Without the exact-ratio curve the envelope cannot reach 0 at mu_max,
-    # which the cross-section checks on every call.
-    envelope_curves = xs._envelope_curves
-
-    def without_ratio_curve(lam):
-        ratio_curve = (lam.denominator, lam.numerator)
-        return [pair for pair in envelope_curves(lam) if pair != ratio_curve]
-
-    monkeypatch.setattr(xs, "_envelope_curves", without_ratio_curve)
+    # Without the last partial quotient of q/(p+q) the pass never reaches the
+    # exact-ratio curve, so the envelope cannot reach 0 at mu_max, which the
+    # cross-section checks on every call.
+    partial_quotients = xs._partial_quotients
+    monkeypatch.setattr(xs, "_partial_quotients", lambda n, d: partial_quotients(n, d)[:-1])
+    with pytest.raises(ArithmeticError, match="does not vanish"):
+        xs.cross_section(Fraction(8, 11))
     code, out, err = run_cli(capsys, "cross-section", "--lambda", "8/11")
     assert code == 70
     assert out == ""
@@ -139,9 +142,17 @@ def test_internal_error_exits_70(capsys, monkeypatch):
 
 def test_out_of_order_candidates_raise(capsys, monkeypatch):
     # The hull takes the candidates in one pass by increasing c + d and
-    # refuses any other order instead of building a wrong envelope.
-    envelope_curves = xs._envelope_curves
-    monkeypatch.setattr(xs, "_envelope_curves", lambda lam: envelope_curves(lam)[::-1])
+    # refuses any other order instead of building a wrong envelope: a
+    # partial quotient of -3 after the first turns the convergents back, so
+    # c + d falls.  (Without the check this input ends at the vanishing
+    # check; a -2 there would send the next level over a huge window.)
+    partial_quotients = xs._partial_quotients
+
+    def with_minus_three(n, d):
+        first, *rest = partial_quotients(n, d)
+        return [first, -3, *rest]
+
+    monkeypatch.setattr(xs, "_partial_quotients", with_minus_three)
     with pytest.raises(ArithmeticError, match="out of order"):
         xs.cross_section(Fraction(8, 11))
     code, out, err = run_cli(capsys, "cross-section", "--lambda", "8/11")
@@ -275,6 +286,8 @@ def test_table_matches_golden(capsys, which):
             "cross_section_355_452_samples_20.csv",
             ("--lambda", "355/452", "--format", "csv", "--samples", "20"),
         ),
+        # F1 and F2 tie at lambda = 1, and the section keeps F1
+        ("cross_section_1_1.json", ("--lambda", "1")),
     ],
 )
 def test_cross_section_matches_golden(capsys, golden, argv):

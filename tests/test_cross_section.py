@@ -4,16 +4,16 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from scan_references import envelope_curves, two_pass_section
 
-from seshadri import cross_section as xs
-from seshadri.cross_section import Segment, _envelope_curves, cross_section
+from seshadri.cross_section import CrossSection, Segment, cross_section
 from seshadri.kernels import _lin_window
 from seshadri.lattice import Surface, ns_class
 from seshadri.nocm import GENERATOR_PAIRS, pair_sort_key, seshadri_constant
 
 
 def _linear_walk(lam):
-    """Reference for `_envelope_curves`: every s = c + d up to (p+q)/sqrt(2).
+    """Reference for `envelope_curves`: every s = c + d up to (p+q)/sqrt(2).
 
     For each s the filter 2 (qd - pc)^2 (c+d)^2 <= (q+p)^2 pins c to one
     exact window; coprime pairs in it are kept.  O(p+q) per call.
@@ -43,7 +43,7 @@ def _fraction_section(lam):
     four public fields (slope_ratio, mu_max, breakpoints, segments)."""
     mu_max = lam / (1 + lam)
     by_slope = {}
-    for pair in sorted(_envelope_curves(lam), key=pair_sort_key):
+    for pair in sorted(envelope_curves(lam), key=pair_sort_key):
         slope, intercept = _line(lam, pair)
         kept = by_slope.get(slope)
         if kept is None or intercept < kept[0]:
@@ -105,28 +105,53 @@ def _seeded_large_ratios():
     return sorted(ratios)
 
 
-def _assert_matches_linear_walk(ratios, monkeypatch):
-    reference = {lam: _linear_walk(lam) for lam in ratios}
-    sections = {lam: cross_section(lam) for lam in ratios}
+def _fibonacci_ratios(step):
+    """Every step-th F_n/F_{n+1} with F_{n+1} < 10^200, down from the last:
+    every partial quotient of q/(p+q) but the last is 1, one level per n."""
+    ratios, a, b = [], 0, 1
+    while b < 10**200:
+        a, b = b, a + b
+        ratios.append(F(a, b))
+    return ratios[::-step][::-1]
+
+
+#: p = 1 and p = q - 1 at q = 10^40: q/(p+q) has a partial quotient of
+#: q resp. q - 1, and its window of up to ~q non-candidates is skipped.
+DEEP_RATIOS = [F(1, 10**40), F(10**40 - 1, 10**40)]
+
+RATIO_SETS = {
+    "q_up_to_60": _small_ratios,
+    "q_61_to_150": lambda: _small_ratios(61, 150),
+    "seeded_q_up_to_10_4": _seeded_ratios,
+    "q_10_12": lambda: LARGE_RATIOS,
+    "seeded_q_up_to_10_12": _seeded_large_ratios,
+}
+
+#: Ratios deep enough that only the integer references reach them.
+DEEP_RATIO_SETS = {
+    "fibonacci_q_up_to_10_200": lambda: _fibonacci_ratios(step=25),
+    "q_10_40": lambda: DEEP_RATIOS,
+}
+
+
+def _assert_matches_linear_walk(ratios):
+    # The reference's candidates are the linear walk's, and its hull over the
+    # walk's pairs, sorted by s, is the fused pass's section.
     for lam in ratios:
-        assert set(_envelope_curves(lam)) == reference[lam], lam
-    ordered = {
-        lam: sorted(pairs, key=lambda pair: (sum(pair), pair_sort_key(pair)))
-        for lam, pairs in reference.items()
-    }
-    monkeypatch.setattr(xs, "_envelope_curves", ordered.__getitem__)
-    for lam in ratios:
-        assert cross_section(lam) == sections[lam], lam
+        pairs = _linear_walk(lam)
+        assert set(envelope_curves(lam)) == pairs, lam
+        ordered = sorted(pairs, key=lambda pair: (sum(pair), pair_sort_key(pair)))
+        assert cross_section(lam) == two_pass_section(lam, ordered), lam
 
 
 def test_candidates_lambda_one():
-    assert set(_envelope_curves(F(1))) == {(1, 0), (0, 1), (1, -1), (1, 1)}
+    assert set(envelope_curves(F(1))) == {(1, 0), (0, 1), (1, -1), (1, 1)}
 
 
 def test_candidates_eight_elevenths():
     # N_{2,1} is not a candidate: k = |11*3 - 19*2| = 5 and 2 k^2 s^2 = 450
     # exceeds 19^2, so it is not even weakly submaximal on this ray.
-    assert set(_envelope_curves(F(8, 11))) == {
+    assert set(envelope_curves(F(8, 11))) == {
         (1, 0), (0, 1), (1, -1), (1, 1), (3, 2), (4, 3), (7, 5), (11, 8)
     }
 
@@ -139,12 +164,12 @@ def test_section_range_check():
         assert cross_section(lam) == cross_section(F(lam)), lam
 
 
-def test_envelope_curves_match_linear_walk_small(monkeypatch):
-    _assert_matches_linear_walk(_small_ratios(), monkeypatch)
+def test_envelope_curves_match_linear_walk_small():
+    _assert_matches_linear_walk(_small_ratios())
 
 
-def test_envelope_curves_match_linear_walk_seeded(monkeypatch):
-    _assert_matches_linear_walk(_seeded_ratios(), monkeypatch)
+def test_envelope_curves_match_linear_walk_seeded():
+    _assert_matches_linear_walk(_seeded_ratios())
 
 
 @pytest.mark.parametrize(
@@ -154,7 +179,7 @@ def test_envelope_curves_match_linear_walk_seeded(monkeypatch):
 def test_candidates_in_hull_order(ratios):
     # Delta (s = 0), then F1 and F2 (s = 1), then strictly increasing s.
     for lam in ratios():
-        pairs = _envelope_curves(lam)
+        pairs = envelope_curves(lam)
         assert len(set(pairs)) == len(pairs), lam
         sums = [c + d for c, d in pairs]
         assert sums == sorted(sums), lam
@@ -162,16 +187,16 @@ def test_candidates_in_hull_order(ratios):
         assert all(s < t for s, t in zip(sums[2:], sums[3:])), lam
 
 
-def test_equal_s_keeps_the_lower_line(monkeypatch):
-    # Parallel lines (equal s): the lower one wins wherever it is listed, and
-    # the first listed on a tie.  F1 = (1, 0) has intercept p, F2 = (0, 1) q;
-    # without Delta they are the first lines of the hull.
+def test_equal_s_keeps_the_lower_line():
+    # In the two-pass reference, parallel lines (equal s): the lower one wins
+    # wherever it is listed, and the first listed on a tie.  F1 = (1, 0) has
+    # intercept p, F2 = (0, 1) q; without Delta they are the first lines of
+    # the hull.  F2 listed after F1 therefore never enters, which is why the
+    # fused pass leaves it out.
     def section(lam, *basis):
-        delta, f1, f2, *rest = _envelope_curves(lam)
+        delta, f1, f2, *rest = envelope_curves(lam)
         named = {"delta": delta, "f1": f1, "f2": f2}
-        listed = [named[name] for name in basis] + rest
-        monkeypatch.setattr(xs, "_envelope_curves", lambda _: listed)
-        return cross_section(lam)
+        return two_pass_section(lam, [named[name] for name in basis] + rest)
 
     for head in ((), ("delta",)):
         lam = F(8, 11)
@@ -180,19 +205,40 @@ def test_equal_s_keeps_the_lower_line(monkeypatch):
         lam = F(1)
         assert section(lam, *head, "f2", "f1") == section(lam, *head, "f2")
         assert section(lam, *head, "f1", "f2") == section(lam, *head, "f1")
+    for lam in (F(8, 11), F(1)):
+        expected = section(lam, "delta", "f1", "f2")
+        assert cross_section(lam) == expected == section(lam, "delta", "f1")
 
 
 @pytest.mark.parametrize(
-    "ratios",
-    [
-        _small_ratios, lambda: _small_ratios(61, 150), _seeded_ratios,
-        lambda: LARGE_RATIOS, _seeded_large_ratios,
-    ],
-    ids=[
-        "q_up_to_60", "q_61_to_150", "seeded_q_up_to_10_4", "q_10_12",
-        "seeded_q_up_to_10_12",
-    ],
+    "ratios", [*RATIO_SETS.values(), *DEEP_RATIO_SETS.values()],
+    ids=[*RATIO_SETS, *DEEP_RATIO_SETS],
 )
+def test_fused_pass_matches_two_pass_reference(ratios):
+    for lam in ratios():
+        section, reference = cross_section(lam), two_pass_section(lam)
+        for name in CrossSection._fields:
+            assert getattr(section, name) == getattr(reference, name), (lam, name)
+
+
+@pytest.mark.parametrize(
+    "lam", [*_fibonacci_ratios(step=450), *DEEP_RATIOS],
+    ids=lambda lam: f"{len(str(lam.numerator))}_over_{len(str(lam.denominator))}_digits",
+)
+def test_deep_continued_fractions_at_breakpoints(lam):
+    # At every breakpoint n/d, q d times the section is the Seshadri constant
+    # of the integral class (q d, p d, -q n) on the ray.
+    section = cross_section(lam)
+    assert section == two_pass_section(lam)
+    p, q = lam.numerator, lam.denominator
+    for mu in section.breakpoints:
+        n, d = mu.numerator, mu.denominator
+        L = ns_class(Surface.NO_CM, (q * d, p * d, -q * n))
+        assert q * d * section.value_at(mu) == seshadri_constant(L).value, mu
+    assert section.value_at(section.mu_max) == 0
+
+
+@pytest.mark.parametrize("ratios", RATIO_SETS.values(), ids=RATIO_SETS.keys())
 def test_integer_hull_matches_fraction_reference(ratios):
     # Every public field, with its type, and the values read through the
     # section at every breakpoint, at mu_max and at seeded points left of it.
