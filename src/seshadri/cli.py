@@ -23,7 +23,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from math import gcd
 
 from . import cm, nocm, oracle, seshadri_constant
 from .cross_section import cross_section
@@ -68,16 +67,24 @@ def _parse_coeffs(text: str, surface: Surface) -> NSClass:
         raise UsageError(exc) from None
 
 
-def _cm_witness_labels(surface: Surface, witnesses) -> list[str]:
-    """Basis curves first, in basis order, then the other curves by tuple."""
-    generators = cm.GENERATOR_BY_DEGREES[surface]
-    named = [generators[w.degrees] for w in witnesses if w.degrees in generators]
-    others = sorted(w.representative for w in witnesses if w.degrees not in generators)
-    return sorted(named, key=GENERATOR_LABELS.index) + ["N_{%d,%d,%d,%d}" % t for t in others]
+#: Basis index of each basis curve by normal form: the canonical pair on nocm,
+#: the smallest tuple of its unit orbit on the CM surfaces (alike on both).
+_BASIS_INDEX = {
+    curve: i for curves in (nocm.GENERATOR_PAIRS, cm.GENERATOR_TUPLES.values())
+    for i, curve in enumerate(curves)
+}
 
 
-def _nocm_labels(pairs) -> list[str]:
-    return [nocm.pair_label(p) for p in sorted(pairs, key=nocm.pair_sort_key)]
+def _label(curve: tuple[int, ...]) -> str:
+    """The curve's basis name, else N_{...} with the entries of its normal form."""
+    i = _BASIS_INDEX.get(curve)
+    return "N_{%s}" % ",".join(map(str, curve)) if i is None else GENERATOR_LABELS[i]
+
+
+def _labels(curves) -> list[str]:
+    """Basis curves first, in basis order, then the other curves by normal form."""
+    other = len(GENERATOR_LABELS)
+    return [_label(c) for c in sorted(curves, key=lambda c: (_BASIS_INDEX.get(c, other), c))]
 
 
 def _class_record(L: NSClass) -> dict:
@@ -109,10 +116,10 @@ def _epsilon_record(L: NSClass) -> dict:
     result = seshadri_constant(L)
     record["epsilon"] = result.value
     if L.surface.trace is None:
-        record["witnesses"] = _nocm_labels(result.witnesses)
-        record["weak_submaximal"] = _nocm_labels(nocm.submaximal_curves(L, weak=True))
+        record["witnesses"] = _labels(result.witnesses)
+        record["weak_submaximal"] = _labels(nocm.submaximal_curves(L, weak=True))
     else:
-        record["witnesses"] = _cm_witness_labels(L.surface, result.witnesses)
+        record["witnesses"] = _labels(w.representative for w in result.witnesses)
     return record
 
 
@@ -132,7 +139,7 @@ def _cmd_curves(args) -> int:
     L = _parse_coeffs(args.coeffs, surface)
     record = _class_record(L)
     record["weak"] = args.weak
-    record["curves"] = _nocm_labels(nocm.submaximal_curves(L, weak=args.weak))
+    record["curves"] = _labels(nocm.submaximal_curves(L, weak=args.weak))
     print(json.dumps(record))
     return 0
 
@@ -151,10 +158,9 @@ def _parse_ratio(text: str) -> Fraction:
 _SEGMENT_FIELDS = ("slope", "intercept", "witness")
 
 
-def _ratio(num: int, den: int) -> str:
-    """num/den in lowest terms as "num/den", for den > 0."""
-    g = gcd(num, den)
-    return f"{num // g}/{den // g}"
+def _ratio(x: Fraction) -> str:
+    """x as "num/den"; a `Fraction` is in lowest terms with den > 0."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _cmd_cross_section(args) -> int:
@@ -166,15 +172,14 @@ def _cmd_cross_section(args) -> int:
     if not 0 < lam <= 1:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
     section = cross_section(lam)
-    p, q = lam.numerator, lam.denominator
-    mu_max = f"{p}/{p + q}"  # gcd(p, p + q) = gcd(p, q) = 1
-    breakpoints = [_ratio(num, den) for num, den in section.starts]
-    segments = [(f"{-k}/1", _ratio(b, q), nocm.pair_label(w)) for k, b, w in section.lines]
+    mu_max, breakpoints = section.mu_max, section.breakpoints  # views: read each once
+    segments = [(_ratio(s.slope), _ratio(s.intercept), _label(s.witness))
+                for s in section.segments]
     if args.format == "json":
         record = {
-            "lambda": f"{p}/{q}",
-            "mu_max": mu_max,
-            "breakpoints": breakpoints,
+            "lambda": _ratio(lam),
+            "mu_max": _ratio(mu_max),
+            "breakpoints": [_ratio(b) for b in breakpoints],
             "segments": [dict(zip(_SEGMENT_FIELDS, seg)) for seg in segments],
         }
         print(json.dumps(record))
@@ -182,19 +187,18 @@ def _cmd_cross_section(args) -> int:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["mu_from", "mu_to", *_SEGMENT_FIELDS])
-    edges = ["-inf", *breakpoints, mu_max]
+    edges = ["-inf", *map(_ratio, breakpoints), _ratio(mu_max)]
     writer.writerows([lo, hi, *seg] for lo, hi, seg in zip(edges, edges[1:], segments))
     if args.samples > 0:
         writer.writerow([])
         writer.writerow(["mu", "value"])
-        # the hull always starts with Delta and F1, so `starts` is never empty
-        lo = min(Fraction(*section.starts[0]), Fraction(-1)) - 1
-        span = section.mu_max - lo
+        # the hull always starts with Delta and F1, so there is a first breakpoint
+        lo = min(breakpoints[0], Fraction(-1)) - 1
+        span = mu_max - lo
         steps = max(args.samples - 1, 1)
         for i in range(args.samples):
             mu = lo + span * i / steps
-            value = section.value_at(mu)
-            writer.writerow([_ratio(*mu.as_integer_ratio()), _ratio(*value.as_integer_ratio())])
+            writer.writerow([_ratio(mu), _ratio(section.value_at(mu))])
     sys.stdout.write(out.getvalue())
     return 0
 

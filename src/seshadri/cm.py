@@ -10,7 +10,8 @@ expression, a positive-definite binary Hermitian form over the order.
 reduction proves the minimum A and its one curve; on a tie C = A it walks
 one fundamental domain of the unit group in reduced coordinates, so it
 meets each curve once and needs no box.  It names each curve by the
-smallest tuple of its unit orbit.
+smallest tuple of its unit orbit, its normal form; `GENERATOR_TUPLES` holds
+the basis curves' normal forms, which are the same on both surfaces.
 `search_bound` is the paper's closed-form box radius, which holds every
 minimizer; it stays public and tested but is not used by the computation.
 The paper's other lemmas (the congruence count for D among them) are
@@ -35,21 +36,13 @@ from .lattice import NSClass, SeshadriResult, Surface, _require_class, require_a
 
 Tuple4 = tuple[int, int, int, int]
 
-#: Basis curves in tuple form: F1 = image of x -> (0, x), F2 of x -> (x, 0),
-#: Delta of x -> (x, x), Sigma of x -> (x, i(x)).
+#: Basis curves by normal form, alike on both surfaces: F1 = image of x -> (0, x),
+#: F2 of x -> (x, 0), Delta of x -> (x, x), Sigma of x -> (x, i(x)).
 GENERATOR_TUPLES: dict[str, Tuple4] = {
-    "F1": (0, 0, 1, 0),
-    "F2": (1, 0, 0, 0),
-    "Delta": (1, 0, 1, 0),
-    "Sigma": (1, 0, 0, 1),
-}
-
-#: Basis curve of each degree vector, per surface.  The basis tuples have
-#: D = 1, so their raw degrees are their degree vectors.
-GENERATOR_BY_DEGREES: dict[Surface, dict[Tuple4, str]] = {
-    surface: {kernels._raw_degrees(surface.trace, *t): name
-              for name, t in GENERATOR_TUPLES.items()}
-    for surface in Surface if surface.trace is not None
+    "F1": (0, 0, -1, 0),
+    "F2": (-1, 0, 0, 0),
+    "Delta": (-1, 0, -1, 0),
+    "Sigma": (-1, 0, 0, -1),
 }
 
 

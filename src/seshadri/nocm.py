@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from .kernels import _quad_window
-from .lattice import GENERATOR_LABELS, NSClass, SeshadriResult, Surface, _require_class, require_ample
+from .lattice import NSClass, SeshadriResult, Surface, _require_class, require_ample
 
 Pair = tuple[int, int]
 
@@ -74,19 +74,6 @@ def degree(L: NSClass, pair: Pair) -> int:
     a1, a2, a3 = L.coeffs
     c, d = pair
     return (a2 + a3) * c * c + 2 * a3 * c * d + (a1 + a3) * d * d
-
-
-def pair_label(pair: Pair) -> str:
-    if pair in GENERATOR_PAIRS:
-        return GENERATOR_LABELS[GENERATOR_PAIRS.index(pair)]
-    return "N_{%d,%d}" % pair
-
-
-def pair_sort_key(pair: Pair) -> tuple:
-    """Display order: F1, F2, Delta first, then remaining pairs by (c, d)."""
-    if pair in GENERATOR_PAIRS:
-        return (0, GENERATOR_PAIRS.index(pair))
-    return (1, pair)
 
 
 def _reduce(coeffs: tuple[int, int, int]) -> tuple[int, int, int, Pair, Pair]:

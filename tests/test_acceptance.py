@@ -12,7 +12,7 @@ import pytest
 from paper_lemmas import congruence_solution_count, division_point_count, leading_minors
 from scan_references import assert_one_minimizer_per_orbit, naive_domain_min
 from seshadri import cm, kernels, nocm, oracle
-from seshadri.cli import render_table
+from seshadri.cli import _label, render_table
 from seshadri.cross_section import cross_section
 from seshadri.lattice import Surface, generator_pairings, ns_class, self_intersection
 from seshadri.sampling import random_ample_classes
@@ -115,8 +115,8 @@ def test_criterion_1_rank3_table(capsys=None):
         assert self_intersection(L) == square, coeffs
         result = nocm.seshadri_constant(L)
         assert result.value == value, coeffs
-        assert {nocm.pair_label(p) for p in result.witnesses} == computing, coeffs
-        got_weak = {nocm.pair_label(p) for p in nocm.submaximal_curves(L, weak=True)}
+        assert {_label(p) for p in result.witnesses} == computing, coeffs
+        got_weak = {_label(p) for p in nocm.submaximal_curves(L, weak=True)}
         assert got_weak == weak, coeffs
     _report("criterion 1 (21 rank-3 rows exact)", time.perf_counter() - start)
 

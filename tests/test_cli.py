@@ -10,10 +10,60 @@ from pathlib import Path
 import pytest
 
 import seshadri
+from seshadri import cm, kernels, nocm
 from seshadri import cross_section as xs
-from seshadri.cli import _build_parser, main
+from seshadri.cli import _build_parser, _epsilon_record, _label, _labels, main
+from seshadri.lattice import GENERATOR_LABELS, Surface, generator_classes, generator_pairings
+from seshadri.sampling import random_ample_classes
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: Every golden file with the argv whose output it is, byte for byte.
+GOLDENS = [
+    ("table1.csv", ("table", "--which", "1")),
+    ("table2.csv", ("table", "--which", "2")),
+    (
+        "epsilon_nocm_52_30_m19_oracle.json",
+        ("epsilon", "--surface", "nocm", "--coeffs", "52,30,-19", "--check-oracle"),
+    ),
+    ("epsilon_cm_i_m2_2_1_3.json", ("epsilon", "--surface", "cm-i", "--coeffs", "-2,2,1,3")),
+    (
+        "epsilon_cm_eisenstein_2_2_1_m1.json",
+        ("epsilon", "--surface", "cm-eisenstein", "--coeffs", "2,2,1,-1"),
+    ),
+    (
+        "curves_nocm_52_30_m19_weak.json",
+        ("curves", "--surface", "nocm", "--coeffs", "52,30,-19", "--weak"),
+    ),
+    ("curves_nocm_52_30_m19.json", ("curves", "--surface", "nocm", "--coeffs", "52,30,-19")),
+    (
+        "epsilon_cm_i_m25_m37_57_51_oracle.json",
+        ("epsilon", "--surface", "cm-i", "--coeffs", "-25,-37,57,51", "--check-oracle"),
+    ),
+    (
+        "epsilon_cm_eisenstein_m35_41_42_36_oracle.json",
+        ("epsilon", "--surface", "cm-eisenstein", "--coeffs", "-35,41,42,36", "--check-oracle"),
+    ),
+    ("cross_section_8_11.json", ("cross-section", "--lambda", "8/11")),
+    (
+        "cross_section_1_2_samples_50.csv",
+        ("cross-section", "--lambda", "1/2", "--format", "csv", "--samples", "50"),
+    ),
+    (
+        "cross_section_618033988749_10_12.json",
+        ("cross-section", "--lambda", "618033988749/1000000000000"),
+    ),
+    (
+        "cross_section_355_452_samples_20.csv",
+        ("cross-section", "--lambda", "355/452", "--format", "csv", "--samples", "20"),
+    ),
+    # F1 and F2 tie at lambda = 1, and the section keeps F1
+    ("cross_section_1_1.json", ("cross-section", "--lambda", "1")),
+]
+
+
+def _goldens(*commands):
+    return [(golden, argv) for golden, argv in GOLDENS if argv[0] in commands]
 
 
 def run_cli(capsys, *argv):
@@ -161,12 +211,12 @@ def test_out_of_order_candidates_raise(capsys, monkeypatch):
     assert err.startswith("seshadri: internal error: ") and err.count("\n") == 1
 
 
-def _module_process(*flags_and_argv, check=True):
+def _module_process(*flags_and_argv, check=True, text=True):
     env = dict(os.environ)
     src = str(Path(seshadri.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *flags_and_argv], capture_output=True, text=True,
+        [sys.executable, *flags_and_argv], capture_output=True, text=text,
         env=env, check=check,
     )
 
@@ -265,33 +315,19 @@ def test_cross_section_csv_samples(capsys):
     assert "." not in out  # no floats anywhere
 
 
-@pytest.mark.parametrize("which", [1, 2])
-def test_table_matches_golden(capsys, which):
-    code, out, _ = run_cli(capsys, "table", "--which", str(which))
+_TABLE_GOLDENS = _goldens("table")
+
+
+@pytest.mark.parametrize("golden, argv", _TABLE_GOLDENS, ids=[a[-1] for _, a in _TABLE_GOLDENS])
+def test_table_matches_golden(capsys, golden, argv):
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    golden = (GOLDEN / f"table{which}.csv").read_text()
-    assert out == golden
+    assert out == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        ("cross_section_8_11.json", ("--lambda", "8/11")),
-        (
-            "cross_section_1_2_samples_50.csv",
-            ("--lambda", "1/2", "--format", "csv", "--samples", "50"),
-        ),
-        ("cross_section_618033988749_10_12.json", ("--lambda", "618033988749/1000000000000")),
-        (
-            "cross_section_355_452_samples_20.csv",
-            ("--lambda", "355/452", "--format", "csv", "--samples", "20"),
-        ),
-        # F1 and F2 tie at lambda = 1, and the section keeps F1
-        ("cross_section_1_1.json", ("--lambda", "1")),
-    ],
-)
+@pytest.mark.parametrize("golden, argv", _goldens("cross-section"))
 def test_cross_section_matches_golden(capsys, golden, argv):
-    code, out, _ = run_cli(capsys, "cross-section", *argv)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
 
@@ -314,8 +350,7 @@ def _fmt(q):
 
 
 def test_cross_section_json_matches_fraction_fields(capsys):
-    # The command prints from the hull's integers; the record must be the one
-    # `_fmt` gives on the public `Fraction` fields.
+    # The record must be the one `_fmt` gives on the public `Fraction` fields.
     for lam in _cross_section_ratios():
         section = xs.cross_section(lam)
         record = {
@@ -326,7 +361,7 @@ def test_cross_section_json_matches_fraction_fields(capsys):
                 {
                     "slope": _fmt(seg.slope),
                     "intercept": _fmt(seg.intercept),
-                    "witness": seshadri.nocm.pair_label(seg.witness),
+                    "witness": _label(seg.witness),
                 }
                 for seg in section.segments
             ],
@@ -336,43 +371,66 @@ def test_cross_section_json_matches_fraction_fields(capsys):
         ), lam
 
 
-@pytest.mark.parametrize(
-    "golden, argv",
-    [
-        (
-            "epsilon_nocm_52_30_m19_oracle.json",
-            ("epsilon", "--surface", "nocm", "--coeffs", "52,30,-19", "--check-oracle"),
-        ),
-        (
-            "epsilon_cm_i_m2_2_1_3.json",
-            ("epsilon", "--surface", "cm-i", "--coeffs", "-2,2,1,3"),
-        ),
-        (
-            "epsilon_cm_eisenstein_2_2_1_m1.json",
-            ("epsilon", "--surface", "cm-eisenstein", "--coeffs", "2,2,1,-1"),
-        ),
-        (
-            "curves_nocm_52_30_m19_weak.json",
-            ("curves", "--surface", "nocm", "--coeffs", "52,30,-19", "--weak"),
-        ),
-        (
-            "curves_nocm_52_30_m19.json",
-            ("curves", "--surface", "nocm", "--coeffs", "52,30,-19"),
-        ),
-        (
-            "epsilon_cm_i_m25_m37_57_51_oracle.json",
-            ("epsilon", "--surface", "cm-i", "--coeffs", "-25,-37,57,51", "--check-oracle"),
-        ),
-        (
-            "epsilon_cm_eisenstein_m35_41_42_36_oracle.json",
-            ("epsilon", "--surface", "cm-eisenstein", "--coeffs", "-35,41,42,36", "--check-oracle"),
-        ),
-    ],
-)
+@pytest.mark.parametrize("golden, argv", _goldens("epsilon", "curves"))
 def test_record_matches_golden(capsys, golden, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("golden, argv", GOLDENS, ids=[golden for golden, _ in GOLDENS])
+def test_golden_under_python_OO_and_warnings_as_errors(golden, argv):
+    # the library's asserts and docstrings stripped, every warning an error
+    proc = _module_process("-OO", "-W", "error", "-m", "seshadri.cli", *argv, text=False)
+    assert (proc.stdout, proc.stderr) == ((GOLDEN / golden).read_bytes(), b"")
+
+
+CM_SURFACES = [s for s in Surface if s.trace is not None]
+
+
+@pytest.mark.parametrize("surface", CM_SURFACES, ids=lambda s: s.value)
+def test_basis_tuples_are_normal_forms_on_both_cm_surfaces(surface):
+    # The CLI names a CM witness by its representative, the smallest tuple of
+    # its unit orbit; that finds the basis curves only if their tuples in
+    # `cm.GENERATOR_TUPLES` are such normal forms, of F1, F2, Delta, Sigma.
+    assert tuple(cm.GENERATOR_TUPLES) == GENERATOR_LABELS
+    for t, basis_class in zip(cm.GENERATOR_TUPLES.values(), generator_classes(surface)):
+        assert kernels._orbit_min(surface.trace, t) == t
+        assert kernels._raw_degrees(surface.trace, *t) == generator_pairings(basis_class)
+
+
+def test_labels_put_the_basis_first_in_basis_order():
+    rng = random.Random(30)
+    cases = [
+        ([*nocm.GENERATOR_PAIRS, (2, 1), (1, 1), (5, -3)],
+         ["F1", "F2", "Delta", "N_{1,1}", "N_{2,1}", "N_{5,-3}"]),
+        ([*cm.GENERATOR_TUPLES.values(), (1, 1, 0, 1), (0, 1, 1, 1)],
+         ["F1", "F2", "Delta", "Sigma", "N_{0,1,1,1}", "N_{1,1,0,1}"]),
+    ]
+    for curves, expected in cases:
+        for _ in range(20):
+            rng.shuffle(curves)
+            assert _labels(curves) == _labels(frozenset(curves)) == expected, curves
+
+
+def _labels_by_degree_vector(surface, witnesses):
+    """The CM rule before normal forms: a witness with a basis curve's degree
+    vector takes its name, the other witnesses follow by representative."""
+    basis = dict(zip(map(generator_pairings, generator_classes(surface)), GENERATOR_LABELS))
+    named = [basis[w.degrees] for w in witnesses if w.degrees in basis]
+    others = sorted(w.representative for w in witnesses if w.degrees not in basis)
+    return sorted(named, key=GENERATOR_LABELS.index) + ["N_{%d,%d,%d,%d}" % t for t in others]
+
+
+@pytest.mark.parametrize("surface", CM_SURFACES, ids=lambda s: s.value)
+def test_labels_match_the_degree_vector_rule(surface):
+    mixed = 0  # classes with a basis witness and another
+    for L in random_ample_classes(surface, 1000, 8, seed=30):
+        witnesses = seshadri.seshadri_constant(L).witnesses
+        labels = _epsilon_record(L)["witnesses"]
+        assert labels == _labels_by_degree_vector(surface, witnesses), L
+        mixed += labels[0] in GENERATOR_LABELS and labels[-1].startswith("N_")
+    assert mixed >= 10
 
 
 @pytest.mark.parametrize(

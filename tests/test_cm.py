@@ -88,6 +88,13 @@ def test_degree_vector_rejects_imprimitive():
         degree_vector((2, 0, 2, 0), GAUSS)
 
 
+def test_degree_vector_raises_when_d_does_not_divide(monkeypatch):
+    # F1's raw degrees (0, 1, 1, 1) are not all even
+    monkeypatch.setattr(cm, "tuple_gcd", lambda t, kind: 2)
+    with pytest.raises(ArithmeticError, match="D does not divide the raw degrees"):
+        degree_vector((0, 0, 1, 0), GAUSS)
+
+
 def _hand_gaussian(L, t):
     a1, a2, a3, a4 = L
     a, b, c, d = t
@@ -352,6 +359,18 @@ def test_reduce_tuple_raises_when_the_gcd_is_wrong(monkeypatch):
         assert reduce_tuple((1, 0, 1, 0), GAUSS) == (1, 0, 1, 0)  # D = 1: no gcd
         with pytest.raises(ArithmeticError, match="is no divisor of norm D = 5"):
             reduce_tuple((2, 1, 1, 3), GAUSS)
+
+
+def test_reduce_tuple_raises_when_the_invariants_are_missed(monkeypatch):
+    # the invariants of (2, 1, 1, 3) stay true, so D = 5 and the gcd check
+    # pass; only the reduced tuple's are misreported
+    red = reduce_tuple((2, 1, 1, 3), GAUSS)
+    true_invariants = cm.invariants
+    monkeypatch.setattr(cm, "invariants", lambda t, kind: (
+        tuple(v + 1 for v in true_invariants(t, kind)) if t == red else true_invariants(t, kind)
+    ))
+    with pytest.raises(ArithmeticError, match="missed the target invariants"):
+        reduce_tuple((2, 1, 1, 3), GAUSS)
 
 
 def _ring_mul(t, g, s):

@@ -9,7 +9,14 @@ from scan_references import envelope_curves, two_pass_section
 from seshadri.cross_section import CrossSection, Segment, cross_section
 from seshadri.kernels import _lin_window
 from seshadri.lattice import Surface, ns_class
-from seshadri.nocm import GENERATOR_PAIRS, pair_sort_key, seshadri_constant
+from seshadri.nocm import GENERATOR_PAIRS, seshadri_constant
+
+
+def pair_sort_key(pair):
+    """The reference tie order: F1, F2, Delta first, then the other pairs by (c, d)."""
+    if pair in GENERATOR_PAIRS:
+        return (0, GENERATOR_PAIRS.index(pair))
+    return (1, pair)
 
 
 def _linear_walk(lam):

@@ -64,6 +64,9 @@ def test_curve_classes_are_primitive_of_square_zero(pair):
         ((-2, -2, 1), "is not a curve class"),  # -N_{1,1}
         ((-6, -3, 2), "is not a curve class"),  # -N_{2,1}
         ((1, 1, 0), "is not a curve class"),
+        # x1 + x2 = s^2 with s | x1, x2, but x3 != -cd
+        ((4, 0, 1), "is not a curve class"),
+        ((1, 0, 5), "is not a curve class"),
     ],
 )
 def test_class_to_pair_rejects_non_curve_classes(coeffs, message):
