@@ -7,16 +7,15 @@ L . N_{c,d} is a positive-definite binary quadratic form in (c, d).  So the
 constant is the minimum of that form over primitive vectors, and the
 submaximal curves are its short primitive vectors.  Both come from one
 Lagrange-Gauss reduction of the form (Cohen, *A Course in Computational
-Algebraic Number Theory*, GTM 138, ch. 5) followed by an enumeration that
-visits O(1) points, so a call costs O(log coeff) arithmetic steps.  The
-paper's formula, a scan over s = c + d in the frame of sorted
-coefficients, is kept in the tests as the reference.
+Algebraic Number Theory*, GTM 138, ch. 5) and one exact `isqrt` window in
+its unimodular basis, which needs no gcd: O(log coeff) steps per call, and
+`lattice` is the only import.  The tests keep the paper's formula, a scan
+over s = c + d in the frame of sorted coefficients, as the reference.
 """
 from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .kernels import _quad_window
 from .lattice import NSClass, SeshadriResult, Surface, _require_class, require_ample
 
 Pair = tuple[int, int]
@@ -76,41 +75,45 @@ def degree(L: NSClass, pair: Pair) -> int:
     return (a2 + a3) * c * c + 2 * a3 * c * d + (a1 + a3) * d * d
 
 
-def _reduce(coeffs: tuple[int, int, int]) -> tuple[int, int, int, Pair, Pair]:
+def _reduce(coeffs: tuple[int, int, int]) -> tuple[int, ...]:
     """Lagrange-Gauss reduction of the degree form A c^2 + 2B cd + C d^2.
 
-    Returns the reduced Gram entries and the basis e1, e2 of Z^2 they are
-    taken in: |2B| <= A <= C, so A is the minimum of the form.  Like
-    Euclid's algorithm, the loop runs O(log coeff) times.
+    Returns the reduced Gram entries and the basis e1 = (p, r), e2 = (s, t)
+    of Z^2 they are taken in: |2B| <= A <= C, so A is the minimum of the
+    form.  Like Euclid's algorithm, the loop runs O(log coeff) times.
     """
     a1, a2, a3 = coeffs
     A, B, C = a2 + a3, a3, a1 + a3
-    e1, e2 = (1, 0), (0, 1)
+    p, r, s, t = 1, 0, 0, 1
     while True:
         if C < A:
-            A, C, e1, e2 = C, A, e2, e1
+            A, C, p, r, s, t = C, A, s, t, p, r
         q = (2 * B + A) // (2 * A)  # B / A rounded to nearest
         if q == 0:
-            return A, B, C, e1, e2
+            return A, B, C, p, r, s, t
         C += q * (q * A - 2 * B)
         B -= q * A
-        e2 = (e2[0] - q * e1[0], e2[1] - q * e1[1])
+        s, t = s - q * p, t - q * r
 
 
-def _curves_up_to(form: tuple[int, int, int, Pair, Pair], threshold: int) -> frozenset[Pair]:
-    """Canonical pairs of all curves of degree <= threshold < sqrt(12 det).
+def _curves_up_to(form: tuple[int, ...], threshold: int) -> frozenset[Pair]:
+    """Canonical pairs of all curves of degree <= T = threshold, where A T < 4 det.
 
-    Lists the primitive x e1 + y e2 with y > 0, or y = 0 and x > 0 (one of
-    each +-pair).  Their degree times A is (A x + B y)^2 + det y^2, and a
-    reduced form has A^2 <= 4 det / 3, so det y^2 <= A threshold < 4 det
-    leaves y = 0, where only e1 is primitive, and y = 1, one x-window.
-    Both callers' thresholds are at most sqrt(2 det).
+    As A deg(x e1 + y e2) = (A x + B y)^2 + det y^2, y is 0 (only e1 is primitive)
+    or 1 with |A x + B| <= w = isqrt(B^2 - A (C - T)): x from -((B + w) // A) to
+    (w - B) // A, none if B^2 < A (C - T).  Callers have A^2 <= 4 det / 3 and
+    T^2 <= 2 det.  det(e1, e2) = +-1 makes all primitive, so a sign makes each canonical.
     """
-    A, B, C, (p, r), (s, t) = form
-    found = {canonical_pair(p, r)} if A <= threshold else set()
-    lo, hi = _quad_window(A, 2 * B, C - threshold)
-    for x in range(lo, hi + 1):
-        found.add(canonical_pair(x * p + s, x * r + t))
+    A, B, C, p, r, s, t = form
+    # a basis of Z^2 is what makes each listed pair coprime without a gcd
+    if p * t - r * s not in (1, -1):
+        raise ArithmeticError(f"reduced basis ({p}, {r}), ({s}, {t}) is not unimodular")
+    found = [(p, r) if p > 0 or (p == 0 and r > 0) else (-p, -r)] if A <= threshold else []
+    if (square := B * B - A * (C - threshold)) >= 0:
+        w = isqrt(square)
+        for x in range(-((B + w) // A), (w - B) // A + 1):
+            c, d = x * p + s, x * r + t
+            found.append((c, d) if c > 0 or (c == 0 and d > 0) else (-c, -d))
     return frozenset(found)
 
 
@@ -135,6 +138,5 @@ def submaximal_curves(L: NSClass, weak: bool = False) -> frozenset[Pair]:
     square = require_ample(L)
     _require_nocm(L)
     # deg^2 <= square (resp. <) for positive integer degrees, as one bound
-    threshold = isqrt(square) if weak else isqrt(square - 1)
-    return _curves_up_to(_reduce(L.coeffs), threshold)
+    return _curves_up_to(_reduce(L.coeffs), isqrt(square if weak else square - 1))
 

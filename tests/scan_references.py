@@ -28,7 +28,7 @@ from seshadri import cm, kernels
 from seshadri.cross_section import CrossSection
 from seshadri.kernels import _lin_window, _quad_window, _value
 from seshadri.lattice import require_ample, self_intersection
-from seshadri.nocm import SeshadriResult, class_to_pair
+from seshadri.nocm import SeshadriResult, canonical_pair, class_to_pair
 
 
 def in_domain(t):
@@ -281,6 +281,23 @@ def paper_submaximal_curves(L, weak=False):
             found.add((c, d))
 
     return frozenset(_unsort_pair(w, order) for w in found)
+
+
+def canonical_pair_curves_up_to(form, threshold):
+    """Canonical pairs of all curves of degree <= threshold < sqrt(12 det).
+
+    Lists the primitive x e1 + y e2 with y > 0, or y = 0 and x > 0 (one of
+    each +-pair).  Their degree times A is (A x + B y)^2 + det y^2, and a
+    reduced form has A^2 <= 4 det / 3, so det y^2 <= A threshold < 4 det
+    leaves y = 0, where only e1 is primitive, and y = 1, one x-window.
+    Both callers' thresholds are at most sqrt(2 det).
+    """
+    A, B, C, (p, r), (s, t) = form
+    found = {canonical_pair(p, r)} if A <= threshold else set()
+    lo, hi = _quad_window(A, 2 * B, C - threshold)
+    for x in range(lo, hi + 1):
+        found.add(canonical_pair(x * p + s, x * r + t))
+    return frozenset(found)
 
 
 def envelope_curves(lam):

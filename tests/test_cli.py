@@ -211,6 +211,27 @@ def test_out_of_order_candidates_raise(capsys, monkeypatch):
     assert err.startswith("seshadri: internal error: ") and err.count("\n") == 1
 
 
+def test_non_unimodular_reduced_basis_exits_70(capsys, monkeypatch):
+    # The listing takes each x e1 + e2 as coprime because (e1, e2) is a basis
+    # of Z^2; a reduction that hands it a basis of determinant 2 is refused
+    # instead of listing pairs that name no curve.
+    reduce = nocm._reduce
+
+    def doubled_e1(coeffs):
+        A, B, C, p, r, s, t = reduce(coeffs)
+        return A, B, C, 2 * p, 2 * r, s, t
+
+    monkeypatch.setattr(nocm, "_reduce", doubled_e1)
+    L = seshadri.ns_class(Surface.NO_CM, (52, 30, -19))
+    for call in (nocm.seshadri_constant, nocm.submaximal_curves):
+        with pytest.raises(ArithmeticError, match="is not unimodular"):
+            call(L)
+    code, out, err = run_cli(capsys, "epsilon", "--surface", "nocm", "--coeffs", "52,30,-19")
+    assert code == 70
+    assert out == ""
+    assert err.startswith("seshadri: internal error: ") and err.count("\n") == 1
+
+
 def _module_process(*flags_and_argv, check=True, text=True):
     env = dict(os.environ)
     src = str(Path(seshadri.__file__).resolve().parent.parent)

@@ -122,6 +122,22 @@ def test_near_boundary_matches_paper_formula(size):
             assert nocm.submaximal_curves(L, weak) == paper_submaximal_curves(L, weak)
 
 
+def test_near_boundary_listing_keeps_y_at_most_one(monkeypatch):
+    # `nocm._curves_up_to` lists only y in {0, 1}, which needs A threshold <
+    # 4 det from both callers, here on the 10^40 classes
+    calls = []
+    listing = nocm._curves_up_to
+    monkeypatch.setattr(nocm, "_curves_up_to", lambda *args: calls.append(args) or listing(*args))
+    classes = near_boundary_classes(10**40, seed=10**40 % 983)
+    for L, *_ in classes:
+        nocm.seshadri_constant(L)
+        for weak in (True, False):
+            nocm.submaximal_curves(L, weak)
+    assert len(calls) == 3 * len(classes)
+    for (A, B, C, *_), threshold in calls:
+        assert A * threshold < 4 * (A * C - B * B), (A, B, C, threshold)
+
+
 def test_near_boundary_matches_oracle():
     # the unreduced oracle takes ~0.0005 s, ~0.004 s and ~0.05-0.06 s for the
     # six classes at these sizes and ~0.9-1.3 s at 10^10 (Python 3.11.7)

@@ -1,13 +1,18 @@
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paper_lemmas import decompose_pair
-from scan_references import paper_seshadri_constant, paper_submaximal_curves
-from seshadri import oracle
+from scan_references import (
+    canonical_pair_curves_up_to,
+    paper_seshadri_constant,
+    paper_submaximal_curves,
+)
+from seshadri import nocm, oracle
 from seshadri.lattice import Surface, intersect, is_ample, ns_class, self_intersection
 from seshadri.nocm import (
     canonical_pair,
@@ -316,3 +321,73 @@ def test_ampleness_checked_once_per_call(monkeypatch):
     assert calls == [L]
     assert submaximal_curves(L, weak=True) == {(1, 0), (3, 1)}
     assert calls == [L, L]
+
+
+def reduced_forms(max_square):
+    """Every reduced degree form (A, B, C), |2B| <= A <= C, of a class with
+    L^2 = 2 (AC - B^2) <= max_square; as det >= 3 A^2 / 4, A is bounded too."""
+    A = 1
+    while 3 * A * A <= 2 * max_square:
+        for B in range(-(A // 2), A // 2 + 1):
+            for C in range(A, (max_square // 2 + B * B) // A + 1):
+                yield A, B, C
+        A += 1
+
+
+def _seeded_basis(rng):
+    """A seeded basis (p, r), (s, t) of Z^2, det +-1, entries up to ~6^6."""
+    p, r, s, t = 1, 0, 0, 1
+    for _ in range(rng.randint(0, 6)):
+        q = rng.randint(-5, 5)
+        p, r, s, t = s + q * p, t + q * r, p, r  # (e1, e2) -> (e2 + q e1, e1)
+    return p, r, s, t
+
+
+def _assert_listing_matches_reference(A, B, C, p, r, s, t, threshold):
+    listed = nocm._curves_up_to((A, B, C, p, r, s, t), threshold)
+    assert listed == canonical_pair_curves_up_to((A, B, C, (p, r), (s, t)), threshold), (
+        (A, B, C, p, r, s, t),
+        threshold,
+    )
+
+
+def test_listing_matches_the_canonical_pair_reference_on_reduced_forms():
+    # all 65,385 reduced forms with L^2 <= 4,000, each carried by a seeded
+    # unimodular basis, at the constant's and both submaximal thresholds
+    rng = Random(31)
+    exact_ends = {1: 0, -1: 0}  # windows ending on an integer, by the sign of B
+    for A, B, C in reduced_forms(4000):
+        basis = _seeded_basis(rng)
+        square = 2 * (A * C - B * B)
+        for threshold in (A, isqrt(square), isqrt(square - 1)):
+            _assert_listing_matches_reference(A, B, C, *basis, threshold)
+            disc = B * B - A * (C - threshold)
+            w = isqrt(max(disc, 0))
+            if B and disc >= 0 and w * w == disc and 0 in ((w - B) % A, (w + B) % A):
+                exact_ends[1 if B > 0 else -1] += 1
+    assert min(exact_ends.values()) > 100, exact_ends
+
+
+def test_listing_matches_the_canonical_pair_reference_on_seeded_classes():
+    for bound in (10**2, 10**6, 10**12, 10**20, 10**40):
+        for L in random_ample_classes(Surface.NO_CM, 300, bound, seed=bound % 887):
+            square = self_intersection(L)
+            form = nocm._reduce(L.coeffs)
+            for threshold in (form[0], isqrt(square), isqrt(square - 1)):
+                _assert_listing_matches_reference(*form, threshold)
+
+
+def test_callers_keep_the_listing_to_y_at_most_one_on_reduced_forms(monkeypatch):
+    # `_curves_up_to` lists only y in {0, 1}, which needs A threshold < 4 det
+    # from both callers; the class (C - B, A - B, B) has the degree form (A, B, C)
+    calls = []
+    listing = nocm._curves_up_to
+    monkeypatch.setattr(nocm, "_curves_up_to", lambda *args: calls.append(args) or listing(*args))
+    classes = [ns_class(Surface.NO_CM, (C - B, A - B, B)) for A, B, C in reduced_forms(4000)]
+    for L in classes:
+        seshadri_constant(L)
+        for weak in (True, False):
+            submaximal_curves(L, weak)
+    assert len(calls) == 3 * len(classes)
+    for (A, B, C, *_), threshold in calls:
+        assert A * threshold < 4 * (A * C - B * B), (A, B, C, threshold)
