@@ -151,9 +151,10 @@ def seshadri_constant(L: NSClass) -> SeshadriResult:
     vector, and curves, unit orbits and classes correspond one to one, so
     two witnesses with one degree vector raise `ArithmeticError`.
 
-    One pass over the minimizers checks each of them, primitive and then
-    D = 1, and turns it into its witness; a minimizer that fails either
-    check raises `ArithmeticError`.
+    One pass over the minimizers checks each of them for D = 1 and turns it
+    into its witness.  D = 1 implies primitive, since g | t puts g^2 into
+    every invariant (a zero tuple has D = 0); a minimizer with D != 1 raises
+    `ArithmeticError`, which names primitivity if it is not primitive.
     """
     require_ample(L)
     k = _trace(L.surface)
@@ -162,15 +163,14 @@ def seshadri_constant(L: NSClass) -> SeshadriResult:
         raise ArithmeticError("ample classes have a positive minimum")
     witnesses = []
     for t in mins:
-        if gcd(*t) != 1:
-            raise ArithmeticError("a minimizer is always primitive")
-        # a primitive tuple is nonzero, so tuple_gcd's zero test is not needed
-        if gcd(*invariants(t, L.surface)) != 1:
-            raise ArithmeticError("a minimizer always has D = 1")
+        if gcd(*invariants(t, L.surface)) != 1:  # gcd(t) only picks the message
+            raise ArithmeticError("a minimizer is always primitive" if gcd(*t) != 1
+                                  else "a minimizer always has D = 1")
         witnesses.append(CMWitness(kernels._raw_degrees(k, *t), t))
-    witnesses.sort()  # by degree vector, the first field
-    if len({w.degrees for w in witnesses}) < len(witnesses):
-        raise ArithmeticError("two minimizers share a degree vector")
+    if len(witnesses) > 1:
+        witnesses.sort()  # by degree vector, the first field
+        if len({w.degrees for w in witnesses}) < len(witnesses):
+            raise ArithmeticError("two minimizers share a degree vector")
     return SeshadriResult(best, tuple(witnesses))
 
 

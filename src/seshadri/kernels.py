@@ -113,15 +113,20 @@ def _reduce(t: int, A: int, C: int, b0: int, b1: int):
         # mu = (u + v w)/A with u = (2 b0 - t b1)/m, v = (2 b1 - t b0)/m; the
         # ring element nearest to it is a corner of its cell of the lattice
         # spanned by 1 and w (a square, resp. two equilateral triangles).
-        # dx, dy and dx + dy + t A are the changes of C at the corners
-        # (x+1, y), (x, y+1), (x+1, y+1) relative to the one at (x, y).
+        # dx, dy and e = dx + dy + t A are the changes of C at the corners
+        # (x+1, y), (x, y+1), (x+1, y+1) relative to the one at (x, y).  The
+        # least change wins; ties go to (x, y), then (x, y+1), then (x+1, y).
         x = (2 * b0 - t * b1) // (m * A)
         y = (2 * b1 - t * b0) // (m * A)
         dx = A * (2 * x + 1 + t * y) - b0
         dy = A * (2 * y + 1 + t * x) - b1
-        _, i, j = min((0, 0, 0), (dx, 1, 0), (dy, 0, 1), (dx + dy + t * A, 1, 1))
-        x += i
-        y += j
+        e = dx + dy + t * A
+        if dy < 0 and dy <= dx and dy <= e:
+            y += 1
+        elif dx < 0 and dx <= e:
+            x += 1
+        elif e < 0:
+            x, y = x + 1, y + 1
         if x or y:
             C += A * (x * x + t * x * y + y * y) - x * b0 - y * b1
             b0 -= A * (2 * x + t * y)

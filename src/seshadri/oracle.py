@@ -3,10 +3,9 @@
 Everything here validates the closed-form results by direct search: certified
 minimization of positive-definite quadratic forms over the integer lattice.
 The search shares no formula code with the closed-form modules: the only
-package module this module imports is `lattice`, its search windows are its
-own, and its Gram constructor `_scaled_degree_form` (seen through
-`degree_form`) is cross-checked against hand-expanded polynomials in the
-tests.
+package module this module imports is `lattice`, its walk is its own, and
+its Gram constructor `_scaled_degree_form` (seen through `degree_form`) is
+cross-checked against hand-expanded polynomials in the tests.
 
 The search is a Fincke-Pohst enumeration in integers only.  The Gram matrix
 is scaled by the lcm s of its denominators (`min_quadratic_form`), or built
@@ -17,31 +16,31 @@ D_0 = 1, D_1, ..., D_n and integer rows B with
     s * Q(x) = sum_i (D_{i+1} x_i + N_i)^2 / (D_i D_{i+1}),
     N_i = sum_{j>i} B_ij x_j.
 
-Multiplying by P = lcm_i(D_i D_{i+1}) makes every partial sum, the running
-best and the budget an integer, and each level's window an exact `isqrt`.
-Above level 0, each window is walked outward from its centre, the t nearest
--N_i / D_{i+1} (Schnorr and Euchner's order): the level's term only grows
-away from it, so each direction stops at its first value above the running
-best, and short vectors lower that best early.  Q(-x) = Q(x), so the search
-keeps one of each pair +-x, the one whose last nonzero coordinate is
+Multiplying by P = lcm_i(D_i D_{i+1}) makes every partial sum and the
+running best an integer.  Above level 0, each level is walked outward from
+its centre t0, the t nearest -N_i / D_{i+1} (Schnorr and Euchner's order),
+and short vectors lower the running best early.  Q(-x) = Q(x), so the
+search keeps one of each pair +-x, the one whose last nonzero coordinate is
 positive (Fincke and Pohst's sign rule): while every coordinate above a
-level is zero, so is its centre, and its window is cut to t >= 0; level 0
+level is zero, so is its centre, and the level walks t >= 0 only; level 0
 then takes t = 1, which never reaches x = 0.
 
-Completeness: the windows are exact, so the single pass from the least
-diagonal entry, a value the form takes, would reach every x with s * Q(x)
-at most the running best; no box bounds it.  Level 0 skips no minimizer and
-needs no window: with x above it fixed and nonzero, it adds w_0 y^2,
-y = d t + N_0, d = D_1.  t0 = (d // 2 - N_0) // d puts y_0 = d t0 + N_0 in
-(-d/2, d/2], and any other t moves y_0 by a nonzero multiple of d, to
-|y| > |y_0|, save t0 - 1 at a half-way tie y_0 = d/2 (d even), |y| = |y_0|.
-So only t0, and t0 - 1 at a tie, can give a minimizer; both are kept.  With
-x above zero, the value is w_0 d^2 t^2, and the sign rule leaves t = 1.
+Completeness: the walk is monotone, and the first value above the best ends
+a direction: away from t0 the level's term only grows and the running best
+only falls, so the single pass from the least diagonal entry, a value the
+form takes, reaches every x with s * Q(x) at most the running best; no box
+or window bounds it.  Level 0 skips no minimizer and needs no walk: with x
+above it fixed and nonzero, it adds w_0 y^2, y = d t + N_0, d = D_1.
+t0 = (d // 2 - N_0) // d puts y_0 = d t0 + N_0 in (-d/2, d/2], and any
+other t moves y_0 by a nonzero multiple of d, to |y| > |y_0|, save t0 - 1
+at a half-way tie y_0 = d/2 (d even), |y| = |y_0|.  So only t0, and t0 - 1
+at a tie, can give a minimizer; both are kept.  With x above zero, the
+value is w_0 d^2 t^2, and the sign rule leaves t = 1.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .lattice import NSClass, _rational, _require_class, require_ample
@@ -52,8 +51,8 @@ class ShellSearchReport(NamedTuple):
 
     `minimum` is the least value over nonzero integer vectors and
     `minimizers` every vector attaining it, one of each pair +-x (the one
-    whose first nonzero coordinate is positive), sorted.  The search's exact
-    windows make it complete.
+    whose first nonzero coordinate is positive), sorted.  Complete: the walk
+    is monotone, and the first value above the best ends a direction.
     """
 
     minimum: Fraction
@@ -86,9 +85,9 @@ def _integer_gram(gram: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
 def _bareiss(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """Leading minors [D_0 = 1, D_1, ...] and the rows B of Bareiss elimination.
 
-    Row i of the result holds B_ij for j >= i, with B_ii = D_{i+1}.  Every
-    division is exact (Sylvester's identity) while the previous pivot is
-    nonzero, so elimination stops after the first zero pivot.
+    a is symmetric, and so is each trailing block: row i is updated and kept
+    for j >= i only, with B_ii = D_{i+1}.  Divisions are exact (Sylvester)
+    while the previous pivot is nonzero; a zero pivot is the last minor.
     """
     n = len(a)
     work = [row[:] for row in a]
@@ -101,14 +100,14 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
         row_k = work[k]
         for i in range(k + 1, n):
             row_i = work[i]
-            f = row_i[k]
-            for j in range(k + 1, n):
+            f = row_k[i]
+            for j in range(i, n):
                 row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
     return minors, work
 
 
 def _search(
-    levels: list[tuple[int, int, list[tuple[int, int]]]], best: int
+    levels: list[list], best: int
 ) -> tuple[int, list[tuple[int, ...]]]:
     """The least P s Q(x) <= best over nonzero x, and every x attaining it.
 
@@ -137,20 +136,17 @@ def _search(
             if 2 * y == d0:  # the half-way tie: t - 1 gives -y
                 found.append((t - 1, *x[1:]))
 
-    # |d t + centre| <= r  <=>  w (d t + centre)^2 <= running - partial, which
-    # is >= 0 on entry.  A nonempty window holds t0, the t nearest its centre;
-    # the value grows away from t0 while `running` falls, so each direction
-    # ends at its first value above it.  x above zero makes centre, t0 and lo 0.
+    # From t0, the t nearest the centre, the value grows in each direction
+    # while `running` only falls, so a direction ends at its first value above
+    # `running`.  x above zero makes centre and t0 0, and keeps t >= 0.
     def walk(i: int, partial: int, free: bool) -> None:
         d, w, terms = levels[i]
         down = walk if i > 1 else last
-        r = isqrt((running - partial) // w)
         centre = 0
         for j, b in terms:
             centre += b * x[j]
         t = t0 = (d // 2 - centre) // d
-        hi = (r - centre) // d
-        while t <= hi:
+        while True:
             y = d * t + centre
             value = partial + w * y * y
             if value > running:
@@ -158,8 +154,8 @@ def _search(
             x[i] = t
             down(i - 1, value, free or t != 0)
             t += 1
-        t, lo = t0 - 1, (-((r + centre) // d) if free else 0)
-        while t >= lo:
+        t = t0 - 1
+        while free:
             y = d * t + centre
             value = partial + w * y * y
             if value > running:
@@ -169,6 +165,7 @@ def _search(
             t -= 1
 
     (walk if len(levels) > 1 else last)(len(levels) - 1, 0, False)
+    walk = None  # walk refers to itself: free the search now, not at a GC pass
     return running, found
 
 
@@ -203,16 +200,23 @@ def _minimize(a: list[list[int]]) -> tuple[int, int, list[tuple[int, ...]]]:
     its one pass finds every minimizer.  Raises `ValueError` if a is not
     positive definite.
     """
-    n = len(a)
     minors, rows = _bareiss(a)
-    if min(minors) <= 0:
-        raise ValueError("not positive definite")
-    scale = lcm(*[minors[i] * minors[i + 1] for i in range(n)])
-    levels = []
+    levels, least = [], a[0][0]
     for i, row in enumerate(rows):
-        terms = [(j, row[j]) for j in range(i + 1, n) if row[j]]
-        levels.append((minors[i + 1], scale // (minors[i] * minors[i + 1]), terms))
-    best, pts = _search(levels, scale * min([a[i][i] for i in range(n)]))
+        d = row[i]  # D_{i+1}
+        if d <= 0:
+            raise ValueError("not positive definite")
+        terms = []
+        for j in range(i + 1, len(row)):
+            if row[j]:
+                terms.append((j, row[j]))
+        levels.append([d, minors[i] * d, terms])
+        if a[i][i] < least:
+            least = a[i][i]
+    scale = lcm(*[level[1] for level in levels])
+    for level in levels:
+        level[1] = scale // level[1]
+    best, pts = _search(levels, scale * least)
     return scale, best, pts
 
 

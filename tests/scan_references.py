@@ -20,9 +20,15 @@ through the sort permutation with `nocm.class_to_pair`.
 as it stood before the fused pass: the list of candidate pairs, F2 included,
 then the integer hull over that list with the equal-s rule (the lower line
 wins, and on a tie the first listed).
+
+`full_bareiss`, `windowed_search` and `windowed_minimize` are the oracle's
+core as it stood before the window-free walk: Bareiss's elimination over the
+whole trailing block, and a walk that bounds each level by an exact `isqrt`
+window.  `tuple_min_reduce` is `kernels._reduce` as it stood before the
+corner comparisons: it picks the corner by the `min` of four tuples.
 """
 from itertools import chain, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from seshadri import cm, kernels
 from seshadri.cross_section import CrossSection
@@ -359,3 +365,148 @@ def two_pass_section(lam, pairs=None):
     if b * S != q * k * p:
         raise ArithmeticError(f"envelope of lambda = {lam} does not vanish at mu_max")
     return CrossSection(lam, tuple(starts), tuple(hull))
+
+
+def full_bareiss(a):
+    """Leading minors [D_0 = 1, D_1, ...] and the rows B of Bareiss elimination.
+
+    Row i of the result holds B_ij for j >= i, with B_ii = D_{i+1}.  Every
+    division is exact (Sylvester's identity) while the previous pivot is
+    nonzero, so elimination stops after the first zero pivot.
+    """
+    n = len(a)
+    work = [row[:] for row in a]
+    minors = [1]
+    for k in range(n):
+        pivot, prev = work[k][k], minors[-1]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        row_k = work[k]
+        for i in range(k + 1, n):
+            row_i = work[i]
+            f = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
+    return minors, work
+
+
+def windowed_search(levels, best):
+    """The least P s Q(x) <= best over nonzero x, and every x attaining it.
+
+    Level i is (D_{i+1}, w_i = P / (D_i D_{i+1}), the nonzero terms (j, B_ij)
+    of N_i).  Returns (best, []) if no value is at most `best`.  Of each pair
+    +-x, only the x whose last nonzero coordinate is positive is visited.
+    """
+    x = [0] * len(levels)
+    found = []
+    running = best
+    d0, w0, terms0 = levels[0]
+
+    # `free`: some coordinate of x above the level is nonzero; `_` is level 0
+    def last(_, partial, free):
+        nonlocal running, found
+        centre = 0
+        for j, b in terms0:
+            centre += b * x[j]
+        t = (d0 // 2 - centre) // d0 if free else 1
+        y = d0 * t + centre
+        value = partial + w0 * y * y
+        if value <= running:
+            if value < running:
+                running, found = value, []
+            found.append((t, *x[1:]))
+            if 2 * y == d0:  # the half-way tie: t - 1 gives -y
+                found.append((t - 1, *x[1:]))
+
+    # |d t + centre| <= r  <=>  w (d t + centre)^2 <= running - partial, which
+    # is >= 0 on entry.  A nonempty window holds t0, the t nearest its centre;
+    # the value grows away from t0 while `running` falls, so each direction
+    # ends at its first value above it.  x above zero makes centre, t0 and lo 0.
+    def walk(i, partial, free):
+        d, w, terms = levels[i]
+        down = walk if i > 1 else last
+        r = isqrt((running - partial) // w)
+        centre = 0
+        for j, b in terms:
+            centre += b * x[j]
+        t = t0 = (d // 2 - centre) // d
+        hi = (r - centre) // d
+        while t <= hi:
+            y = d * t + centre
+            value = partial + w * y * y
+            if value > running:
+                break
+            x[i] = t
+            down(i - 1, value, free or t != 0)
+            t += 1
+        t, lo = t0 - 1, (-((r + centre) // d) if free else 0)
+        while t >= lo:
+            y = d * t + centre
+            value = partial + w * y * y
+            if value > running:
+                break
+            x[i] = t
+            down(i - 1, value, True)
+            t -= 1
+
+    (walk if len(levels) > 1 else last)(len(levels) - 1, 0, False)
+    return running, found
+
+
+def windowed_minimize(a):
+    """The search on the integer matrix a: (P, P * m, the minimizers).
+
+    m is the least value of x^T a x over nonzero integer x, and the
+    minimizers are every x attaining it, one of each pair +-x, the one whose
+    last nonzero coordinate is positive.  `windowed_search` walks
+    `full_bareiss`'s levels from P times the least diagonal entry, a value
+    the form takes, so its one pass finds every minimizer.  Raises
+    `ValueError` if a is not positive definite.
+    """
+    n = len(a)
+    minors, rows = full_bareiss(a)
+    if min(minors) <= 0:
+        raise ValueError("not positive definite")
+    scale = lcm(*[minors[i] * minors[i + 1] for i in range(n)])
+    levels = []
+    for i, row in enumerate(rows):
+        terms = [(j, row[j]) for j in range(i + 1, n) if row[j]]
+        levels.append((minors[i + 1], scale // (minors[i] * minors[i + 1]), terms))
+    best, pts = windowed_search(levels, scale * min([a[i][i] for i in range(n)]))
+    return scale, best, pts
+
+
+def tuple_min_reduce(t, A, C, b0, b1):
+    """Gauss reduction of the definite form (A, C, b0, b1) over the order.
+
+    Returns the reduced form and its basis f1, f2 in original coordinates.
+    A step f2 -= k f1 with k = x + y w gives C += A n(x, y) - x b0 - y b1,
+    b0 -= A (2x + t y), b1 -= A (t x + 2y); a swap maps (b0, b1) to
+    (b0, t b0 - b1).  Every swap lowers the positive integer A.
+    """
+    f1, f2 = (1, 0, 0, 0), (0, 0, 1, 0)
+    m = 4 - t * t
+    while True:
+        # mu = (u + v w)/A with u = (2 b0 - t b1)/m, v = (2 b1 - t b0)/m; the
+        # ring element nearest to it is a corner of its cell of the lattice
+        # spanned by 1 and w (a square, resp. two equilateral triangles).
+        # dx, dy and dx + dy + t A are the changes of C at the corners
+        # (x+1, y), (x, y+1), (x+1, y+1) relative to the one at (x, y).
+        x = (2 * b0 - t * b1) // (m * A)
+        y = (2 * b1 - t * b0) // (m * A)
+        dx = A * (2 * x + 1 + t * y) - b0
+        dy = A * (2 * y + 1 + t * x) - b1
+        _, i, j = min((0, 0, 0), (dx, 1, 0), (dy, 0, 1), (dx + dy + t * A, 1, 1))
+        x += i
+        y += j
+        if x or y:
+            C += A * (x * x + t * x * y + y * y) - x * b0 - y * b1
+            b0 -= A * (2 * x + t * y)
+            b1 -= A * (t * x + 2 * y)
+            p, q, r, s = f1  # f2 -= x f1 + y w f1, w f1 = (-q, p + t q, -s, r + t s)
+            f2 = (f2[0] - x * p + y * q, f2[1] - x * q - y * (p + t * q),
+                  f2[2] - x * r + y * s, f2[3] - x * s - y * (r + t * s))
+        if C >= A:
+            return A, C, b0, b1, f1, f2
+        A, C, b0, b1, f1, f2 = C, A, b0, t * b0 - b1, f2, f1

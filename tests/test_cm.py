@@ -228,25 +228,33 @@ def test_minimizer_with_d_above_one_raises(monkeypatch):
 @pytest.mark.parametrize(
     "mins, message",
     [
+        # D = 4 and imprimitive: D = 1 fails first, and the message names
+        # primitivity
         ([(2, 0, 0, 0)], "primitive"),
-        # only the second minimizer is bad: every minimizer is checked
+        # only the second minimizer is bad: every minimizer is checked;
+        # (1, 1, 1, 1) is primitive with D = 2 on cm-i and D = 3 on cm-eisenstein
         ([(1, 0, 0, 0), (1, 1, 1, 1)], "D = 1"),
+        # the zero tuple has D = 0
+        ([(0, 0, 0, 0)], "primitive"),
     ],
 )
-def test_every_minimizer_is_checked(monkeypatch, mins, message):
+@pytest.mark.parametrize("surface", [GAUSS, EISEN], ids=lambda s: s.value)
+def test_every_minimizer_is_checked(monkeypatch, surface, mins, message):
     monkeypatch.setattr(kernels, "minimize_quartic", lambda t, coeffs: (3, mins))
     with pytest.raises(ArithmeticError, match=message):
-        seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
+        seshadri_constant(ns_class(surface, (1, 1, 1, 1)))
 
 
-def test_two_witnesses_with_one_degree_vector_raise(monkeypatch):
-    # two unit multiples of F2, both with D = 1 and degrees (1, 0, 1, 1): a
-    # walk that returned one curve twice must not be merged silently
+@pytest.mark.parametrize("surface", [GAUSS, EISEN], ids=lambda s: s.value)
+def test_two_witnesses_with_one_degree_vector_raise(monkeypatch, surface):
+    # two unit multiples of F2, both with D = 1 and degrees (1, 0, 1, 1) on
+    # either surface: a walk that returned one curve twice must not be
+    # merged silently
     monkeypatch.setattr(
         kernels, "minimize_quartic", lambda t, coeffs: (3, [(1, 0, 0, 0), (0, 1, 0, 0)])
     )
     with pytest.raises(ArithmeticError, match="share a degree vector"):
-        seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
+        seshadri_constant(ns_class(surface, (1, 1, 1, 1)))
 
 
 @pytest.mark.parametrize("surface", [GAUSS, EISEN])

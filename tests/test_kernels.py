@@ -8,6 +8,7 @@ from scan_references import (
     count_walks,
     in_domain,
     naive_domain_min,
+    tuple_min_reduce,
 )
 from seshadri import cli, cm, kernels, oracle
 from seshadri.cm import search_bound, unit_orbit
@@ -198,3 +199,30 @@ def test_table2_paths(monkeypatch):
         kernels.minimize_quartic(Surface.CM_GAUSSIAN.trace, coeffs)
         assert walks[0] - before == (coeffs not in TABLE2_SHORTCUT), coeffs
     assert walks[0] == len(cli.TABLE2_CLASSES) - len(TABLE2_SHORTCUT) == 7
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.value)
+def test_reduce_matches_the_tuple_min_reference(surface):
+    # every definite form with A, C <= 12 and |b0|, |b1| <= 12, where corners
+    # tie often, then seeded definite forms with entries up to 10^30: the
+    # corner comparisons keep the tuple minimum's tie order
+    t = surface.trace
+    m = 4 - t * t
+    count = 0
+    for A, C in product(range(1, 13), repeat=2):
+        for b0, b1 in product(range(-12, 13), repeat=2):
+            if m * A * C > b0 * b0 - t * b0 * b1 + b1 * b1:
+                count += 1
+                want = tuple_min_reduce(t, A, C, b0, b1)
+                assert kernels._reduce(t, A, C, b0, b1) == want, (A, C, b0, b1)
+    assert count == (55092 if t == 0 else 49214)
+    rng = random.Random(62 + t)
+    count = 0
+    while count < 2000:
+        size = 10 ** rng.randint(1, 30)
+        A, C = rng.randint(1, size), rng.randint(1, size)
+        b0, b1 = rng.randint(-size, size), rng.randint(-size, size)
+        if m * A * C > b0 * b0 - t * b0 * b1 + b1 * b1:
+            count += 1
+            want = tuple_min_reduce(t, A, C, b0, b1)
+            assert kernels._reduce(t, A, C, b0, b1) == want, (A, C, b0, b1)

@@ -1,5 +1,8 @@
 import ast
+import gc
 import random
+import sys
+from collections import Counter
 from fractions import Fraction as F
 from itertools import accumulate, product
 from math import floor, isqrt, prod
@@ -10,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paper_lemmas import division_point_count, is_positive_definite, leading_minors
+from scan_references import full_bareiss, windowed_minimize
 from seshadri import nocm, oracle
 from seshadri.lattice import Surface, ns_class
 from seshadri.sampling import random_ample_classes
+from test_large_coefficients import near_boundary_classes, near_boundary_cm_classes
 
 
 def _canonical_sign(p):
@@ -373,6 +378,119 @@ def test_matches_fraction_reference_on_class_grams(bound):
             # degree_form's plain ints read as its former Fraction entries
             as_fractions = tuple(tuple(F(v) for v in row) for row in gram)
             assert oracle.min_quadratic_form(as_fractions) == oracle.min_quadratic_form(gram)
+
+
+def _random_symmetric(rng, n, kind):
+    """A seeded symmetric integer matrix: definite, indefinite, or singular
+    (B B^T with B of rank below n, or a zero first pivot)."""
+    if kind == "definite":
+        return [list(row) for row in _random_pd_gram(rng, n, 4)]
+    if kind == "singular":
+        b = [[rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(n)]
+        a = [[sum(u * v for u, v in zip(b[i], b[j])) for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:
+            a[0][0] = 0
+        return a
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = rng.randint(-9, 9)
+    return a
+
+
+def test_bareiss_matches_the_full_elimination():
+    # the upper-triangle elimination against the one over the whole block:
+    # the same minors, and the same rows from the diagonal on
+    rng = random.Random(60)
+    stops = negatives = 0
+    for n in range(1, 7):
+        for kind in ("definite", "indefinite", "singular"):
+            for _ in range(25):
+                a = _random_symmetric(rng, n, kind)
+                frozen = [row[:] for row in a]
+                minors, rows = oracle._bareiss(a)
+                want_minors, want_rows = full_bareiss(a)
+                assert a == frozen
+                assert minors == want_minors, a
+                assert [row[i:] for i, row in enumerate(rows)] == [
+                    row[i:] for i, row in enumerate(want_rows)
+                ], a
+                stops += len(minors) <= n
+                negatives += min(minors) < 0
+    assert stops > 50 and negatives > 50
+
+
+def _minimize_cases():
+    """Integer Grams: class Grams of all three surfaces from bound 1 to
+    10^12, the near-boundary families, and random definite Grams, n = 1..5."""
+    grams = []
+    for surface in Surface:
+        for bound in (1, 8, 100, 10**4, 10**6, 10**9, 10**12):
+            for L in random_ample_classes(surface, 12, bound, bound % 1013):
+                grams.append(oracle._scaled_degree_form(L)[1])
+    for size in (10**4, 10**6, 10**8):
+        for L, *_ in near_boundary_classes(size, size % 983):
+            grams.append(oracle._scaled_degree_form(L)[1])
+    for surface in (Surface.CM_GAUSSIAN, Surface.CM_EISENSTEIN):
+        for size in (10**2, 10**3):
+            for L, *_ in near_boundary_cm_classes(surface, size, size % 983):
+                grams.append(oracle._scaled_degree_form(L)[1])
+    rng = random.Random(61)
+    for n in range(1, 6):
+        for _ in range(30):
+            grams.append([list(row) for row in _random_pd_gram(rng, n, 4)])
+    return grams
+
+
+def test_minimize_matches_the_windowed_search():
+    # the window-free walk visits the nodes of the windowed one in the same
+    # order, so it returns the same scale, minimum and minimizer list
+    for a in _minimize_cases():
+        assert oracle._minimize(a) == windowed_minimize(a), a
+
+
+# The search's exact work: its calls of `walk` (a level above 0) and `last`
+# (level 0) over 200 seeded classes per surface.  A change of the walk that
+# visits the same nodes in the same order keeps both counts.
+@pytest.mark.parametrize(
+    "surface, walks, lasts",
+    [
+        (Surface.NO_CM, 200, 362),
+        (Surface.CM_GAUSSIAN, 1264, 696),
+        (Surface.CM_EISENSTEIN, 1393, 960),
+    ],
+)
+def test_search_work_is_pinned(surface, walks, lasts):
+    classes = list(random_ample_classes(surface, 200, 100, 1))
+    reference = oracle.nocm_seshadri if surface is Surface.NO_CM else oracle.cm_seshadri
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == oracle.__file__:
+            calls[code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        for L in classes:
+            reference(L)
+    finally:
+        sys.setprofile(None)
+    assert (calls["walk"], calls["last"]) == (walks, lasts)
+
+
+def test_search_leaves_no_garbage():
+    # the walk's closure refers to itself; `_search` breaks that cycle, so a
+    # class function frees its search at once and leaves the GC nothing
+    classes = [L for surface in Surface for L in random_ample_classes(surface, 20, 100, 2)]
+    gc.collect()
+    gc.disable()
+    try:
+        for L in classes:
+            (oracle.nocm_seshadri if L.surface is Surface.NO_CM else oracle.cm_seshadri)(L)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_leading_minors_of_indefinite_and_degenerate_forms():
