@@ -1,4 +1,4 @@
-"""Rank-4 minimum: one Gauss reduction, and one walk on ties, for both CM surfaces.
+"""Rank-4 minimum: one Gauss reduction, and a fixed candidate list on ties, for both CM surfaces.
 
 On both CM surfaces a curve is the image of x -> (s1 x, s2 x) with
 s1 = a + b*w, s2 = c + d*w, where w = i (order Z[i]) or w = e^(i pi/3)
@@ -12,58 +12,36 @@ with Lc = a b0 + b b1 and Ld = a (t b0 - b1) + b b0.  Both orders are
 Euclidean, so `_reduce` Gauss-reduces the form over the order: it replaces
 the second basis vector f2 by f2 - k f1, k the ring element nearest to the
 projection coefficient mu, and swaps the two while the second is shorter.
-Afterwards C >= A and 0 is the ring element nearest mu, so |mu|^2 <= 1/2, and
+Afterwards C >= A and 0 is the ring element nearest mu, so |mu|^2 <= rho^2,
+the squared covering radius of the order (1/2 on Z[i], 1/3 on Z[w]), and
 
     Q = A n(s1 + mu s2) + (C - A |mu|^2) n(s2).
 
-For a unit s2 = u, n(s1 + mu u) = |s1 u^-1 + mu|^2 >= |mu|^2, so Q >= C.  For
-n(s2) >= 2, Q >= 2 (C - A |mu|^2) >= 2C - A.  For s2 = 0, Q = A n(s1).  So if
-C > A, every tuple with s2 != 0 has Q > A, and the only curve of degree A is
-f1's unit orbit (Cohen, GTM 138, sec. 5.4): `minimize_quartic` returns it
-without a walk.  It checks the premise in integers first.  A step f2 -= k f1
-by a unit k = x + y w changes C by A - x b0 - y b1, and 0 is nearest mu
-exactly when no step by one of the 4 resp. 6 units, the Voronoi-relevant
-vectors of the order, lowers C.  If one would, the reduction is at fault and
-it raises `ArithmeticError`.  Ties C = A take the walk, which lists the
-tuples with Q <= A; a value below A contradicts the bound and also raises.
-
-Multiplying (s1, s2) by a unit names the same curve and keeps Q, and units
-commute with the basis change, which is linear over the order.  So the walk
-scans one fundamental domain of the unit group in reduced coordinates: a > 0
-and b >= 0, or a = b = 0 with c > 0 and d >= 0.  In the coordinates (a, b)
-this is the half-open cone spanned by 1 and w (90 resp. 60 degrees wide), and
-its images under the 4 resp. 6 units tile the plane minus the origin; when
-s1 = 0 the units act on s2 alone.  Each minimizer (a, b, c, d) found is
+Units keep Q, so each curve of degree A has a tuple of one of three kinds
+(Cohen, GTM 138, sec. 5.4):
+- s2 = 0: Q = A n(s1) is A for a unit s1 only, f1's orbit (1, 0, 0, 0).
+- s2 = 1, s1 = -k: Q = C + A (|k - mu|^2 - |mu|^2) >= C is A exactly when
+  C = A and |k - mu| = |mu|.  Then |k| <= 2 |mu| <= 2 rho, so k is 0, a
+  unit or, on Z[i] only, +-1 +-i: the tuples (-x, -y, 1, 0).
+- n(s2) >= 2: Q >= n(s2) A (1 - |mu|^2) > A, unless C = A, n(s2) = 2 and
+  |mu|^2 = 1/2 on Z[i] (on Z[w], n(s2) >= 3 gives Q >= 2A).  Then s2 = 1 + i
+  up to a unit, and Q = A needs s1 = -mu (1 + i), a unit: (a, b, 1, 1).
+So if C > A, f1's orbit is the only curve, and `minimize_quartic` returns it
+directly.  It checks the premise in integers first.  A step f2 -= k f1 by a
+unit k = x + y w changes C by A - x b0 - y b1, and 0 is nearest mu exactly
+when no step by one of the 4 resp. 6 units, the Voronoi-relevant vectors of
+the order, lowers C.  If one would, the reduction is at fault and it raises
+`ArithmeticError`.  On a tie C = A, `quartic_min_box` keeps those of the
+14 resp. 8 candidates whose value is A; a value below A contradicts the
+bound and raises `ArithmeticError` too.  Units commute with the basis
+change, which is linear over the order, so each kept tuple (a, b, c, d) is
 mapped back in one pass: the ring product (a + b w) f1 + (c + d w) f2 in
 plain integers, then the smallest tuple of its unit orbit (`_orbit_min`, a
 running minimum over the unit multiples), the one normal form of a curve.
-
-The walk is Fincke-Pohst style: each coordinate runs over the exact integer
-window that the previous ones leave for Q <= A, in exact integers.
 """
 from __future__ import annotations
 
-from math import isqrt
-
 Tuple4 = tuple[int, int, int, int]
-
-
-def _lin_window(e: int, f: int, bound: int) -> tuple[int, int]:
-    """Integer solutions of (e x + f)^2 <= bound, e > 0.
-
-    e x + f is an integer, so the condition is |e x + f| <= isqrt(bound); an
-    empty window comes back with lo > hi.
-    """
-    if bound < 0:
-        return 1, 0
-    s = isqrt(bound)
-    return -((f + s) // e), (s - f) // e
-
-
-def _quad_window(alpha: int, beta: int, gamma: int) -> tuple[int, int]:
-    """Integer solutions of alpha x^2 + beta x + gamma <= 0, alpha > 0, i.e.
-    of (2 alpha x + beta)^2 <= beta^2 - 4 alpha gamma."""
-    return _lin_window(2 * alpha, beta, beta * beta - 4 * alpha * gamma)
 
 
 def _raw_degrees(t: int, a: int, b: int, c: int, d: int) -> Tuple4:
@@ -139,43 +117,34 @@ def _reduce(t: int, A: int, C: int, b0: int, b1: int):
         A, C, b0, b1, f1, f2 = C, A, b0, t * b0 - b1, f2, f1
 
 
-def quartic_min_box(t: int, A: int, C: int, b0: int, b1: int) -> list[Tuple4]:
-    """Every domain tuple where the reduced form (A, C, b0, b1) takes A.
+#: The module docstring's tie candidates (a, b, c, d), by trace: f1; (-k, 1)
+#: for k = 0, the units and, on Z[i], +-1 +-i; on Z[i], (u, 1 + i), u a unit.
+_TIE_CANDIDATES = (
+    ((1, 0, 0, 0), (0, 0, 1, 0), (-1, 0, 1, 0), (1, 0, 1, 0), (0, -1, 1, 0),
+     (0, 1, 1, 0), (-1, -1, 1, 0), (-1, 1, 1, 0), (1, -1, 1, 0), (1, 1, 1, 0),
+     (1, 0, 1, 1), (-1, 0, 1, 1), (0, 1, 1, 1), (0, -1, 1, 1)),
+    ((1, 0, 0, 0), (0, 0, 1, 0), (-1, 0, 1, 0), (1, 0, 1, 0), (0, -1, 1, 0),
+     (0, 1, 1, 0), (1, -1, 1, 0), (-1, 1, 1, 0)),
+)
 
-    Walks the domain tuples with Q <= A, the value at (1, 0, 0, 0): one per
-    unit orbit of the curves of degree A.  A value below A contradicts the
-    module docstring's bound and raises `ArithmeticError`.  `minimize_quartic`
-    calls it only on ties C = A.  The name is older than the reduction; the
-    benchmark's tracer measures the walk under it.
+
+def quartic_min_box(t: int, A: int, C: int, b0: int, b1: int) -> list[Tuple4]:
+    """The tuples where the reduced form (A, C, b0, b1) takes A, one per curve.
+
+    Keeps the tie candidates of value A, in reduced coordinates; a value
+    below A contradicts the bound and raises `ArithmeticError`.  Called on
+    ties C = A only.  The name is older than the reduction; the benchmark's
+    tracer measures the tie listing under it.
     """
-    m = 4 - t * t
-    # minimizing over real (c, d) gives the branch bound delta n(a, b) <= m C Q,
-    # and n(a, b) >= a^2 on the domain's b >= 0
-    delta = m * A * C - (b0 * b0 - t * b0 * b1 + b1 * b1)
     mins = []
-    a = 0
-    while delta * a * a <= m * C * A:
-        if a:
-            blo, bhi = _quad_window(delta, delta * t * a, delta * a * a - m * C * A)
-            bs = range(max(blo, 0), bhi + 1)
-        else:  # s1 = 0: the units act on s2 alone
-            bs = (0,)
-        for b in bs:
-            Lc = a * b0 + b * b1
-            Ld = a * (t * b0 - b1) + b * b0
-            K = A * (a * a + t * a * b + b * b)
-            clo, chi = _quad_window(
-                m * C * C, 2 * C * (2 * Lc - t * Ld), 4 * C * (K - A) - Ld * Ld
-            )
-            for c in range(clo if a else max(clo, 1), chi + 1):
-                rest = K + C * c * c + Lc * c
-                f = t * C * c + Ld
-                dlo, dhi = _lin_window(2 * C, f, f * f - 4 * C * (rest - A))
-                for d in range(dlo if a else max(dlo, 0), dhi + 1):
-                    if rest + d * (C * d + f) < A:
-                        raise ArithmeticError("a value below the reduced form's A")
-                    mins.append((a, b, c, d))
-        a += 1
+    for v in _TIE_CANDIDATES[t]:
+        a, b, c, d = v
+        value = (A * (a * a + t * a * b + b * b) + C * (c * c + t * c * d + d * d)
+                 + (a * b0 + b * b1) * c + (a * (t * b0 - b1) + b * b0) * d)
+        if value == A:
+            mins.append(v)
+        elif value < A:
+            raise ArithmeticError("a value below the reduced form's A")
     return mins
 
 
@@ -186,7 +155,7 @@ def minimize_quartic(t: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
     as the smallest tuple of its unit orbit.  Raises `ValueError` when the
     form is not positive definite, and `ArithmeticError` when the reduced
     form fails the integer check that 0 is the ring element nearest mu or
-    the walk finds a value below A.
+    a tie candidate's value is below A.
     """
     a1, a2, a3, a4 = coeffs
     A, C = a1 + a3 + a4, a2 + a3 + a4
@@ -200,11 +169,10 @@ def minimize_quartic(t: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
         raise ArithmeticError("a unit step lowers the reduced form's C")
     if C > A:  # the module docstring's bound: only f1's orbit reaches A
         return A, [_orbit_min(t, f1)]
-    mins = quartic_min_box(t, A, C, b0, b1)
     p0, p1, p2, p3 = f1
     q0, q1, q2, q3 = f2
     out = []
-    for a, b, c, d in mins:
+    for a, b, c, d in quartic_min_box(t, A, C, b0, b1):
         # (a + b w) (x + y w) = (a x - b y) + (a y + b x + t b y) w
         out.append(_orbit_min(t, (
             a * p0 - b * p1 + c * q0 - d * q1,

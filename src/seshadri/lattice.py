@@ -47,6 +47,11 @@ class Surface(Enum):
 GENERATOR_LABELS = ("F1", "F2", "Delta", "Sigma")
 
 
+def _require_surface(surface) -> None:
+    if not isinstance(surface, Surface):
+        raise TypeError("surface must be a Surface")
+
+
 @dataclass(frozen=True)
 class NSClass:
     """An integral divisor class, given by its coefficients in the basis."""
@@ -55,8 +60,7 @@ class NSClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.surface, Surface):
-            raise TypeError("surface must be a Surface")
+        _require_surface(self.surface)
         if not isinstance(self.coeffs, tuple):
             raise TypeError("coefficients must be a tuple")
         if len(self.coeffs) != self.surface.rank:
@@ -90,7 +94,9 @@ def ns_class(surface: Surface, coeffs: Iterable[int]) -> NSClass:
 
 
 def generator_classes(surface: Surface) -> tuple[NSClass, ...]:
-    """The basis curves F1, F2, Delta (and Sigma) as divisor classes."""
+    """The basis curves F1, F2, Delta (and Sigma) as divisor classes; a
+    `surface` that is not a `Surface` raises `TypeError`."""
+    _require_surface(surface)
     n = surface.rank
     return tuple(
         NSClass(surface, tuple(1 if j == i else 0 for j in range(n)))

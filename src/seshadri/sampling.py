@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from operator import index
 
-from .lattice import NSClass, Surface, ample_square
+from .lattice import NSClass, Surface, _require_surface, ample_square
 
 
 def random_ample_classes(
@@ -12,11 +12,13 @@ def random_ample_classes(
 ) -> list[NSClass]:
     """`count` pseudo-random ample classes with |coefficients| <= bound.
 
-    Raises TypeError if `count` or `coeff_bound` is not an integer (read
-    with `operator.index`, as `ns_class` reads coefficients), and ValueError
-    if `coeff_bound` < 1 (the box then holds no ample class, and the
-    rejection loop would never end) or `count` < 0.  `count` = 0 gives [].
+    Raises TypeError if `surface` is not a `Surface`, or if `count` or
+    `coeff_bound` is not an integer (read with `operator.index`, as
+    `ns_class` reads coefficients), and ValueError if `coeff_bound` < 1 (the
+    box then holds no ample class, and the rejection loop would never end)
+    or `count` < 0.  `count` = 0 gives [].
     """
+    _require_surface(surface)
     count, coeff_bound = index(count), index(coeff_bound)
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be at least 1, got {coeff_bound}")

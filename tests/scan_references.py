@@ -1,14 +1,19 @@
 """Reference scans for the closed forms of both ranks.
 
-`naive_domain_min` is the plain quadruple loop over the unit group's
-fundamental domain in the box; at the radius of `cm.search_bound`, which
-holds every minimizer, it is the small-radius reference for the reduced
-walk of `kernels`.  `half_box_seshadri` is the rank-4 computation as it
-stood before the domain walk: the pruned walk over the half-box a >= 0,
-which meets each curve through several unit multiples, followed by
-`cm.reduce_tuple` and `cm.canonical_tuple` on every minimizer.
-`count_walks` counts the walks `kernels.minimize_quartic` runs, which it
-skips when the reduced form proves the minimum.
+`_lin_window` and `_quad_window` are the exact `isqrt` windows of the
+integer solutions of a quadratic inequality, which the scans here use.
+`domain_walk` is `kernels.quartic_min_box` as it stood before the candidate
+list: a Fincke-Pohst walk over one fundamental domain of the unit group
+(`in_domain`) in reduced coordinates, listing the tuples of value at most
+A.  `naive_domain_min` is the plain quadruple loop over that domain in the
+box; at the radius of `cm.search_bound`, which holds every minimizer, it is
+the small-radius reference for `kernels.minimize_quartic`.
+`half_box_seshadri` is the rank-4 computation as it stood before the domain
+walk: the pruned walk over the half-box a >= 0, which meets each curve
+through several unit multiples, followed by `cm.reduce_tuple` and
+`cm.canonical_tuple` on every minimizer.  `count_walks` counts the tie
+listings (`kernels.quartic_min_box` calls) that `kernels.minimize_quartic`
+runs, which it skips when the reduced form has C > A.
 
 `paper_seshadri_constant` and `paper_submaximal_curves` are the paper's
 rank-3 formula, the reference for the reduced-form computation in `nocm`:
@@ -32,9 +37,66 @@ from math import gcd, isqrt, lcm
 
 from seshadri import cm, kernels
 from seshadri.cross_section import CrossSection
-from seshadri.kernels import _lin_window, _quad_window, _value
+from seshadri.kernels import Tuple4, _value
 from seshadri.lattice import require_ample, self_intersection
 from seshadri.nocm import SeshadriResult, canonical_pair, class_to_pair
+
+
+def _lin_window(e: int, f: int, bound: int) -> tuple[int, int]:
+    """Integer solutions of (e x + f)^2 <= bound, e > 0.
+
+    e x + f is an integer, so the condition is |e x + f| <= isqrt(bound); an
+    empty window comes back with lo > hi.
+    """
+    if bound < 0:
+        return 1, 0
+    s = isqrt(bound)
+    return -((f + s) // e), (s - f) // e
+
+
+def _quad_window(alpha: int, beta: int, gamma: int) -> tuple[int, int]:
+    """Integer solutions of alpha x^2 + beta x + gamma <= 0, alpha > 0, i.e.
+    of (2 alpha x + beta)^2 <= beta^2 - 4 alpha gamma."""
+    return _lin_window(2 * alpha, beta, beta * beta - 4 * alpha * gamma)
+
+
+def domain_walk(t: int, A: int, C: int, b0: int, b1: int) -> list[Tuple4]:
+    """Every domain tuple where the reduced form (A, C, b0, b1) takes A.
+
+    Walks the domain tuples with Q <= A, the value at (1, 0, 0, 0): one per
+    unit orbit of the curves of degree A.  A value below A raises
+    `ArithmeticError`.  The walk is Fincke-Pohst style: each coordinate runs
+    over the exact integer window that the previous ones leave for Q <= A.
+    """
+    m = 4 - t * t
+    # minimizing over real (c, d) gives the branch bound delta n(a, b) <= m C Q,
+    # and n(a, b) >= a^2 on the domain's b >= 0
+    delta = m * A * C - (b0 * b0 - t * b0 * b1 + b1 * b1)
+    mins = []
+    a = 0
+    while delta * a * a <= m * C * A:
+        if a:
+            blo, bhi = _quad_window(delta, delta * t * a, delta * a * a - m * C * A)
+            bs = range(max(blo, 0), bhi + 1)
+        else:  # s1 = 0: the units act on s2 alone
+            bs = (0,)
+        for b in bs:
+            Lc = a * b0 + b * b1
+            Ld = a * (t * b0 - b1) + b * b0
+            K = A * (a * a + t * a * b + b * b)
+            clo, chi = _quad_window(
+                m * C * C, 2 * C * (2 * Lc - t * Ld), 4 * C * (K - A) - Ld * Ld
+            )
+            for c in range(clo if a else max(clo, 1), chi + 1):
+                rest = K + C * c * c + Lc * c
+                f = t * C * c + Ld
+                dlo, dhi = _lin_window(2 * C, f, f * f - 4 * C * (rest - A))
+                for d in range(dlo if a else max(dlo, 0), dhi + 1):
+                    if rest + d * (C * d + f) < A:
+                        raise ArithmeticError("a value below the reduced form's A")
+                    mins.append((a, b, c, d))
+        a += 1
+    return mins
 
 
 def in_domain(t):
@@ -149,8 +211,8 @@ def assert_one_minimizer_per_orbit(mins, oracle_minimizers, surface):
 
 
 def count_walks(monkeypatch):
-    """Count the calls of `kernels.quartic_min_box` from here on: returns a
-    one-element list that holds the count."""
+    """Count the calls of `kernels.quartic_min_box`, the tie listing, from
+    here on: returns a one-element list that holds the count."""
     walks = [0]
     walk = kernels.quartic_min_box
 

@@ -248,7 +248,7 @@ def test_every_minimizer_is_checked(monkeypatch, surface, mins, message):
 @pytest.mark.parametrize("surface", [GAUSS, EISEN], ids=lambda s: s.value)
 def test_two_witnesses_with_one_degree_vector_raise(monkeypatch, surface):
     # two unit multiples of F2, both with D = 1 and degrees (1, 0, 1, 1) on
-    # either surface: a walk that returned one curve twice must not be
+    # either surface: a listing that returned one curve twice must not be
     # merged silently
     monkeypatch.setattr(
         kernels, "minimize_quartic", lambda t, coeffs: (3, [(1, 0, 0, 0), (0, 1, 0, 0)])
@@ -289,7 +289,7 @@ def test_matches_half_box_reference_seeded(surface, bound):
 
 @pytest.mark.parametrize("surface", [GAUSS, EISEN])
 def test_box_holds_every_unit_multiple_of_a_minimizer(surface):
-    # the paper's theorem, which the reduced walk does not use: the oracle
+    # the paper's theorem, which the reduction does not use: the oracle
     # has no box, and every unit multiple of each of its minimizers lies in
     # the box of radius floor(search_bound), also near the nef boundary
     near_boundary = [L for L, *_ in near_boundary_cm_classes(surface, 100, seed=100)]

@@ -4,10 +4,9 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from scan_references import envelope_curves, two_pass_section
+from scan_references import _lin_window, envelope_curves, two_pass_section
 
 from seshadri.cross_section import CrossSection, Segment, cross_section
-from seshadri.kernels import _lin_window
 from seshadri.lattice import Surface, ns_class
 from seshadri.nocm import GENERATOR_PAIRS, seshadri_constant
 

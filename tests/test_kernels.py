@@ -4,15 +4,18 @@ from itertools import product
 import pytest
 
 from scan_references import (
+    _lin_window,
+    _quad_window,
     assert_one_minimizer_per_orbit,
     count_walks,
+    domain_walk,
     in_domain,
     naive_domain_min,
     tuple_min_reduce,
 )
 from seshadri import cli, cm, kernels, oracle
 from seshadri.cm import search_bound, unit_orbit
-from seshadri.kernels import _lin_window, _quad_window, _value
+from seshadri.kernels import _value
 from seshadri.lattice import Surface, ns_class
 from seshadri.sampling import random_ample_classes
 
@@ -53,7 +56,7 @@ def test_lin_window_against_scan():
 
 
 def test_reduced_walk_matches_naive_domain_scan():
-    # the reduced walk against the naive domain scan of the paper's box,
+    # `minimize_quartic` against the naive domain scan of the paper's box,
     # which holds every minimizer; only classes with small boxes
     rng = random.Random(17)
     checked = 0
@@ -124,7 +127,7 @@ def _walk_reference(t, coeffs):
     """`minimize_quartic` with the walk on every reduced form, ties or not:
     reduce, walk, map each minimizer back by the ring product and sort."""
     A, C, b0, b1, f1, f2 = kernels._reduce(t, *_form(t, coeffs))
-    mins = kernels.quartic_min_box(t, A, C, b0, b1)
+    mins = domain_walk(t, A, C, b0, b1)
     out = []
     for a, b, c, d in mins:
         tup = []
@@ -186,6 +189,54 @@ def test_walk_below_A_raises(surface):
     assert (4 - t * t) * A * C > b0 * b0 - t * b0 * b1 + b1 * b1
     with pytest.raises(ArithmeticError, match="below the reduced form's A"):
         kernels.quartic_min_box(t, A, C, b0, b1)
+
+
+@pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.value)
+def test_tie_census_matches_walk(surface):
+    # every reduced tie form with A <= 20 (C = A, |b0|, |b1| <= A and, on
+    # Z[w], |b1 - b0| <= A; all definite): the candidate list names the
+    # walk's curves, one tuple each, at most 6 resp. 4 (24, the kissing
+    # number of D4, over the 4 resp. 6 units).  One past a bound, a unit
+    # step lowers C to A - 1, and both must raise.
+    t = surface.trace
+    count, counts, families = 0, set(), set()
+    for A in range(1, 21):
+        for b0, b1 in product(range(-A - 1, A + 2), repeat=2):
+            excess = max(abs(b0), abs(b1), t * abs(b1 - b0)) - A
+            if (4 - t * t) * A * A <= b0 * b0 - t * b0 * b1 + b1 * b1:
+                continue
+            if excess == 1:
+                for listing in (kernels.quartic_min_box, domain_walk):
+                    with pytest.raises(ArithmeticError, match="below the reduced form's A"):
+                        listing(t, A, A, b0, b1)
+            if excess > 0:
+                continue
+            count += 1
+            mins = kernels.quartic_min_box(t, A, A, b0, b1)
+            got = sorted(kernels._orbit_min(t, v) for v in mins)
+            want = sorted(kernels._orbit_min(t, v) for v in domain_walk(t, A, A, b0, b1))
+            assert got == want, (A, b0, b1)
+            counts.add(len(mins))
+            for a, b, c, d in mins:
+                if (c, d) == (1, 1):
+                    families.add("s2 = 1 + i")
+                elif (c, d) == (1, 0) and a * a + t * a * b + b * b == 2:
+                    families.add("k = +-1 +-i")
+    assert count == (12340 if t == 0 else 9260)
+    assert counts == ({2, 3, 6} if t == 0 else {2, 3, 4})  # f1 and f2 always tie
+    assert families == ({"s2 = 1 + i", "k = +-1 +-i"} if t == 0 else set())
+
+
+@pytest.mark.parametrize("surface, ties", [(Surface.CM_GAUSSIAN, 5),
+                                           (Surface.CM_EISENSTEIN, 4)],
+                         ids=["cm-i", "cm-eisenstein"])
+def test_tie_count_is_pinned(surface, ties, monkeypatch):
+    # the tie listings over a fixed seeded set: a change that lists on more
+    # (or fewer) classes than the ties C = A moves this count
+    walks = count_walks(monkeypatch)
+    for L in random_ample_classes(surface, 200, 100, 1):
+        cm.seshadri_constant(L)
+    assert walks[0] == ties
 
 
 # the TABLE2_CLASSES whose reduced form has C > A; the other seven are ties

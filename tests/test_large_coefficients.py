@@ -186,7 +186,7 @@ CM_SURFACES = [Surface.CM_GAUSSIAN, Surface.CM_EISENSTEIN]
 @pytest.mark.parametrize("surface", CM_SURFACES, ids=lambda s: s.value)
 def test_near_boundary_rank4_known_answer(surface, size, monkeypatch):
     # a form with C > A is answered by its reduction alone, a tie C = A by
-    # one walk
+    # one tie listing
     walks = count_walks(monkeypatch)
     classes = near_boundary_cm_classes(surface, size, seed=size % 983)
     for (A, C, _, _), (L, value, curves) in zip(REDUCED_HERMITIAN[surface], classes):

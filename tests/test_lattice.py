@@ -133,6 +133,11 @@ def test_class_requires_a_surface(make):
         make("nocm", (1, 1, 1))
 
 
+def test_generator_classes_requires_a_surface():
+    with pytest.raises(TypeError, match="^surface must be a Surface$"):
+        generator_classes("nocm")
+
+
 def test_ns_class_keeps_integers():
     big = 10**40
     assert ns_class(Surface.NO_CM, [big, -2, 0]).coeffs == (big, -2, 0)

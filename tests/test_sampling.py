@@ -110,6 +110,13 @@ def test_negative_count_raises(count):
     assert str(info.value) == f"count must be at least 0, got {count}"
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_surface_name_raises_type_error(count):
+    # a surface's name is not a `Surface`, even when no class is drawn
+    with pytest.raises(TypeError, match="^surface must be a Surface$"):
+        random_ample_classes("nocm", count, 8, 0)
+
+
 @pytest.mark.parametrize("surface", list(Surface), ids=lambda s: s.value)
 def test_zero_count_is_empty(surface):
     assert random_ample_classes(surface, 0, 8, seed=0) == []
