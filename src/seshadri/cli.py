@@ -3,7 +3,10 @@
 Subcommands: `epsilon` (single-class constant), `curves` (submaximal
 listing), `cross-section` (piecewise-linear export), `table` (reproduce the
 built-in example tables as CSV), `check` (randomized cross-validation
-against the brute-force oracle).
+against the brute-force oracle).  A line is parsed once: a known command
+name first hands the rest to that command's parser, and every other line
+(or one with arguments left over or a bare "--") goes to the top-level
+parser, so every usage error and help text is the one a full parse prints.
 
 Exit codes: 0 success, 2 domain error (non-ample input, parameter out of
 range), 3 oracle mismatch, 64 usage error, 70 internal invariant violated
@@ -98,10 +101,7 @@ def _class_record(L: NSClass) -> dict:
 
 def _matches_oracle(L: NSClass, value: int) -> bool:
     """Compare a closed-form constant with the oracle's; report a mismatch."""
-    if L.surface.trace is None:
-        reference = oracle.nocm_seshadri(L)
-    else:
-        reference = oracle.cm_seshadri(L)
+    reference = (oracle.nocm_seshadri if L.surface.trace is None else oracle.cm_seshadri)(L)
     if reference != value:
         sys.stderr.write(
             f"oracle mismatch on {L.surface.value} {L.coeffs}: "
@@ -303,6 +303,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache  # built on first use, like the parser
+def _commands() -> dict[str, _Parser]:
+    """Each command's own parser by name: the choices of the parser's subcommand action."""
+    return next(a.choices for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
 #: Options whose values may start with a minus sign.
 _SIGNED_OPTIONS = ("--coeffs", "--lambda")
 
@@ -334,7 +341,11 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = _build_parser().parse_args(_normalize_argv(sys.argv[1:] if argv is None else argv))
+        argv = _normalize_argv(sys.argv[1:] if argv is None else argv)
+        command = _commands().get(argv[0]) if argv and "--" not in argv else None
+        args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
+        if rest:  # no known command first, or arguments left over: the full parse
+            args = _build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"seshadri: error: {exc}\n")

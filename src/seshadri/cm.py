@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from . import kernels
+from . import kernels, lattice
 from .lattice import NSClass, SeshadriResult, Surface, _require_class, require_ample
 
 Tuple4 = tuple[int, int, int, int]
@@ -47,6 +47,7 @@ GENERATOR_TUPLES: dict[str, Tuple4] = {
 
 def _trace(surface: Surface) -> int:
     """The trace of the ring generator; raises on the surface without CM."""
+    lattice._require_surface(surface)
     k = surface.trace
     if k is None:
         raise ValueError("surface mismatch: expected a CM surface")

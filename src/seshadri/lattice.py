@@ -17,8 +17,8 @@ trace, from which `intersect`, `self_intersection`, `is_nef` and
 `ample_violations` are built.  Ampleness, which every entry point checks
 through `require_ample`, is two inequalities, L.F1 > 0 and L^2 > 0 (the
 light-cone argument is in `ample_square`); the tests pin the pairings to
-full literal Gram matrices.  The functions that take a class raise
-`TypeError` for anything else.  `SeshadriResult` is the one result of a
+full literal Gram matrices.  The functions that take a class or a surface
+raise `TypeError` for anything else.  `SeshadriResult` is the one result of a
 Seshadri-constant computation, on every surface.
 """
 from __future__ import annotations
@@ -148,7 +148,10 @@ def ample_square(surface: Surface, coeffs: tuple[int, ...]) -> int:
     raw tuple, so a caller that rejects most candidates builds no class.
     """
     # L.F1 from `generator_pairings`, and L^2 = sum a_i (L . basis_i) expanded
-    t = surface.trace
+    try:
+        t = surface.trace
+    except AttributeError:  # not a `Surface`: raise `_require_surface`'s `TypeError`
+        _require_surface(surface)
     if t is None:
         a1, a2, a3 = coeffs
         f1 = a2 + a3

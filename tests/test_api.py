@@ -86,6 +86,26 @@ def test_a_non_class_raises_type_error(entry, value):
         entry(value)
 
 
+#: The functions that take a surface and a tuple, each with a valid tuple.
+SURFACE_ENTRIES = {
+    "cm.invariants": lambda s: cm.invariants((1, 0, 0, 0), s),
+    "cm.tuple_gcd": lambda s: cm.tuple_gcd((1, 0, 0, 0), s),
+    "cm.degree_vector": lambda s: cm.degree_vector((1, 0, 0, 0), s),
+    "cm.unit_orbit": lambda s: cm.unit_orbit((1, 0, 0, 0), s),
+    "cm.canonical_tuple": lambda s: cm.canonical_tuple((1, 0, 0, 0), s),
+    "cm.reduce_tuple": lambda s: cm.reduce_tuple((2, 0, 0, 0), s),
+    "lattice.ample_square": lambda s: lattice.ample_square(s, (1, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", SURFACE_ENTRIES)
+@pytest.mark.parametrize("value", ["cm-i", "nocm", None], ids=["cm-i", "nocm", "None"])
+def test_a_non_surface_raises_type_error(name, value):
+    # a surface's name is not the surface
+    with pytest.raises(TypeError, match="^surface must be a Surface$"):
+        SURFACE_ENTRIES[name](value)
+
+
 def test_version():
     assert seshadri.__version__
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import seshadri
-from seshadri import cm, kernels, nocm
+from seshadri import cli, cm, kernels, nocm
 from seshadri import cross_section as xs
 from seshadri.cli import _build_parser, _epsilon_record, _label, _labels, main
 from seshadri.lattice import GENERATOR_LABELS, Surface, generator_classes, generator_pairings
@@ -151,24 +151,25 @@ def test_integers_of_any_size_are_exact(capsys, digits):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("check", "--surface", "nocm", "--count", "-5"),
-        ("check", "--surface", "nocm", "--count", "0"),
-        ("check", "--surface", "nocm", "--count", "2", "--bound", "-3"),
-        ("cross-section", "--lambda", "1/2", "--format", "csv", "--samples", "-3"),
-        ("epsilon", "--surface", "nocm", "--coeffs", "1,x,3"),
-        ("cross-section", "--lambda", "1/0"),
-        # samples are csv rows; json (the default format) has none
-        ("cross-section", "--lambda", "1/2", "--samples", "5"),
-        # a bare "--" is a value, not the end of the options
-        ("cross-section", "--lambda", "--"),
-        ("cross-section", "--lambda=--"),
-        ("epsilon", "--surface", "nocm", "--coeffs", "--"),
-        ("curves", "--surface", "nocm", "--coeffs=--"),
-    ],
-)
+#: Lines whose values the commands reject with a usage error.
+BAD_INPUT_ARGVS = [
+    ("check", "--surface", "nocm", "--count", "-5"),
+    ("check", "--surface", "nocm", "--count", "0"),
+    ("check", "--surface", "nocm", "--count", "2", "--bound", "-3"),
+    ("cross-section", "--lambda", "1/2", "--format", "csv", "--samples", "-3"),
+    ("epsilon", "--surface", "nocm", "--coeffs", "1,x,3"),
+    ("cross-section", "--lambda", "1/0"),
+    # samples are csv rows; json (the default format) has none
+    ("cross-section", "--lambda", "1/2", "--samples", "5"),
+    # a bare "--" is a value, not the end of the options
+    ("cross-section", "--lambda", "--"),
+    ("cross-section", "--lambda=--"),
+    ("epsilon", "--surface", "nocm", "--coeffs", "--"),
+    ("curves", "--surface", "nocm", "--coeffs=--"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT_ARGVS)
 def test_bad_input_exits_64_with_message(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 64
@@ -507,10 +508,72 @@ def test_repeated_calls_in_one_process_match_lone_runs(capsys):
         proc = _module_process("-m", "seshadri.cli", *argv, check=False)
         lone.append((proc.returncode, proc.stdout, proc.stderr))
     assert [code for code, _, _ in lone] == [0, 0, 0, 0, 64, 0]
-    # importing the CLI builds nothing; the first call does, once
-    probe = "import seshadri.cli as c; print(c._build_parser.cache_info().currsize)"
-    assert _run_module("-c", probe) == "0\n"
+    # importing the CLI builds nothing, not even the command map; the first
+    # call does, once
+    probe = ("import seshadri.cli as c; "
+             "print(c._build_parser.cache_info().currsize, c._commands.cache_info().currsize)")
+    assert _run_module("-c", probe) == "0 0\n"
     for _ in range(2):
         for argv, expected in zip(calls, lone):
             assert run_cli(capsys, *argv) == expected, argv
     assert _build_parser() is _build_parser()
+
+
+#: Lines the top-level parser must read in full: no command name first, or
+#: arguments the command's own parser leaves over.
+FULL_PARSE_ARGVS = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("frobnicate",),
+    ("--surface", "nocm"),  # an option first
+    ("check", "--surface", "nocm", "--count", "2", "extra"),
+    # a standalone "--", which argparse versions treat differently
+    ("check", "--surface", "nocm", "--count", "2", "--", "x"),
+    ("check", "--surface", "nocm", "--count", "2", "--"),
+    ("--", "check", "--surface", "nocm", "--count", "2"),
+]
+
+#: Every golden and bad-input line, the full-parse lines, and lines a
+#: command's own parser reads alone: its help, an abbreviated option, a
+#: repeated option and negative signed values.
+PARSE_ARGVS = [
+    *(argv for _, argv in GOLDENS),
+    *BAD_INPUT_ARGVS,
+    *FULL_PARSE_ARGVS,
+    ("check", "-h"),
+    ("check", "--surf", "nocm", "--count", "2"),
+    ("check", "--surface", "nocm", "--surface", "cm-i", "--count", "2"),
+    ("epsilon", "--surface", "nocm", "--coeffs", "-19,52,30"),
+    ("epsilon", "--surface", "cm-i", "--coeffs", "-1,1,2,2", "--coeffs", "-2,2,1,3"),
+    ("cross-section", "--lambda", "-1/2"),
+    ("cross-section", "--lambda=-8/11"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments"
+)
+def test_a_command_parsed_alone_matches_the_full_parse(capsys, monkeypatch, argv):
+    # with no command map every line takes the top-level parse
+    alone = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_commands", lambda: {})
+    assert run_cli(capsys, *argv) == alone
+
+
+def test_the_top_level_parse_runs_only_when_needed(capsys, monkeypatch):
+    parser = _build_parser()
+    parse_args, calls = parser.parse_args, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return parse_args(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    for _, argv in GOLDENS:
+        assert run_cli(capsys, *argv)[0] == 0
+    assert calls == []
+    for argv in FULL_PARSE_ARGVS:
+        run_cli(capsys, *argv)
+        assert len(calls) == 1, argv
+        calls.clear()

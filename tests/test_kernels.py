@@ -182,8 +182,8 @@ def test_unreduced_form_raises(surface, monkeypatch, capsys):
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.value)
 def test_walk_below_A_raises(surface):
     # (A, C, b0, b1) = (2, 2, 3, 0) is a definite tie, but not reduced: a unit
-    # step lowers C, and (1, 0, -1, 0) takes A + C - b0 = 1 < A, which the
-    # walk at the fixed bound A must not return as a minimum
+    # step lowers C, and the tie candidate (1, 0, -1, 0) takes A + C - b0 =
+    # 1 < A, which the listing must refuse rather than drop as a non-minimum
     t = surface.trace
     A, C, b0, b1 = 2, 2, 3, 0
     assert (4 - t * t) * A * C > b0 * b0 - t * b0 * b1 + b1 * b1
