@@ -3,10 +3,10 @@
 Subcommands: `epsilon` (single-class constant), `curves` (submaximal
 listing), `cross-section` (piecewise-linear export), `table` (reproduce the
 built-in example tables as CSV), `check` (randomized cross-validation
-against the brute-force oracle).  A line is parsed once: a known command
-name first hands the rest to that command's parser, and every other line
-(or one with arguments left over or a bare "--") goes to the top-level
-parser, so every usage error and help text is the one a full parse prints.
+against the brute-force oracle).  A plain line that starts with a known
+command name is read from that command's action table (`_read`), with no
+argparse pass; every other line (help, a usage error, a bare "--") gets one
+full parse, so every message and help text is the one argparse prints.
 
 Exit codes: 0 success, 2 domain error (non-ample input, parameter out of
 range), 3 oracle mismatch, 64 usage error, 70 internal invariant violated
@@ -310,6 +310,45 @@ def _commands() -> dict[str, _Parser]:
                 if isinstance(a, argparse._SubParsersAction))
 
 
+def _read(parser: _Parser, args: list[str]) -> argparse.Namespace | None:
+    """The namespace `parser` gives a plain line of options, else None.
+
+    A plain line gives each option once, spelled in full, as `--name value`
+    (the value not starting with "-"), `--name=value` (the value not "--")
+    or a bare store_true flag, with values that pass the option's type and
+    choices, and every required option.  It is read with the parser's own
+    actions, conversion and defaults; every other line is argparse's.
+    """
+    values, tokens = {}, iter(args)
+    try:
+        for token in tokens:
+            name, eq, text = token.partition("=")
+            action = parser._option_string_actions.get(name)
+            if action is None or action.dest in values:
+                return None
+            if type(action) is argparse._StoreTrueAction and not eq:
+                values[action.dest] = True
+                continue
+            if type(action) is not argparse._StoreAction or action.nargs is not None:
+                return None
+            if not eq:  # `--name value`
+                text = next(tokens, "-")
+            if text == "--" if eq else text.startswith("-"):
+                return None
+            values[action.dest] = value = parser._get_value(action, text)
+            parser._check_value(action, value)
+        for action in parser._actions:  # the defaults, as argparse sets them
+            if action.dest not in values and action.default is not argparse.SUPPRESS:
+                if action.required:
+                    return None
+                default = action.default
+                values[action.dest] = (parser._get_value(action, default)
+                                       if isinstance(default, str) else default)
+    except argparse.ArgumentError:  # a value its type or choices refuse
+        return None
+    return argparse.Namespace(**{**parser._defaults, **values})
+
+
 #: Options whose values may start with a minus sign.
 _SIGNED_OPTIONS = ("--coeffs", "--lambda")
 
@@ -343,8 +382,8 @@ def main(argv=None) -> int:
     try:
         argv = _normalize_argv(sys.argv[1:] if argv is None else argv)
         command = _commands().get(argv[0]) if argv and "--" not in argv else None
-        args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
-        if rest:  # no known command first, or arguments left over: the full parse
+        args = _read(command, argv[1:]) if command else None
+        if args is None:  # no known command first, or not a plain line: the full parse
             args = _build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:

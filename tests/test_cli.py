@@ -548,6 +548,23 @@ PARSE_ARGVS = [
     ("epsilon", "--surface", "cm-i", "--coeffs", "-1,1,2,2", "--coeffs", "-2,2,1,3"),
     ("cross-section", "--lambda", "-1/2"),
     ("cross-section", "--lambda=-8/11"),
+    # the plain lines a command's action table reads, and the edge cases it
+    # leaves to argparse: a repeated or "="-valued flag, a value that starts
+    # with "-" or is empty, a "--" after "=", a missing required option, and
+    # values int() reads loosely
+    ("check", "--surface", "nocm", "--count=3", "--seed=5"),
+    ("curves", "--surface", "nocm", "--coeffs", "52,30,-19", "--weak", "--weak"),
+    ("curves", "--surface", "nocm", "--coeffs", "52,30,-19", "--weak=1"),
+    ("check", "--surface", "nocm", "--count", "2", "--seed", "-5"),
+    ("check", "--surface", "nocm", "--count", "2", "--seed", "-1_0"),  # read as an option
+    ("check", "--count", "2"),
+    ("table",),
+    ("check", "--surface", "nocm", "--count", " 7"),
+    ("check", "--surface", "nocm", "--count", "1_0"),
+    ("check", "--surface", "", "--count", "2"),
+    ("check", "--surface", "--count", "2"),
+    ("epsilon", "--surface", "nocm", "--coeffs=--"),
+    ("cross-section", "--lambda=8/11", "--format=csv", "--samples=3"),
 ]
 
 
@@ -562,18 +579,27 @@ def test_a_command_parsed_alone_matches_the_full_parse(capsys, monkeypatch, argv
 
 
 def test_the_top_level_parse_runs_only_when_needed(capsys, monkeypatch):
+    # a plain line is read from its command's action table with no argparse
+    # pass at all; any other line gets exactly one top-level parse
     parser = _build_parser()
-    parse_args, calls = parser.parse_args, []
+    top, commands = [], []
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return parse_args(*args, **kwargs)
+    def spy(parse, calls):
+        def spied(*args, **kwargs):
+            calls.append(args)
+            return parse(*args, **kwargs)
+        return spied
 
-    monkeypatch.setattr(parser, "parse_args", spy)
-    for _, argv in GOLDENS:
+    monkeypatch.setattr(parser, "parse_args", spy(parser.parse_args, top))
+    for command in cli._commands().values():
+        monkeypatch.setattr(command, "parse_known_args",
+                            spy(command.parse_known_args, commands))
+    benchmark = ("check", "--surface", "cm-eisenstein", "--count", "5", "--seed", "7",
+                 "--bound", "100")
+    for argv in (*(argv for _, argv in GOLDENS), benchmark):
         assert run_cli(capsys, *argv)[0] == 0
-    assert calls == []
+    assert (top, commands) == ([], [])
     for argv in FULL_PARSE_ARGVS:
         run_cli(capsys, *argv)
-        assert len(calls) == 1, argv
-        calls.clear()
+        assert len(top) == 1, argv
+        top.clear()

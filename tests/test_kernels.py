@@ -179,6 +179,20 @@ def test_unreduced_form_raises(surface, monkeypatch, capsys):
         assert "internal error" in capsys.readouterr().err
 
 
+def test_eisenstein_step_by_one_minus_w_raises(monkeypatch, capsys):
+    # a definite Z[w] form with |b0|, |b1| <= A < |b1 - b0|: only the unit
+    # steps +-(1 - w), which change C by A - |b1 - b0| < 0, show that it is
+    # not reduced, so the check must keep its Z[w] term
+    A, C, b0, b1 = 10, 12, 8, -8
+    assert 3 * A * C > b0 * b0 - b0 * b1 + b1 * b1 and max(abs(b0), abs(b1)) <= A
+    monkeypatch.setattr(kernels, "_reduce",
+                        lambda *form: (A, C, b0, b1, (1, 0, 0, 0), (0, 0, 1, 0)))
+    with pytest.raises(ArithmeticError, match="unit step"):
+        kernels.minimize_quartic(1, (1, 1, 1, 1))
+    assert cli.main(["epsilon", "--surface", "cm-eisenstein", "--coeffs", "1,1,1,1"]) == 70
+    assert capsys.readouterr().err.startswith("seshadri: internal error: ")
+
+
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.value)
 def test_walk_below_A_raises(surface):
     # (A, C, b0, b1) = (2, 2, 3, 0) is a definite tie, but not reduced: a unit
