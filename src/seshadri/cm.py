@@ -5,18 +5,18 @@ with s1 = a + b*i, s2 = c + d*i (order Z[i]) resp. s1 = a + b*z, s2 = c + d*z
 with z = e^(i pi/3) (order Z[z]).  The degree of such a curve against a line
 bundle is an explicit quartic expression in (a, b, c, d) divided by the gcd
 invariant D; the Seshadri constant is the minimum of the undivided
-expression, a positive-definite binary Hermitian form over the order.
+expression, the class's binary Hermitian form (`lattice._class_form`).
 `kernels` Gauss-reduces that form, which proves the minimum A; its curves
 are f1's orbit when C > A, and on a tie C = A those of a fixed list of 14
 resp. 8 candidates that reach A.  It names each curve by the smallest tuple
 of its unit orbit, its normal form; `GENERATOR_TUPLES` holds the basis
 curves' normal forms, which are the same on both surfaces.
-`search_bound` is the paper's closed-form box radius, which holds every
-minimizer; it stays public and tested but is not used by the computation.
-The paper's other lemmas (the congruence count for D among them) are
-checked in the tests, and the oracle builds the Gram matrix of the same
-expression itself (`oracle.degree_form`), so it shares no code with this
-module.
+`search_bound`, the paper's closed-form box radius, is read off the form;
+it holds every minimizer and stays public and tested, unused by the
+computation.  The paper's other lemmas (the congruence count for D among
+them) are checked in the tests, and the oracle builds the Gram matrix of
+the same expression itself (`oracle.degree_form`), so it shares no code
+with this module.
 
 The ring arithmetic is written once over the trace t of the generator w = i
 resp. z (t = 0 resp. 1, `Surface.trace`): w (x + y w) = -y + (x + t y) w,
@@ -31,7 +31,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import kernels, lattice
-from .lattice import NSClass, SeshadriResult, Surface, _require_class, require_ample
+from .lattice import NSClass, SeshadriResult, Surface, _class_form, _require_class, require_ample
 
 Tuple4 = tuple[int, int, int, int]
 
@@ -87,24 +87,11 @@ def degree_vector(t: Tuple4, kind: Surface) -> Tuple4:
 
 def search_bound(L: NSClass) -> Fraction:
     """Box radius inside which the degree expression attains its minimum."""
-    require_ample(L)
-    k = _trace(L.surface)
-    a1, a2, a3, a4 = L.coeffs
-    if k == 0:  # cm-i
-        num = 8 * max(
-            (a1 + a3 + a4) ** 2, a3 * a3, a4 * a4, (a2 + a3 + a4) ** 2
-        )
-        den = a1 * a2 + a1 * a3 + a1 * a4 + a2 * a3 + a2 * a4 + 2 * a3 * a4
-    else:
-        num = 8 * max(
-            (2 * a1 + 2 * a3 + 2 * a4) ** 2,
-            (2 * a3 + a4) ** 2,
-            (a3 + 2 * a4) ** 2,
-            (a3 - a4) ** 2,
-            (2 * a2 + 2 * a3 + 2 * a4) ** 2,
-        )
-        den = 3 * (a1 * a2 + a1 * a3 + a1 * a4 + a2 * a3 + a2 * a4 + a3 * a4)
-    return Fraction(num, den)
+    square = require_ample(L)
+    t = _trace(L.surface)
+    A, C, b0, b1 = _class_form(L.surface, L.coeffs)
+    top = max(4 * A * A, 4 * C * C, b0 * b0, b1 * b1, t * (b1 - b0) ** 2)
+    return Fraction(16 * top, (4 - t * t) * square)
 
 
 def degree_value(L: NSClass, t: Tuple4) -> int:
@@ -140,11 +127,8 @@ class CMWitness(NamedTuple):
 def seshadri_constant(L: NSClass) -> SeshadriResult:
     """Minimum curve degree and all computing curves, as a `SeshadriResult`.
 
-    `kernels.minimize_quartic` returns the minimum of the degree expression
-    over nonzero tuples, found by Gauss reduction of the Hermitian form, with
-    the curves from the reduced form's equalities (on ties C = A, a fixed
-    candidate list), one tuple per curve: the smallest of its unit orbit,
-    which is the witness's representative.
+    `kernels.minimize_quartic` minimises the class's degree form and names
+    each computing curve by its normal form, the witness's representative.
     Every minimizer has D = 1: with g the ring gcd of s1 and s2, the tuple
     s/g of the same curve, with n(g) = D, has value Q/D, so D > 1 would
     undercut the minimum.  With D = 1 the raw degrees are the degree
@@ -158,7 +142,7 @@ def seshadri_constant(L: NSClass) -> SeshadriResult:
     """
     require_ample(L)
     k = _trace(L.surface)
-    best, mins = kernels.minimize_quartic(k, L.coeffs)
+    best, mins = kernels.minimize_quartic(k, _class_form(L.surface, L.coeffs))
     if not (best > 0 and mins):
         raise ArithmeticError("ample classes have a positive minimum")
     witnesses = []

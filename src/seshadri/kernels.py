@@ -148,18 +148,16 @@ def quartic_min_box(t: int, A: int, C: int, b0: int, b1: int) -> list[Tuple4]:
     return mins
 
 
-def minimize_quartic(t: int, coeffs: Tuple4) -> tuple[int, list[Tuple4]]:
-    """Minimum of the degree expression of `coeffs` over nonzero tuples.
+def minimize_quartic(t: int, form: Tuple4) -> tuple[int, list[Tuple4]]:
+    """Minimum of the Hermitian form (A, C, b0, b1) over nonzero tuples.
 
     Returns the minimum with the sorted list of the curves attaining it, each
     as the smallest tuple of its unit orbit.  Raises `ValueError` when the
-    form is not positive definite, and `ArithmeticError` when the reduced
-    form fails the integer check that 0 is the ring element nearest mu or
-    a tie candidate's value is below A.
+    form is not positive definite, as `_reduce` needs, and `ArithmeticError`
+    when the reduced form fails the integer check that 0 is the ring element
+    nearest mu or a tie candidate's value is below A.
     """
-    a1, a2, a3, a4 = coeffs
-    A, C = a1 + a3 + a4, a2 + a3 + a4
-    b0, b1 = -2 * a3 - t * a4, (2 - t) * a4 - t * a3
+    A, C, b0, b1 = form
     if not (A > 0 and (4 - t * t) * A * C > b0 * b0 - t * b0 * b1 + b1 * b1):
         raise ValueError("degree form is not positive definite")
     A, C, b0, b1, f1, f2 = _reduce(t, A, C, b0, b1)

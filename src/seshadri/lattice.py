@@ -17,9 +17,10 @@ trace, from which `intersect`, `self_intersection`, `is_nef` and
 `ample_violations` are built.  Ampleness, which every entry point checks
 through `require_ample`, is two inequalities, L.F1 > 0 and L^2 > 0 (the
 light-cone argument is in `ample_square`); the tests pin the pairings to
-full literal Gram matrices.  The functions that take a class or a surface
-raise `TypeError` for anything else.  `SeshadriResult` is the one result of a
-Seshadri-constant computation, on every surface.
+full literal Gram matrices, and `_class_form` maps a class to its degree
+form.  The functions that take a class or a surface raise `TypeError` for
+anything else.  `SeshadriResult` is the one result of a Seshadri-constant
+computation, on every surface.
 """
 from __future__ import annotations
 
@@ -161,6 +162,23 @@ def ample_square(surface: Surface, coeffs: tuple[int, ...]) -> int:
         f1 = a2 + a3 + a4
         square = 2 * (a1 * f1 + a2 * (a3 + a4) + (2 - t) * a3 * a4)
     return square if f1 > 0 and square > 0 else 0
+
+
+def _class_form(surface: Surface, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """The degree form of the class with these coefficients, a raw tuple:
+    on nocm (A, B, C), with A c^2 + 2B cd + C d^2 = L . N_{c,d} and
+    AC - B^2 = L^2/2; on rank 4 (A, C, b0, b1), the Hermitian form of the
+    `kernels` docstring, with m AC - (b0^2 - t b0 b1 + b1^2) = m L^2/2,
+    m = 4 - t^2.  So L is ample exactly when its form is positive definite
+    (A > 0, determinant > 0).  `ample_square`, the sampler's rejection
+    gate, keeps its inline L^2, which costs less than building the form.
+    """
+    t = surface.trace
+    if t is None:
+        a1, a2, a3 = coeffs
+        return a2 + a3, a3, a1 + a3
+    a1, a2, a3, a4 = coeffs
+    return a1 + a3 + a4, a2 + a3 + a4, -2 * a3 - t * a4, (2 - t) * a4 - t * a3
 
 
 def is_ample(x: NSClass) -> bool:

@@ -3,12 +3,11 @@
 Every Seshadri constant on this surface is computed by an elliptic curve.
 The elliptic curves are the N_{c,d} = (c(c+d), d(c+d), -cd) for coprime
 (c, d) (the basis curves are N_{1,0}, N_{0,1} and N_{1,-1}), and the degree
-L . N_{c,d} is a positive-definite binary quadratic form in (c, d).  So the
-constant is the minimum of that form over primitive vectors, and the
-submaximal curves are its short primitive vectors.  Both come from one
-Lagrange-Gauss reduction of the form (Cohen, *A Course in Computational
-Algebraic Number Theory*, GTM 138, ch. 5) and one exact `isqrt` window in
-its unimodular basis, which needs no gcd: O(log coeff) steps per call, and
+L . N_{c,d} is the class's binary quadratic form (`lattice._class_form`).
+The constant is its minimum over primitive vectors, and the submaximal
+curves are its short primitive vectors.  Both come from one Lagrange-Gauss
+reduction (Cohen, GTM 138, ch. 5) and one exact `isqrt` window in its
+unimodular basis, which needs no gcd: O(log coeff) steps per call, and
 `lattice` is the only import.  The tests keep the paper's formula, a scan
 over s = c + d in the frame of sorted coefficients, as the reference.
 """
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .lattice import NSClass, SeshadriResult, Surface, _require_class, require_ample
+from .lattice import NSClass, SeshadriResult, Surface, _class_form, _require_class, require_ample
 
 Pair = tuple[int, int]
 
@@ -70,20 +69,19 @@ def degree(L: NSClass, pair: Pair) -> int:
     """L . N_{c,d}, evaluated through the explicit quadratic form."""
     _require_class(L)
     _require_nocm(L)
-    a1, a2, a3 = L.coeffs
+    A, B, C = _class_form(L.surface, L.coeffs)
     c, d = pair
-    return (a2 + a3) * c * c + 2 * a3 * c * d + (a1 + a3) * d * d
+    return A * c * c + 2 * B * c * d + C * d * d
 
 
-def _reduce(coeffs: tuple[int, int, int]) -> tuple[int, ...]:
+def _reduce(form: tuple[int, int, int]) -> tuple[int, ...]:
     """Lagrange-Gauss reduction of the degree form A c^2 + 2B cd + C d^2.
 
     Returns the reduced Gram entries and the basis e1 = (p, r), e2 = (s, t)
     of Z^2 they are taken in: |2B| <= A <= C, so A is the minimum of the
     form.  Like Euclid's algorithm, the loop runs O(log coeff) times.
     """
-    a1, a2, a3 = coeffs
-    A, B, C = a2 + a3, a3, a1 + a3
+    A, B, C = form
     p, r, s, t = 1, 0, 0, 1
     while True:
         if C < A:
@@ -126,7 +124,7 @@ def seshadri_constant(L: NSClass) -> SeshadriResult:
     """
     require_ample(L)
     _require_nocm(L)
-    form = _reduce(L.coeffs)
+    form = _reduce(_class_form(L.surface, L.coeffs))
     return SeshadriResult(form[0], _curves_up_to(form, form[0]))
 
 
@@ -138,5 +136,6 @@ def submaximal_curves(L: NSClass, weak: bool = False) -> frozenset[Pair]:
     square = require_ample(L)
     _require_nocm(L)
     # deg^2 <= square (resp. <) for positive integer degrees, as one bound
-    return _curves_up_to(_reduce(L.coeffs), isqrt(square if weak else square - 1))
+    form = _reduce(_class_form(L.surface, L.coeffs))
+    return _curves_up_to(form, isqrt(square if weak else square - 1))
 

@@ -13,7 +13,8 @@ walk: the pruned walk over the half-box a >= 0, which meets each curve
 through several unit multiples, followed by `cm.reduce_tuple` and
 `cm.canonical_tuple` on every minimizer.  `count_walks` counts the tie
 listings (`kernels.quartic_min_box` calls) that `kernels.minimize_quartic`
-runs, which it skips when the reduced form has C > A.
+runs, which it skips when the reduced form has C > A, and
+`count_loop_passes` the passes of a reduction's loop.
 
 `paper_seshadri_constant` and `paper_submaximal_curves` are the paper's
 rank-3 formula, the reference for the reduced-form computation in `nocm`:
@@ -32,6 +33,8 @@ whole trailing block, and a walk that bounds each level by an exact `isqrt`
 window.  `tuple_min_reduce` is `kernels._reduce` as it stood before the
 corner comparisons: it picks the corner by the `min` of four tuples.
 """
+import inspect
+import sys
 from itertools import chain, product
 from math import gcd, isqrt, lcm
 
@@ -222,6 +225,33 @@ def count_walks(monkeypatch):
 
     monkeypatch.setattr(kernels, "quartic_min_box", counted)
     return walks
+
+
+def count_loop_passes(fn, first_statement, run):
+    """The passes `run()` makes through the loop of `fn` whose first
+    statement reads `first_statement`: `sys.settrace` line events on that
+    line, in `fn`'s frames only.  The tracer in place before is restored."""
+    lines, start = inspect.getsourcelines(fn)
+    hits = [start + i for i, line in enumerate(lines) if line.strip() == first_statement]
+    if len(hits) != 1:
+        raise LookupError(f"{first_statement!r} is on {len(hits)} lines of {fn.__name__}")
+    code, lineno, passes = fn.__code__, hits[0], [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == lineno:
+            passes[0] += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    old = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(old)
+    return passes[0]
 
 
 def _sort_descending(coeffs):

@@ -14,7 +14,7 @@ from scan_references import assert_one_minimizer_per_orbit, naive_domain_min
 from seshadri import cm, kernels, nocm, oracle
 from seshadri.cli import _label, render_table
 from seshadri.cross_section import cross_section
-from seshadri.lattice import Surface, generator_pairings, ns_class, self_intersection
+from seshadri.lattice import Surface, _class_form, generator_pairings, ns_class, self_intersection
 from seshadri.sampling import random_ample_classes
 
 GAUSS = Surface.CM_GAUSSIAN
@@ -136,7 +136,7 @@ def test_criterion_2_rank4_table(monkeypatch):
     start = time.perf_counter()
     for coeffs, *_ in TABLE2:
         L = ns_class(GAUSS, coeffs)
-        _, mins = kernels.minimize_quartic(GAUSS.trace, L.coeffs)
+        _, mins = kernels.minimize_quartic(GAUSS.trace, _class_form(GAUSS, L.coeffs))
         report = oracle.min_quadratic_form(oracle.degree_form(L))
         assert_one_minimizer_per_orbit(mins, report.minimizers, GAUSS)
     certified = time.perf_counter() - start
@@ -145,7 +145,11 @@ def test_criterion_2_rank4_table(monkeypatch):
     # scan.  The naive scan of the radius-100 row takes about an hour, so
     # only the small boxes are re-run here; the reduced-walk/naive parity on
     # random inputs is covered separately in test_kernels.
-    def naive_minimize(t, coeffs):
+    # the stand-in receives the degree form, so it looks the row's class up by it
+    rows = {_class_form(GAUSS, coeffs): coeffs for coeffs, *_ in TABLE2}
+
+    def naive_minimize(t, form):
+        coeffs = rows[form]
         L = ns_class(GAUSS, coeffs)
         return naive_domain_min(t, coeffs, int(cm.search_bound(L)), min(generator_pairings(L)))
 

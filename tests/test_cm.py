@@ -210,7 +210,7 @@ def test_large_eisenstein_class_matches_oracle():
 def test_empty_minimizer_set_raises(monkeypatch):
     # a real check, not an assert, so it survives python -O
     monkeypatch.setattr(
-        kernels, "minimize_quartic", lambda t, coeffs: (3, [])
+        kernels, "minimize_quartic", lambda t, form: (3, [])
     )
     with pytest.raises(ArithmeticError, match="positive minimum"):
         seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
@@ -219,7 +219,7 @@ def test_empty_minimizer_set_raises(monkeypatch):
 def test_minimizer_with_d_above_one_raises(monkeypatch):
     # (1, 1, 1, 1) is primitive with D = 2 on the Gaussian surface
     monkeypatch.setattr(
-        kernels, "minimize_quartic", lambda t, coeffs: (3, [(1, 1, 1, 1)])
+        kernels, "minimize_quartic", lambda t, form: (3, [(1, 1, 1, 1)])
     )
     with pytest.raises(ArithmeticError, match="D = 1"):
         seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
@@ -240,7 +240,7 @@ def test_minimizer_with_d_above_one_raises(monkeypatch):
 )
 @pytest.mark.parametrize("surface", [GAUSS, EISEN], ids=lambda s: s.value)
 def test_every_minimizer_is_checked(monkeypatch, surface, mins, message):
-    monkeypatch.setattr(kernels, "minimize_quartic", lambda t, coeffs: (3, mins))
+    monkeypatch.setattr(kernels, "minimize_quartic", lambda t, form: (3, mins))
     with pytest.raises(ArithmeticError, match=message):
         seshadri_constant(ns_class(surface, (1, 1, 1, 1)))
 
@@ -251,7 +251,7 @@ def test_two_witnesses_with_one_degree_vector_raise(monkeypatch, surface):
     # either surface: a listing that returned one curve twice must not be
     # merged silently
     monkeypatch.setattr(
-        kernels, "minimize_quartic", lambda t, coeffs: (3, [(1, 0, 0, 0), (0, 1, 0, 0)])
+        kernels, "minimize_quartic", lambda t, form: (3, [(1, 0, 0, 0), (0, 1, 0, 0)])
     )
     with pytest.raises(ArithmeticError, match="share a degree vector"):
         seshadri_constant(ns_class(surface, (1, 1, 1, 1)))

@@ -7,6 +7,7 @@ from scan_references import (
     _lin_window,
     _quad_window,
     assert_one_minimizer_per_orbit,
+    count_loop_passes,
     count_walks,
     domain_walk,
     in_domain,
@@ -16,7 +17,7 @@ from scan_references import (
 from seshadri import cli, cm, kernels, oracle
 from seshadri.cm import search_bound, unit_orbit
 from seshadri.kernels import _value
-from seshadri.lattice import Surface, ns_class
+from seshadri.lattice import Surface, _class_form, ns_class
 from seshadri.sampling import random_ample_classes
 
 SURFACES = (Surface.CM_GAUSSIAN, Surface.CM_EISENSTEIN)
@@ -70,14 +71,15 @@ def test_reduced_walk_matches_naive_domain_scan():
         best0 = coeffs[0] + coeffs[2] + coeffs[3]  # value at (1, 0, 0, 0)
         best, mins = naive_domain_min(surface.trace, coeffs, radius, best0)
         naive = best, sorted(cm.canonical_tuple(t, surface) for t in mins)
-        assert kernels.minimize_quartic(surface.trace, coeffs) == naive, (surface, coeffs, radius)
+        form = _class_form(surface, coeffs)
+        assert kernels.minimize_quartic(surface.trace, form) == naive, (surface, coeffs, radius)
 
 
 def test_oversized_inputs_match_oracle():
     # coefficients far past any fixed-width integer budget
     for surface in SURFACES:
         L = ns_class(surface, (10**6, 10**6, -1, -1))
-        best, mins = kernels.minimize_quartic(surface.trace, L.coeffs)
+        best, mins = kernels.minimize_quartic(surface.trace, _class_form(surface, L.coeffs))
         report = oracle.min_quadratic_form(oracle.degree_form(L))
         assert best == oracle.cm_seshadri(L) == report.minimum, surface
         assert_one_minimizer_per_orbit(mins, report.minimizers, surface)
@@ -87,7 +89,7 @@ def test_indefinite_form_raises():
     # a real check, not an assert: the reduction needs a definite form
     for surface, coeffs in zip(SURFACES, ((1, 0, 0, 0), (1, 1, -3, 0))):
         with pytest.raises(ValueError, match="not positive definite"):
-            kernels.minimize_quartic(surface.trace, coeffs)
+            kernels.minimize_quartic(surface.trace, _class_form(surface, coeffs))
 
 
 def test_naive_box_is_exhaustive_small():
@@ -117,16 +119,10 @@ def _times(t, a, b, x, y):
     return a * x - b * y, a * y + b * x + t * b * y
 
 
-def _form(t, coeffs):
-    """The Hermitian degree form (A, C, b0, b1) of `coeffs`."""
-    a1, a2, a3, a4 = coeffs
-    return a1 + a3 + a4, a2 + a3 + a4, -2 * a3 - t * a4, (2 - t) * a4 - t * a3
-
-
-def _walk_reference(t, coeffs):
+def _walk_reference(t, form):
     """`minimize_quartic` with the walk on every reduced form, ties or not:
     reduce, walk, map each minimizer back by the ring product and sort."""
-    A, C, b0, b1, f1, f2 = kernels._reduce(t, *_form(t, coeffs))
+    A, C, b0, b1, f1, f2 = kernels._reduce(t, *form)
     mins = domain_walk(t, A, C, b0, b1)
     out = []
     for a, b, c, d in mins:
@@ -145,7 +141,8 @@ def test_shortcut_matches_walk(surface):
     t = surface.trace
     for bound in (8, 10**4, 10**30):
         for L in random_ample_classes(surface, 500, bound, seed=bound % 991):
-            assert kernels.minimize_quartic(t, L.coeffs) == _walk_reference(t, L.coeffs), L
+            form = _class_form(surface, L.coeffs)
+            assert kernels.minimize_quartic(t, form) == _walk_reference(t, form), L
 
 
 def _one_step_off(reduce):
@@ -169,11 +166,11 @@ def test_unreduced_form_raises(surface, monkeypatch, capsys):
     t = surface.trace
     monkeypatch.setattr(kernels, "_reduce", _one_step_off(kernels._reduce))
     for L in random_ample_classes(surface, 20, 100, seed=5):
-        A, C, b0, b1, f1, f2 = kernels._reduce(t, *_form(t, L.coeffs))
+        A, C, b0, b1, f1, f2 = kernels._reduce(t, *_class_form(surface, L.coeffs))
         # the off form is still exact: A and C are the degrees at f1 and f2
         assert (A, C) == (_value(t, *L.coeffs, *f1), _value(t, *L.coeffs, *f2))
         with pytest.raises(ArithmeticError, match="unit step"):
-            kernels.minimize_quartic(t, L.coeffs)
+            kernels.minimize_quartic(t, _class_form(surface, L.coeffs))
         coeffs = ",".join(map(str, L.coeffs))
         assert cli.main(["epsilon", "--surface", surface.value, "--coeffs", coeffs]) == 70
         assert "internal error" in capsys.readouterr().err
@@ -188,7 +185,7 @@ def test_eisenstein_step_by_one_minus_w_raises(monkeypatch, capsys):
     monkeypatch.setattr(kernels, "_reduce",
                         lambda *form: (A, C, b0, b1, (1, 0, 0, 0), (0, 0, 1, 0)))
     with pytest.raises(ArithmeticError, match="unit step"):
-        kernels.minimize_quartic(1, (1, 1, 1, 1))
+        kernels.minimize_quartic(1, _class_form(Surface.CM_EISENSTEIN, (1, 1, 1, 1)))
     assert cli.main(["epsilon", "--surface", "cm-eisenstein", "--coeffs", "1,1,1,1"]) == 70
     assert capsys.readouterr().err.startswith("seshadri: internal error: ")
 
@@ -259,9 +256,10 @@ TABLE2_SHORTCUT = {(2, 1, 0, 0), (1, 0, 1, 1), (-1, 2, 1, 2), (4, 2, 3, -2), (8,
 
 def test_table2_paths(monkeypatch):
     walks = count_walks(monkeypatch)
+    gauss = Surface.CM_GAUSSIAN
     for coeffs in cli.TABLE2_CLASSES:
         before = walks[0]
-        kernels.minimize_quartic(Surface.CM_GAUSSIAN.trace, coeffs)
+        kernels.minimize_quartic(gauss.trace, _class_form(gauss, coeffs))
         assert walks[0] - before == (coeffs not in TABLE2_SHORTCUT), coeffs
     assert walks[0] == len(cli.TABLE2_CLASSES) - len(TABLE2_SHORTCUT) == 7
 
@@ -291,3 +289,21 @@ def test_reduce_matches_the_tuple_min_reference(surface):
             count += 1
             want = tuple_min_reduce(t, A, C, b0, b1)
             assert kernels._reduce(t, A, C, b0, b1) == want, (A, C, b0, b1)
+
+
+@pytest.mark.parametrize("surface, passes", [(Surface.CM_GAUSSIAN, 1591),
+                                             (Surface.CM_EISENSTEIN, 1640)],
+                         ids=["cm-i", "cm-eisenstein"])
+def test_reduction_steps_are_pinned(surface, passes):
+    # the passes of `_reduce`'s loop over fixed seeded classes: a change to
+    # the reduction's step or stopping rule moves this count
+    t = surface.trace
+    forms = [_class_form(surface, L.coeffs) for bound in (8, 10**4, 10**12)
+             for L in random_ample_classes(surface, 300, bound, seed=bound % 991)]
+
+    def run():
+        for form in forms:
+            kernels._reduce(t, *form)
+
+    first = "x = (2 * b0 - t * b1) // (m * A)"
+    assert count_loop_passes(kernels._reduce, first, run) == passes

@@ -24,7 +24,7 @@ from scan_references import (
     paper_submaximal_curves,
 )
 from seshadri import cm, kernels, nocm, oracle
-from seshadri.lattice import Surface, is_ample, ns_class
+from seshadri.lattice import Surface, _class_form, is_ample, ns_class
 from seshadri.sampling import random_ample_classes
 
 BOUNDS = (10**4, 10**6, 10**9, 10**12)
@@ -51,7 +51,7 @@ def test_closed_form_matches_oracle(surface, bound):
                 cm.degree_value(L, w.representative) == result.value
                 for w in result.witnesses
             ), L.coeffs
-            _, mins = kernels.minimize_quartic(surface.trace, L.coeffs)
+            _, mins = kernels.minimize_quartic(surface.trace, _class_form(surface, L.coeffs))
             assert_one_minimizer_per_orbit(mins, report.minimizers, surface)
 
 

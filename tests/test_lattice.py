@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 from operator import mul
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from seshadri.lattice import (
     GENERATOR_LABELS,
     NSClass,
     Surface,
+    _class_form,
     ample_square,
     generator_classes,
     generator_pairings,
@@ -20,6 +22,7 @@ from seshadri.lattice import (
     require_ample,
     self_intersection,
 )
+from seshadri.oracle import degree_form
 
 from test_large_coefficients import (
     NEAR_BOUNDARY_SIZES,
@@ -309,3 +312,48 @@ def test_light_cone_gate_near_the_boundary(size):
         assert is_ample(L), L.coeffs
         for x in (L, -1 * L):
             assert_gate_matches_gram(x)
+
+
+def _form_value(surface, form, x):
+    """The degree form at x: (c, d) on nocm, (a, b, c, d) on rank 4."""
+    t = surface.trace
+    if t is None:
+        A, B, C = form
+        c, d = x
+        return A * c * c + 2 * B * c * d + C * d * d
+    A, C, b0, b1 = form
+    a, b, c, d = x
+    return (A * (a * a + t * a * b + b * b) + C * (c * c + t * c * d + d * d)
+            + (a * b0 + b * b1) * c + (a * (t * b0 - b1) + b * b0) * d)
+
+
+@pytest.mark.parametrize("surface", list(Surface), ids=lambda s: s.value)
+def test_class_form_is_the_degree_form(surface):
+    # every class of a box, ample or not, and seeded classes up to 10^40:
+    # the form is the oracle's Gram form, its determinant is L^2 up to m/2,
+    # and it is positive definite exactly when the light-cone gate passes
+    rng = Random(surface.rank + (surface.trace or 0))
+    found = list(product(range(-4, 5), repeat=surface.rank))
+    for bound in (1, 10, 10**4, 10**12, 10**40):
+        found += [tuple(rng.randint(-bound, bound) for _ in range(surface.rank))
+                  for _ in range(200)]
+    t = surface.trace
+    m = 1 if t is None else 4 - t * t
+    n = 2 if t is None else 4
+    for coeffs in found:
+        L = ns_class(surface, coeffs)
+        form = _class_form(surface, coeffs)
+        if t is None:
+            A, B, C = form
+            det = A * C - B * B
+        else:
+            A, C, b0, b1 = form
+            det = m * A * C - (b0 * b0 - t * b0 * b1 + b1 * b1)
+        square = self_intersection(L)
+        assert 2 * det == m * square, coeffs
+        assert ample_square(surface, coeffs) == (2 * det // m if A > 0 and det > 0 else 0), coeffs
+        # doubled, since cm-eisenstein's Gram is half-integral off the diagonal
+        gram = [[int(2 * v) for v in row] for row in degree_form(L)]
+        for x in [tuple(rng.randint(-30, 30) for _ in range(n)) for _ in range(3)]:
+            doubled = sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+            assert 2 * _form_value(surface, form, x) == doubled, (coeffs, x)

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from paper_lemmas import decompose_pair
 from scan_references import (
     canonical_pair_curves_up_to,
+    count_loop_passes,
     paper_seshadri_constant,
     paper_submaximal_curves,
 )
 from seshadri import nocm, oracle
-from seshadri.lattice import Surface, intersect, is_ample, ns_class, self_intersection
+from seshadri.lattice import Surface, _class_form, intersect, is_ample, ns_class, self_intersection
 from seshadri.nocm import (
     canonical_pair,
     class_to_pair,
@@ -372,7 +373,7 @@ def test_listing_matches_the_canonical_pair_reference_on_seeded_classes():
     for bound in (10**2, 10**6, 10**12, 10**20, 10**40):
         for L in random_ample_classes(Surface.NO_CM, 300, bound, seed=bound % 887):
             square = self_intersection(L)
-            form = nocm._reduce(L.coeffs)
+            form = nocm._reduce(_class_form(L.surface, L.coeffs))
             for threshold in (form[0], isqrt(square), isqrt(square - 1)):
                 _assert_listing_matches_reference(*form, threshold)
 
@@ -391,3 +392,16 @@ def test_callers_keep_the_listing_to_y_at_most_one_on_reduced_forms(monkeypatch)
     assert len(calls) == 3 * len(classes)
     for (A, B, C, *_), threshold in calls:
         assert A * threshold < 4 * (A * C - B * B), (A, B, C, threshold)
+
+
+def test_reduction_steps_are_pinned():
+    # the passes of `_reduce`'s loop over fixed seeded classes: a change to
+    # the reduction's step or stopping rule moves this count
+    forms = [_class_form(L.surface, L.coeffs) for bound in (8, 10**4, 10**12)
+             for L in random_ample_classes(Surface.NO_CM, 300, bound, seed=bound % 991)]
+
+    def run():
+        for form in forms:
+            nocm._reduce(form)
+
+    assert count_loop_passes(nocm._reduce, "if C < A:", run) == 1623

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from paper_lemmas import division_point_count, is_positive_definite, leading_minors
 from scan_references import full_bareiss, windowed_minimize
-from seshadri import nocm, oracle
+from seshadri import cm, kernels, lattice, nocm, oracle, sampling
 from seshadri.lattice import Surface, ns_class
 from seshadri.sampling import random_ample_classes
 from test_large_coefficients import near_boundary_classes, near_boundary_cm_classes
@@ -552,6 +552,18 @@ def test_oracle_imports_no_closed_form_module():
     # checks: of the package it may import `lattice` alone, even in a function
     source = Path(oracle.__file__).read_text()
     assert _package_modules_imported(source) == {"lattice"}
+
+
+@pytest.mark.parametrize(
+    "module,modules",
+    [(kernels, set()), (lattice, set()), (nocm, {"lattice"}), (sampling, {"lattice"}),
+     (cm, {"kernels", "lattice"})],
+    ids=["kernels", "lattice", "nocm", "sampling", "cm"],
+)
+def test_closed_form_modules_import_only_the_layers_below(module, modules):
+    # `lattice` holds the class -> form map, `kernels` sees forms only, and
+    # each closed form sits on those two
+    assert _package_modules_imported(Path(module.__file__).read_text()) == modules
 
 
 def test_rank3_gram_matches_nocm_degree():

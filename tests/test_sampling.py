@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import seshadri
+from seshadri import sampling
 from seshadri.lattice import Surface, ample_square, is_ample
 from seshadri.sampling import random_ample_classes
 
@@ -54,6 +55,24 @@ def test_seeded_stream_is_pinned():
             drawn = random_ample_classes(surface, 5, bound, seed)
             assert [L.coeffs for L in drawn] == coeffs, (surface, bound, seed)
             assert all(map(is_ample, drawn))
+
+
+@pytest.mark.parametrize("surface, draws", [(Surface.NO_CM, 2956), (Surface.CM_GAUSSIAN, 3264),
+                                            (Surface.CM_EISENSTEIN, 3326)],
+                         ids=lambda x: x.value if isinstance(x, Surface) else None)
+def test_draw_count_is_pinned(surface, draws, monkeypatch):
+    # the gate runs once per drawn tuple, so this counts the draws for 600
+    # kept classes; a change to the rejection loop moves it
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return ample_square(*args)
+
+    monkeypatch.setattr(sampling, "ample_square", counted)
+    for bound in (8, 100, 10**4):
+        assert len(random_ample_classes(surface, 200, bound, seed=bound % 991)) == 200
+    assert calls[0] == draws
 
 
 def _reference_stream(surface, count, bound, seed):
