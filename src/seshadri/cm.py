@@ -6,11 +6,10 @@ with z = e^(i pi/3) (order Z[z]).  The degree of such a curve against a line
 bundle is an explicit quartic expression in (a, b, c, d) divided by the gcd
 invariant D; the Seshadri constant is the minimum of the undivided
 expression, the class's binary Hermitian form (`lattice._class_form`).
-`kernels` Gauss-reduces that form, which proves the minimum A; its curves
-are f1's orbit when C > A, and on a tie C = A those of a fixed list of 14
-resp. 8 candidates that reach A.  It names each curve by the smallest tuple
-of its unit orbit, its normal form; `GENERATOR_TUPLES` holds the basis
-curves' normal forms, which are the same on both surfaces.
+`kernels` Gauss-reduces that form, which proves the minimum A and lists
+its curves, each with D = 1 as the reduced basis is unimodular, by the
+smallest tuple of its unit orbit, its normal form; `GENERATOR_TUPLES` holds
+the basis curves' normal forms, which are the same on both surfaces.
 `search_bound`, the paper's closed-form box radius, is read off the form;
 it holds every minimizer and stays public and tested, unused by the
 computation.  The paper's other lemmas (the congruence count for D among
@@ -22,12 +21,14 @@ The ring arithmetic is written once over the trace t of the generator w = i
 resp. z (t = 0 resp. 1, `Surface.trace`): w (x + y w) = -y + (x + t y) w,
 and n(x, y) = x^2 + t xy + y^2 is the norm of x + y w.  A tuple with D > 1
 is reduced by dividing (s1, s2) by their ring gcd, so on both surfaces the
-result is defined up to a unit.
+result is defined up to a unit.  Tuples are read with `operator.index`: a
+non-integer entry raises `TypeError`, a wrong length `ValueError`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import NamedTuple
 
 from . import kernels, lattice
@@ -57,7 +58,7 @@ def _trace(surface: Surface) -> int:
 def invariants(t: Tuple4, kind: Surface) -> Tuple4:
     """The four norm-form combinations whose gcd is the invariant D."""
     k = _trace(kind)
-    a, b, c, d = t
+    a, b, c, d = map(index, t)
     return (a * a + k * a * b + b * b, c * c + k * c * d + d * d,
             a * c + k * b * c + b * d, a * d - b * c)
 
@@ -97,14 +98,16 @@ def search_bound(L: NSClass) -> Fraction:
 def degree_value(L: NSClass, t: Tuple4) -> int:
     """The quartic degree expression (undivided by D) at an integer tuple."""
     _require_class(L)
-    return kernels._value(_trace(L.surface), *L.coeffs, *t)
+    a, b, c, d = map(index, t)
+    return kernels._form_value(_trace(L.surface), _class_form(L.surface, L.coeffs), (a, b, c, d))
 
 
 def unit_orbit(t: Tuple4, kind: Surface) -> tuple[Tuple4, ...]:
     """Tuples naming the same curve via unit multiples of the parametrisation:
     the multiples of `t` by the 4 resp. 6 units, the powers of w."""
     k = _trace(kind)
-    orbit = [t]
+    a, b, c, d = map(index, t)
+    orbit = [(a, b, c, d)]
     for _ in range(3 + 2 * k):
         orbit.append(kernels._times_w(k, orbit[-1]))
     return tuple(orbit)
@@ -114,9 +117,10 @@ def canonical_tuple(t: Tuple4, kind: Surface) -> Tuple4:
     """The smallest tuple of the unit orbit of `t`, the normal form of its
     curve.  Raises `ValueError` for the zero tuple, which names no curve."""
     k = _trace(kind)
-    if not any(t):
+    a, b, c, d = map(index, t)
+    if not (a or b or c or d):
         raise ValueError("tuple must be nonzero")
-    return kernels._orbit_min(k, t)
+    return kernels._orbit_min(k, (a, b, c, d))
 
 
 class CMWitness(NamedTuple):
@@ -129,28 +133,18 @@ def seshadri_constant(L: NSClass) -> SeshadriResult:
 
     `kernels.minimize_quartic` minimises the class's degree form and names
     each computing curve by its normal form, the witness's representative.
-    Every minimizer has D = 1: with g the ring gcd of s1 and s2, the tuple
-    s/g of the same curve, with n(g) = D, has value Q/D, so D > 1 would
-    undercut the minimum.  With D = 1 the raw degrees are the degree
-    vector, and curves, unit orbits and classes correspond one to one, so
-    two witnesses with one degree vector raise `ArithmeticError`.
-
-    One pass over the minimizers checks each of them for D = 1 and turns it
-    into its witness.  D = 1 implies primitive, since g | t puts g^2 into
-    every invariant (a zero tuple has D = 0); a minimizer with D != 1 raises
-    `ArithmeticError`, which names primitivity if it is not primitive.
+    Every minimizer has D = 1 by construction (the `kernels` docstring's
+    proof; `minimize_quartic` checks its unimodular basis once per call),
+    so the raw degrees are the degree vector, and curves, unit orbits and
+    classes correspond one to one: two witnesses with one degree vector
+    raise `ArithmeticError`.
     """
     require_ample(L)
     k = _trace(L.surface)
     best, mins = kernels.minimize_quartic(k, _class_form(L.surface, L.coeffs))
     if not (best > 0 and mins):
         raise ArithmeticError("ample classes have a positive minimum")
-    witnesses = []
-    for t in mins:
-        if gcd(*invariants(t, L.surface)) != 1:  # gcd(t) only picks the message
-            raise ArithmeticError("a minimizer is always primitive" if gcd(*t) != 1
-                                  else "a minimizer always has D = 1")
-        witnesses.append(CMWitness(kernels._raw_degrees(k, *t), t))
+    witnesses = [CMWitness(kernels._raw_degrees(k, *t), t) for t in mins]
     if len(witnesses) > 1:
         witnesses.sort()  # by degree vector, the first field
         if len({w.degrees for w in witnesses}) < len(witnesses):

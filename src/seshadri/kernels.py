@@ -1,19 +1,19 @@
 """Rank-4 minimum: one Gauss reduction, and a fixed candidate list on ties, for both CM surfaces.
 
 On both CM surfaces a curve is the image of x -> (s1 x, s2 x) with
-s1 = a + b*w, s2 = c + d*w, where w = i (order Z[i]) or w = e^(i pi/3)
-(order Z[w]).  Then w^2 = t*w - 1 with trace t = 0 resp. 1 (`Surface.trace`);
+s1 = a + b*w, s2 = c + d*w, where w = i (order O = Z[i]) or w = e^(i pi/3)
+(O = Z[w]).  Then w^2 = t*w - 1 with trace t = 0 resp. 1 (`Surface.trace`);
 every function here takes t, and nothing else tells the two apart.  The
-degree expression is a positive-definite binary Hermitian form over the order,
+degree expression is a positive-definite binary Hermitian form over O,
 
     Q = A n(a, b) + C n(c, d) + Lc c + Ld d,    n(x, y) = x^2 + t xy + y^2,
 
-with Lc = a b0 + b b1 and Ld = a (t b0 - b1) + b b0.  Both orders are
-Euclidean, so `_reduce` Gauss-reduces the form over the order: it replaces
-the second basis vector f2 by f2 - k f1, k the ring element nearest to the
+with Lc = a b0 + b b1 and Ld = a (t b0 - b1) + b b0 (`_form_value`).  O is
+Euclidean, so `_reduce` Gauss-reduces the form over O: it replaces the
+second basis vector f2 by f2 - k f1, k the ring element nearest to the
 projection coefficient mu, and swaps the two while the second is shorter.
 Afterwards C >= A and 0 is the ring element nearest mu, so |mu|^2 <= rho^2,
-the squared covering radius of the order (1/2 on Z[i], 1/3 on Z[w]), and
+the squared covering radius of O (1/2 on Z[i], 1/3 on Z[w]), and
 
     Q = A n(s1 + mu s2) + (C - A |mu|^2) n(s2).
 
@@ -26,18 +26,20 @@ Units keep Q, so each curve of degree A has a tuple of one of three kinds
 - n(s2) >= 2: Q >= n(s2) A (1 - |mu|^2) > A, unless C = A, n(s2) = 2 and
   |mu|^2 = 1/2 on Z[i] (on Z[w], n(s2) >= 3 gives Q >= 2A).  Then s2 = 1 + i
   up to a unit, and Q = A needs s1 = -mu (1 + i), a unit: (a, b, 1, 1).
-So if C > A, f1's orbit is the only curve, and `minimize_quartic` returns it
-directly.  It checks the premise in integers first.  A step f2 -= k f1 by a
-unit k = x + y w changes C by A - x b0 - y b1, and 0 is nearest mu exactly
-when no step by one of the 4 resp. 6 units, the Voronoi-relevant vectors of
-the order, lowers C.  If one would, the reduction is at fault and it raises
-`ArithmeticError`.  On a tie C = A, `quartic_min_box` keeps those of the
-14 resp. 8 candidates whose value is A; a value below A contradicts the
-bound and raises `ArithmeticError` too.  Units commute with the basis
-change, which is linear over the order, so each kept tuple (a, b, c, d) is
-mapped back in one pass: the ring product (a + b w) f1 + (c + d w) f2 in
-plain integers, then the smallest tuple of its unit orbit (`_orbit_min`, a
-running minimum over the unit multiples), the one normal form of a curve.
+So if C > A, f1's orbit is the only curve; on a tie C = A, `quartic_min_box`
+keeps those of the 14 resp. 8 candidates whose value is A.  Units commute
+with the basis change, so each kept (u, v) = (a + b w, c + d w) maps back to
+(s1, s2) = u f1 + v f2, in plain integers, named by the smallest tuple of its
+unit orbit (`_orbit_min`), the normal form of a curve.  Its gcd invariant D
+is 1: the steps and swaps of `_reduce` are in GL2(O), so (s1, s2) generates
+the ideal (u, v), which is O for each candidate (e, 0), (-k, 1) and
+(e, 1 + i), e a unit; so the ring gcd g of s1, s2 is a unit, D = n(g) = 1,
+and the tuple is primitive.  `minimize_quartic` checks these premises in
+integers and raises `ArithmeticError` if one fails: no step by one of the
+4 resp. 6 units (the Voronoi-relevant vectors of O) lowers C, as a step by
+k = x + y w changes C by A - x b0 - y b1; det(f1, f2) = s1(f1) s2(f2) -
+s1(f2) s2(f1) has norm 1, once per call before the C > A return, as in
+`nocm._curves_up_to`; no tie candidate's value is below A.
 """
 from __future__ import annotations
 
@@ -53,10 +55,12 @@ def _raw_degrees(t: int, a: int, b: int, c: int, d: int) -> Tuple4:
             e * e + t * e * f + f * f, g * g + t * g * h + h * h)
 
 
-def _value(t: int, a1: int, a2: int, a3: int, a4: int,
-           a: int, b: int, c: int, d: int) -> int:
-    r1, r2, r3, r4 = _raw_degrees(t, a, b, c, d)
-    return a1 * r1 + a2 * r2 + a3 * r3 + a4 * r4
+def _form_value(t: int, form: Tuple4, v: Tuple4) -> int:
+    """Q at v = (a, b, c, d) on the form (A, C, b0, b1), as stated above."""
+    A, C, b0, b1 = form
+    a, b, c, d = v
+    return (A * (a * a + t * a * b + b * b) + C * (c * c + t * c * d + d * d)
+            + (a * b0 + b * b1) * c + (a * (t * b0 - b1) + b * b0) * d)
 
 
 def _times_w(t: int, v: Tuple4) -> Tuple4:
@@ -129,18 +133,13 @@ _TIE_CANDIDATES = (
 
 
 def quartic_min_box(t: int, A: int, C: int, b0: int, b1: int) -> list[Tuple4]:
-    """The tuples where the reduced form (A, C, b0, b1) takes A, one per curve.
-
-    Keeps the tie candidates of value A, in reduced coordinates; a value
-    below A contradicts the bound and raises `ArithmeticError`.  Called on
-    ties C = A only.  The name is older than the reduction; the benchmark's
-    tracer measures the tie listing under it.
-    """
+    """The tie candidates where the reduced form (A, C, b0, b1) takes A, one
+    per curve; a value below A raises `ArithmeticError`.  Called on ties
+    C = A only; the benchmark's tracer times the listing under this name."""
+    form = A, C, b0, b1
     mins = []
     for v in _TIE_CANDIDATES[t]:
-        a, b, c, d = v
-        value = (A * (a * a + t * a * b + b * b) + C * (c * c + t * c * d + d * d)
-                 + (a * b0 + b * b1) * c + (a * (t * b0 - b1) + b * b0) * d)
+        value = _form_value(t, form, v)
         if value == A:
             mins.append(v)
         elif value < A:
@@ -154,8 +153,7 @@ def minimize_quartic(t: int, form: Tuple4) -> tuple[int, list[Tuple4]]:
     Returns the minimum with the sorted list of the curves attaining it, each
     as the smallest tuple of its unit orbit.  Raises `ValueError` when the
     form is not positive definite, as `_reduce` needs, and `ArithmeticError`
-    when the reduced form fails the integer check that 0 is the ring element
-    nearest mu or a tie candidate's value is below A.
+    when a check of the module docstring fails.
     """
     A, C, b0, b1 = form
     if not (A > 0 and (4 - t * t) * A * C > b0 * b0 - t * b0 * b1 + b1 * b1):
@@ -165,10 +163,15 @@ def minimize_quartic(t: int, form: Tuple4) -> tuple[int, list[Tuple4]]:
     # A + b0 - b1, A - b0 + b1
     if not (A >= abs(b0) and A >= abs(b1) and (not t or A >= abs(b1 - b0))):
         raise ArithmeticError("a unit step lowers the reduced form's C")
-    if C > A:  # the module docstring's bound: only f1's orbit reaches A
-        return A, [_orbit_min(t, f1)]
     p0, p1, p2, p3 = f1
     q0, q1, q2, q3 = f2
+    # det(f1, f2) = s1(f1) s2(f2) - s1(f2) s2(f1) = x + y w must be a unit
+    x = p0 * q2 - p1 * q3 - q0 * p2 + q1 * p3
+    y = p0 * q3 + p1 * q2 + t * p1 * q3 - q0 * p3 - q1 * p2 - t * q1 * p3
+    if x * x + t * x * y + y * y != 1:
+        raise ArithmeticError(f"reduced basis {f1}, {f2} is not unimodular")
+    if C > A:  # the module docstring's bound: only f1's orbit reaches A
+        return A, [_orbit_min(t, f1)]
     out = []
     for a, b, c, d in quartic_min_box(t, A, C, b0, b1):
         # (a + b w) (x + y w) = (a x - b y) + (a y + b x + t b y) w

@@ -14,6 +14,7 @@ over s = c + d in the frame of sorted coefficients, as the reference.
 from __future__ import annotations
 
 from math import gcd, isqrt
+from operator import index
 
 from .lattice import NSClass, SeshadriResult, Surface, _class_form, _require_class, require_ample
 
@@ -70,7 +71,7 @@ def degree(L: NSClass, pair: Pair) -> int:
     _require_class(L)
     _require_nocm(L)
     A, B, C = _class_form(L.surface, L.coeffs)
-    c, d = pair
+    c, d = map(index, pair)
     return A * c * c + 2 * B * c * d + C * d * d
 
 

@@ -1,5 +1,8 @@
 """Reference scans for the closed forms of both ranks.
 
+`_value` is the rank-4 degree expression in class coordinates, the raw
+degrees dotted with the coefficients, as `kernels` held it before it stated
+Q on the form alone: the form-free reference for `kernels._form_value`.
 `_lin_window` and `_quad_window` are the exact `isqrt` windows of the
 integer solutions of a quadratic inequality, which the scans here use.
 `domain_walk` is `kernels.quartic_min_box` as it stood before the candidate
@@ -40,9 +43,15 @@ from math import gcd, isqrt, lcm
 
 from seshadri import cm, kernels
 from seshadri.cross_section import CrossSection
-from seshadri.kernels import Tuple4, _value
+from seshadri.kernels import Tuple4, _raw_degrees
 from seshadri.lattice import require_ample, self_intersection
 from seshadri.nocm import SeshadriResult, canonical_pair, class_to_pair
+
+
+def _value(t: int, a1: int, a2: int, a3: int, a4: int,
+           a: int, b: int, c: int, d: int) -> int:
+    r1, r2, r3, r4 = _raw_degrees(t, a, b, c, d)
+    return a1 * r1 + a2 * r2 + a3 * r3 + a4 * r4
 
 
 def _lin_window(e: int, f: int, bound: int) -> tuple[int, int]:

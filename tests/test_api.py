@@ -107,6 +107,36 @@ def test_a_non_surface_raises_type_error(name, value):
         SURFACE_ENTRIES[name](value)
 
 
+#: The functions that read a curve tuple (a pair on nocm), each with a
+#: valid tuple.
+TUPLE_ENTRIES = {
+    "cm.invariants": (lambda t: cm.invariants(t, Surface.CM_GAUSSIAN), (1, 0, 0, 0)),
+    "cm.tuple_gcd": (lambda t: cm.tuple_gcd(t, Surface.CM_GAUSSIAN), (1, 0, 0, 0)),
+    "cm.degree_vector": (lambda t: cm.degree_vector(t, Surface.CM_EISENSTEIN), (1, 0, 0, 0)),
+    "cm.unit_orbit": (lambda t: cm.unit_orbit(t, Surface.CM_EISENSTEIN), (1, 0, 0, 0)),
+    "cm.canonical_tuple": (lambda t: cm.canonical_tuple(t, Surface.CM_GAUSSIAN), (1, 0, 0, 0)),
+    "cm.reduce_tuple": (lambda t: cm.reduce_tuple(t, Surface.CM_GAUSSIAN), (1, 1, 1, 1)),
+    "cm.degree_value": (lambda t: cm.degree_value(ns_class(Surface.CM_GAUSSIAN, (1, 1, 1, 1)), t),
+                        (1, 0, 0, 0)),
+    "nocm.degree": (lambda t: nocm.degree(AMPLE_NOCM, t), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", TUPLE_ENTRIES)
+def test_a_tuple_of_non_integers_or_the_wrong_length_raises(name):
+    # entries are read with `operator.index`: a float, even an integral one,
+    # is no curve tuple, where it used to give a float result
+    call, valid = TUPLE_ENTRIES[name]
+    call(valid)
+    for bad in (0.5, 1.0, "1"):
+        for i in (0, len(valid) - 1):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call(valid[:i] + (bad,) + valid[i + 1:])
+    for wrong in (valid + (0,), valid[:-1]):
+        with pytest.raises(ValueError):
+            call(wrong)
+
+
 def test_version():
     # the `[project]` table's version; a regex, since 3.10 has no `tomllib`
     text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()

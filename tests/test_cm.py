@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from paper_lemmas import congruence_solution_count, leading_minors
 from scan_references import HALF_BOX_WARM, half_box_seshadri
-from test_large_coefficients import near_boundary_cm_classes
+from test_large_coefficients import NEAR_BOUNDARY_SIZES, near_boundary_cm_classes
 from seshadri import cm, kernels, oracle
 from seshadri.cm import (
     GENERATOR_TUPLES,
@@ -216,35 +216,6 @@ def test_empty_minimizer_set_raises(monkeypatch):
         seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
 
 
-def test_minimizer_with_d_above_one_raises(monkeypatch):
-    # (1, 1, 1, 1) is primitive with D = 2 on the Gaussian surface
-    monkeypatch.setattr(
-        kernels, "minimize_quartic", lambda t, form: (3, [(1, 1, 1, 1)])
-    )
-    with pytest.raises(ArithmeticError, match="D = 1"):
-        seshadri_constant(ns_class(GAUSS, (1, 1, 1, 1)))
-
-
-@pytest.mark.parametrize(
-    "mins, message",
-    [
-        # D = 4 and imprimitive: D = 1 fails first, and the message names
-        # primitivity
-        ([(2, 0, 0, 0)], "primitive"),
-        # only the second minimizer is bad: every minimizer is checked;
-        # (1, 1, 1, 1) is primitive with D = 2 on cm-i and D = 3 on cm-eisenstein
-        ([(1, 0, 0, 0), (1, 1, 1, 1)], "D = 1"),
-        # the zero tuple has D = 0
-        ([(0, 0, 0, 0)], "primitive"),
-    ],
-)
-@pytest.mark.parametrize("surface", [GAUSS, EISEN], ids=lambda s: s.value)
-def test_every_minimizer_is_checked(monkeypatch, surface, mins, message):
-    monkeypatch.setattr(kernels, "minimize_quartic", lambda t, form: (3, mins))
-    with pytest.raises(ArithmeticError, match=message):
-        seshadri_constant(ns_class(surface, (1, 1, 1, 1)))
-
-
 @pytest.mark.parametrize("surface", [GAUSS, EISEN], ids=lambda s: s.value)
 def test_two_witnesses_with_one_degree_vector_raise(monkeypatch, surface):
     # two unit multiples of F2, both with D = 1 and degrees (1, 0, 1, 1) on
@@ -300,12 +271,26 @@ def test_box_holds_every_unit_multiple_of_a_minimizer(surface):
                 assert max(map(abs, u)) <= radius, (L.coeffs, u)
 
 
-def test_seshadri_witness_representatives_are_reduced():
-    result = seshadri_constant(ns_class(GAUSS, (0, 0, 1, 1)))
-    for w in result.witnesses:
-        assert tuple_gcd(w.representative, GAUSS) == 1
-        assert degree_vector(w.representative, GAUSS) == w.degrees
-        assert canonical_tuple(w.representative, GAUSS) == w.representative
+#: The epsilon goldens whose reduced forms tie (C = A), one per surface.
+TIE_GOLDENS = {GAUSS: (-2, 2, 1, 3), EISEN: (2, 2, 1, -1)}
+
+
+@pytest.mark.parametrize("surface", [GAUSS, EISEN], ids=lambda s: s.value)
+def test_seshadri_witness_representatives_are_reduced(surface):
+    # no witness is tested for D = 1 any more, as the unimodular reduced
+    # basis proves it: check it here on seeded classes at bounds 8 to 10^40,
+    # the near-boundary classes and the tie goldens
+    classes = [ns_class(surface, (0, 0, 1, 1)), ns_class(surface, TIE_GOLDENS[surface])]
+    for bound in (8, 100, 10**4, 10**12, 10**40):
+        classes += random_ample_classes(surface, 100, bound, seed=bound % 991)
+    for size in NEAR_BOUNDARY_SIZES:
+        classes += [L for L, *_ in near_boundary_cm_classes(surface, size, seed=size % 983)]
+    for L in classes:
+        for w in seshadri_constant(L).witnesses:
+            rep = w.representative
+            assert tuple_gcd(rep, surface) == 1, (L.coeffs, rep)
+            assert degree_vector(rep, surface) == w.degrees, (L.coeffs, rep)
+            assert canonical_tuple(rep, surface) == rep, (L.coeffs, rep)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from scan_references import (
     _lin_window,
     _quad_window,
+    _value,
     assert_one_minimizer_per_orbit,
     count_loop_passes,
     count_walks,
@@ -16,7 +17,6 @@ from scan_references import (
 )
 from seshadri import cli, cm, kernels, oracle
 from seshadri.cm import search_bound, unit_orbit
-from seshadri.kernels import _value
 from seshadri.lattice import Surface, _class_form, ns_class
 from seshadri.sampling import random_ample_classes
 
@@ -188,6 +188,44 @@ def test_eisenstein_step_by_one_minus_w_raises(monkeypatch, capsys):
         kernels.minimize_quartic(1, _class_form(Surface.CM_EISENSTEIN, (1, 1, 1, 1)))
     assert cli.main(["epsilon", "--surface", "cm-eisenstein", "--coeffs", "1,1,1,1"]) == 70
     assert capsys.readouterr().err.startswith("seshadri: internal error: ")
+
+
+def _first_vector_times_one_plus_w(reduce):
+    """`_reduce` with f1 replaced by (1 + w) f1 and the form left as it is:
+    every check on the form still passes, but det(f1, f2) gains the factor
+    1 + w, of norm 2 resp. 3, and the tuples mapped back have D > 1."""
+    def scaled(t, A, C, b0, b1):
+        A, C, b0, b1, f1, f2 = reduce(t, A, C, b0, b1)
+        return A, C, b0, b1, tuple(x + y for x, y in zip(f1, kernels._times_w(t, f1))), f2
+    return scaled
+
+
+@pytest.mark.parametrize(
+    "surface, coeffs, tie",
+    [(Surface.CM_GAUSSIAN, (-25, -37, 57, 51), False), (Surface.CM_GAUSSIAN, (-2, 2, 1, 3), True),
+     (Surface.CM_EISENSTEIN, (-35, 41, 42, 36), False), (Surface.CM_EISENSTEIN, (2, 2, 1, -1), True)],
+    ids=["cm-i-shortcut", "cm-i-tie", "cm-eisenstein-shortcut", "cm-eisenstein-tie"],
+)
+def test_non_unimodular_rank4_basis_exits_70(surface, coeffs, tie, monkeypatch, capsys):
+    # the witnesses have D = 1 only because the reduced basis is unimodular,
+    # so a basis that is not must raise on the C > A return and on a tie
+    # (the `--check-oracle` and the tie epsilon goldens), and the CLI must
+    # exit 70 with one line, never answer
+    t = surface.trace
+    form = _class_form(surface, coeffs)
+    A, C, *_ = kernels._reduce(t, *form)
+    assert (C == A) == tie
+    monkeypatch.setattr(kernels, "_reduce", _first_vector_times_one_plus_w(kernels._reduce))
+    with pytest.raises(ArithmeticError, match="not unimodular"):
+        kernels.minimize_quartic(t, form)
+    L = ns_class(surface, coeffs)
+    with pytest.raises(ArithmeticError, match="not unimodular"):
+        cm.seshadri_constant(L)
+    argv = ["epsilon", "--surface", surface.value, "--coeffs", ",".join(map(str, coeffs))]
+    assert cli.main(argv) == 70
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("seshadri: internal error: reduced basis ")
+    assert err.count("\n") == 1 and err.endswith(" is not unimodular\n")
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.value)
