@@ -18,11 +18,12 @@ the same expression itself (`oracle.degree_form`), so it shares no code
 with this module.
 
 The ring arithmetic is written once over the trace t of the generator w = i
-resp. z (t = 0 resp. 1, `Surface.trace`): w (x + y w) = -y + (x + t y) w,
-and n(x, y) = x^2 + t xy + y^2 is the norm of x + y w.  A tuple with D > 1
-is reduced by dividing (s1, s2) by their ring gcd, so on both surfaces the
-result is defined up to a unit.  Tuples are read with `operator.index`: a
-non-integer entry raises `TypeError`, a wrong length `ValueError`.
+resp. z (t = 0 resp. 1, read by `lattice._cm_trace`, which raises on nocm):
+w (x + y w) = -y + (x + t y) w, and n(x, y) = x^2 + t xy + y^2 is the norm
+of x + y w.  A tuple with D > 1 is reduced by dividing (s1, s2) by their
+ring gcd, so on both surfaces the result is defined up to a unit.  Tuples
+are read with `operator.index` and returned as ints: a non-integer entry
+raises `TypeError`, a wrong length `ValueError`.
 """
 from __future__ import annotations
 
@@ -31,8 +32,9 @@ from math import gcd
 from operator import index
 from typing import NamedTuple
 
-from . import kernels, lattice
-from .lattice import NSClass, SeshadriResult, Surface, _class_form, _require_class, require_ample
+from . import kernels
+from .lattice import (NSClass, SeshadriResult, Surface, _class_form, _cm_trace, _require_class,
+                      require_ample)
 
 Tuple4 = tuple[int, int, int, int]
 
@@ -46,18 +48,9 @@ GENERATOR_TUPLES: dict[str, Tuple4] = {
 }
 
 
-def _trace(surface: Surface) -> int:
-    """The trace of the ring generator; raises on the surface without CM."""
-    lattice._require_surface(surface)
-    k = surface.trace
-    if k is None:
-        raise ValueError("surface mismatch: expected a CM surface")
-    return k
-
-
 def invariants(t: Tuple4, kind: Surface) -> Tuple4:
     """The four norm-form combinations whose gcd is the invariant D."""
-    k = _trace(kind)
+    k = _cm_trace(kind)
     a, b, c, d = map(index, t)
     return (a * a + k * a * b + b * b, c * c + k * c * d + d * d,
             a * c + k * b * c + b * d, a * d - b * c)
@@ -77,7 +70,8 @@ def _require_primitive(t: Tuple4) -> None:
 
 def degree_vector(t: Tuple4, kind: Surface) -> Tuple4:
     """Intersection numbers of the curve named by `t` with F1, F2, Delta, Sigma."""
-    k = _trace(kind)
+    k = _cm_trace(kind)
+    t = tuple(map(index, t))
     _require_primitive(t)
     dd = tuple_gcd(t, kind)
     raw = kernels._raw_degrees(k, *t)
@@ -89,7 +83,7 @@ def degree_vector(t: Tuple4, kind: Surface) -> Tuple4:
 def search_bound(L: NSClass) -> Fraction:
     """Box radius inside which the degree expression attains its minimum."""
     square = require_ample(L)
-    t = _trace(L.surface)
+    t = _cm_trace(L.surface)
     A, C, b0, b1 = _class_form(L.surface, L.coeffs)
     top = max(4 * A * A, 4 * C * C, b0 * b0, b1 * b1, t * (b1 - b0) ** 2)
     return Fraction(16 * top, (4 - t * t) * square)
@@ -98,14 +92,14 @@ def search_bound(L: NSClass) -> Fraction:
 def degree_value(L: NSClass, t: Tuple4) -> int:
     """The quartic degree expression (undivided by D) at an integer tuple."""
     _require_class(L)
-    a, b, c, d = map(index, t)
-    return kernels._form_value(_trace(L.surface), _class_form(L.surface, L.coeffs), (a, b, c, d))
+    k = _cm_trace(L.surface)
+    return kernels._form_value(k, _class_form(L.surface, L.coeffs), tuple(map(index, t)))
 
 
 def unit_orbit(t: Tuple4, kind: Surface) -> tuple[Tuple4, ...]:
     """Tuples naming the same curve via unit multiples of the parametrisation:
     the multiples of `t` by the 4 resp. 6 units, the powers of w."""
-    k = _trace(kind)
+    k = _cm_trace(kind)
     a, b, c, d = map(index, t)
     orbit = [(a, b, c, d)]
     for _ in range(3 + 2 * k):
@@ -116,7 +110,7 @@ def unit_orbit(t: Tuple4, kind: Surface) -> tuple[Tuple4, ...]:
 def canonical_tuple(t: Tuple4, kind: Surface) -> Tuple4:
     """The smallest tuple of the unit orbit of `t`, the normal form of its
     curve.  Raises `ValueError` for the zero tuple, which names no curve."""
-    k = _trace(kind)
+    k = _cm_trace(kind)
     a, b, c, d = map(index, t)
     if not (a or b or c or d):
         raise ValueError("tuple must be nonzero")
@@ -140,7 +134,7 @@ def seshadri_constant(L: NSClass) -> SeshadriResult:
     raise `ArithmeticError`.
     """
     require_ample(L)
-    k = _trace(L.surface)
+    k = _cm_trace(L.surface)
     best, mins = kernels.minimize_quartic(k, _class_form(L.surface, L.coeffs))
     if not (best > 0 and mins):
         raise ArithmeticError("ample classes have a positive minimum")
@@ -172,7 +166,8 @@ def reduce_tuple(t: Tuple4, kind: Surface) -> Tuple4:
     `invariants`.  A gcd that is not a divisor of norm D, or a result that
     misses the target invariants, raises `ArithmeticError`.
     """
-    k = _trace(kind)
+    k = _cm_trace(kind)
+    t = tuple(map(index, t))
     _require_primitive(t)
     dd = tuple_gcd(t, kind)
     if dd == 1:

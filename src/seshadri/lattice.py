@@ -6,28 +6,27 @@ automorphism of order 4 resp. 6 (rank 4, basis F1, F2, Delta, Sigma).  All
 arithmetic is over plain Python integers, so coefficients of any size are
 exact.
 
-`Surface` is the one place that says what a surface is: each member carries
-its lattice rank and, on rank 4, the trace t of the ring generator w
-(w^2 = t w - 1, Delta . Sigma = 2 - t), None on rank 3.  Other modules read
-these attributes and keep no table per surface.
+`Surface` and its two kind checks, `_require_nocm` and `_cm_trace`, are the
+one place that says what a surface is: each member carries its lattice rank
+and, on rank 4, the trace t of the ring generator w (w^2 = t w - 1), None on
+rank 3.  Other modules read these and state no surface table or check.
 
-`generator_pairings` is the one statement of the intersection form: the
-pairings of a class with the basis curves, written straight-line over the
-trace, from which `intersect`, `self_intersection`, `is_nef` and
-`ample_violations` are built.  Ampleness, which every entry point checks
-through `require_ample`, is two inequalities, L.F1 > 0 and L^2 > 0 (the
-light-cone argument is in `ample_square`); the tests pin the pairings to
-full literal Gram matrices, and `_class_form` maps a class to its degree
-form.  The functions that take a class or a surface raise `TypeError` for
-anything else.  `SeshadriResult` is the one result of a Seshadri-constant
-computation, on every surface.
+`_class_form`, the map from a class to its degree form, is the one statement
+of the intersection form: `generator_pairings` reads the pairings with the
+basis curves off it, and `intersect`, `self_intersection`, `is_nef` and
+`ample_violations` are built from those; the tests pin them to full literal
+Gram matrices.  Besides it only the measured gate `ample_square` expands
+L.F1 and L^2: ampleness, which every entry point checks through
+`require_ample`, is L.F1 > 0 and L^2 > 0.  The functions that take a class
+or a surface raise `TypeError` for anything else.  `SeshadriResult` is the
+one result of a Seshadri-constant computation, on every surface.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import index, mul
+from operator import add, index, mul
 from typing import Iterable, NamedTuple
 
 
@@ -51,6 +50,20 @@ GENERATOR_LABELS = ("F1", "F2", "Delta", "Sigma")
 def _require_surface(surface) -> None:
     if not isinstance(surface, Surface):
         raise TypeError("surface must be a Surface")
+
+
+def _require_nocm(surface: Surface) -> None:
+    if surface.trace is not None:
+        raise ValueError("surface mismatch: expected the nocm surface")
+
+
+def _cm_trace(surface) -> int:
+    """The trace of the ring generator; raises on the surface without CM."""
+    _require_surface(surface)
+    t = surface.trace
+    if t is None:
+        raise ValueError("surface mismatch: expected a CM surface")
+    return t
 
 
 @dataclass(frozen=True)
@@ -80,9 +93,7 @@ class NSClass:
             return NotImplemented
         if self.surface is not other.surface:
             raise ValueError("surface mismatch")
-        return NSClass(
-            self.surface, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return NSClass(self.surface, tuple(map(add, self.coeffs, other.coeffs)))
 
 
 def ns_class(surface: Surface, coeffs: Iterable[int]) -> NSClass:
@@ -120,17 +131,15 @@ def intersect(x: NSClass, y: NSClass) -> int:
 
 
 def generator_pairings(x: NSClass) -> tuple[int, ...]:
-    """Intersection of `x` with each basis curve, in basis order."""
+    """Intersection of `x` with each basis curve, in basis order: the degree form's
+    values at the basis curves (`nocm.GENERATOR_PAIRS`, `cm.GENERATOR_TUPLES`)."""
     _require_class(x)
-    # Every basis curve is elliptic (self-intersection 0) and any two
-    # distinct ones meet once, except Delta . Sigma = k = 2 - trace.
     t = x.surface.trace
     if t is None:
-        a1, a2, a3 = x.coeffs
-        return a2 + a3, a1 + a3, a1 + a2
-    a1, a2, a3, a4 = x.coeffs
-    k = 2 - t
-    return a2 + a3 + a4, a1 + a3 + a4, a1 + a2 + k * a4, a1 + a2 + k * a3
+        A, B, C = _class_form(x.surface, x.coeffs)
+        return A, C, A - 2 * B + C
+    A, C, b0, b1 = _class_form(x.surface, x.coeffs)
+    return C, A, A + C + b0, A + C + t * b0 - b1
 
 
 def self_intersection(x: NSClass) -> int:
@@ -148,7 +157,7 @@ def ample_square(surface: Surface, coeffs: tuple[int, ...]) -> int:
     L^2 > 0, and the sign of L.F1 picks the ample component.  Works on the
     raw tuple, so a caller that rejects most candidates builds no class.
     """
-    # L.F1 from `generator_pairings`, and L^2 = sum a_i (L . basis_i) expanded
+    # L.F1 and L^2 = sum a_i (L . basis_i) inline: through `_class_form` it costs 1.6-2x
     try:
         t = surface.trace
     except AttributeError:  # not a `Surface`: raise `_require_surface`'s `TypeError`
@@ -170,8 +179,8 @@ def _class_form(surface: Surface, coeffs: tuple[int, ...]) -> tuple[int, ...]:
     AC - B^2 = L^2/2; on rank 4 (A, C, b0, b1), the Hermitian form of the
     `kernels` docstring, with m AC - (b0^2 - t b0 b1 + b1^2) = m L^2/2,
     m = 4 - t^2.  So L is ample exactly when its form is positive definite
-    (A > 0, determinant > 0).  `ample_square`, the sampler's rejection
-    gate, keeps its inline L^2, which costs less than building the form.
+    (A > 0, determinant > 0).  The one statement of the intersection form,
+    which `generator_pairings` reads; `ample_square` keeps its inline L^2.
     """
     t = surface.trace
     if t is None:

@@ -7,16 +7,18 @@ L . N_{c,d} is the class's binary quadratic form (`lattice._class_form`).
 The constant is its minimum over primitive vectors, and the submaximal
 curves are its short primitive vectors.  Both come from one Lagrange-Gauss
 reduction (Cohen, GTM 138, ch. 5) and one exact `isqrt` window in its
-unimodular basis, which needs no gcd: O(log coeff) steps per call, and
-`lattice` is the only import.  The tests keep the paper's formula, a scan
-over s = c + d in the frame of sorted coefficients, as the reference.
+unimodular basis, which needs no gcd: O(log coeff) steps per call.  The
+only import is `lattice`, whose `_require_nocm` is the surface check.  Pairs
+and classes are read with `operator.index`.  The tests keep the paper's
+formula, a scan over s = c + d in sorted coefficients, as the reference.
 """
 from __future__ import annotations
 
 from math import gcd, isqrt
 from operator import index
 
-from .lattice import NSClass, SeshadriResult, Surface, _class_form, _require_class, require_ample
+from .lattice import (NSClass, SeshadriResult, Surface, _class_form, _require_class,
+                      _require_nocm, require_ample)
 
 Pair = tuple[int, int]
 
@@ -29,6 +31,7 @@ def canonical_pair(c: int, d: int) -> Pair:
 
     Normalised so that c > 0, or (c, d) = (0, 1).
     """
+    c, d = index(c), index(d)
     if (c, d) == (0, 0):
         raise ValueError("(0, 0) is not a curve pair")
     if gcd(c, d) != 1:
@@ -40,36 +43,30 @@ def canonical_pair(c: int, d: int) -> Pair:
 
 def curve_class(pair: Pair) -> NSClass:
     """Divisor class of the elliptic curve named by a coprime pair."""
-    c, d = canonical_pair(*pair)
+    c, d = map(index, pair)
+    c, d = canonical_pair(c, d)
     return NSClass(Surface.NO_CM, (c * (c + d), d * (c + d), -c * d))
 
 
 def class_to_pair(coeffs: tuple[int, int, int]) -> Pair:
     """Inverse of `curve_class` on primitive classes of self-intersection 0."""
-    x1, x2, x3 = coeffs
+    x1, x2, x3 = map(index, coeffs)
     if x1 == 0 and x2 == 0:
         if x3 != 1:
             raise ValueError(f"{coeffs} is not a primitive curve class")
         return (1, -1)
     s2 = x1 + x2  # (c + d)^2 >= 0 on a curve class
     s = isqrt(max(s2, 0))
-    if s * s != s2 or s == 0 or x1 % s or x2 % s:
+    # c = x1 / s, d = x2 / s, and -cd = x3 is x1 x2 = -x3 s^2
+    if s * s != s2 or s == 0 or x1 % s or x2 % s or x1 * x2 != -x3 * s2:
         raise ValueError(f"{coeffs} is not a curve class")
-    c, d = x1 // s, x2 // s
-    if -c * d != x3:
-        raise ValueError(f"{coeffs} is not a curve class")
-    return canonical_pair(c, d)
-
-
-def _require_nocm(L: NSClass) -> None:
-    if L.surface.trace is not None:
-        raise ValueError("surface mismatch: expected the nocm surface")
+    return canonical_pair(x1 // s, x2 // s)
 
 
 def degree(L: NSClass, pair: Pair) -> int:
     """L . N_{c,d}, evaluated through the explicit quadratic form."""
     _require_class(L)
-    _require_nocm(L)
+    _require_nocm(L.surface)
     A, B, C = _class_form(L.surface, L.coeffs)
     c, d = map(index, pair)
     return A * c * c + 2 * B * c * d + C * d * d
@@ -124,7 +121,7 @@ def seshadri_constant(L: NSClass) -> SeshadriResult:
     canonical pairs of the primitive vectors attaining it, in a frozenset.
     """
     require_ample(L)
-    _require_nocm(L)
+    _require_nocm(L.surface)
     form = _reduce(_class_form(L.surface, L.coeffs))
     return SeshadriResult(form[0], _curves_up_to(form, form[0]))
 
@@ -135,7 +132,7 @@ def submaximal_curves(L: NSClass, weak: bool = False) -> frozenset[Pair]:
     Comparisons are made on squares, so no irrational arithmetic occurs.
     """
     square = require_ample(L)
-    _require_nocm(L)
+    _require_nocm(L.surface)
     # deg^2 <= square (resp. <) for positive integer degrees, as one bound
     form = _reduce(_class_form(L.surface, L.coeffs))
     return _curves_up_to(form, isqrt(square if weak else square - 1))

@@ -3,8 +3,9 @@
 Everything here validates the closed-form results by direct search: certified
 minimization of positive-definite quadratic forms over the integer lattice.
 The search shares no formula code with the closed-form modules: the only
-package module this module imports is `lattice`, its walk is its own, and
-its Gram constructor `_scaled_degree_form` (seen through `degree_form`) is
+package module this module imports is `lattice`, for the class, its
+ampleness gate and its surface checks; the walk is the oracle's own, and its
+Gram constructor `_scaled_degree_form` (seen through `degree_form`) is
 cross-checked against hand-expanded polynomials in the tests.
 
 The search is a Fincke-Pohst enumeration in integers only.  The Gram matrix
@@ -43,7 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .lattice import NSClass, _rational, _require_class, require_ample
+from .lattice import NSClass, _cm_trace, _rational, _require_class, _require_nocm, require_ample
 
 
 class ShellSearchReport(NamedTuple):
@@ -281,8 +282,7 @@ def nocm_seshadri(L: NSClass) -> int:
     single certified form minimization.
     """
     require_ample(L)
-    if L.surface.trace is not None:
-        raise ValueError("surface mismatch: expected the nocm surface")
+    _require_nocm(L.surface)
     value, pts = _class_minimum(L)
     if any(gcd(p[0], p[1]) != 1 for p in pts):
         raise ArithmeticError(f"imprimitive form minimizer for {L.coeffs}")
@@ -292,8 +292,7 @@ def nocm_seshadri(L: NSClass) -> int:
 def cm_seshadri(L: NSClass) -> int:
     """Reference Seshadri constant on the rank-4 surfaces."""
     require_ample(L)
-    if L.surface.trace is None:
-        raise ValueError("surface mismatch: expected a CM surface")
+    _cm_trace(L.surface)
     return _class_minimum(L)[0]
 
 

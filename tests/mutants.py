@@ -84,6 +84,21 @@ MUTANTS = (
     Mutant("nocm negative discriminant clamped to 0", NOCM,
            "(square := B * B - A * (C - threshold)) >= 0",
            "(square := max(B * B - A * (C - threshold), 0)) >= 0", "killed"),
+    # the surface-kind checks and the pairings read off the degree form
+    Mutant("_cm_trace without its None test", "src/seshadri/lattice.py",
+           """    if t is None:
+        raise ValueError("surface mismatch: expected a CM surface")
+""", "", "killed"),
+    Mutant("_require_nocm testing is None", "src/seshadri/lattice.py",
+           "    if surface.trace is not None:", "    if surface.trace is None:", "killed"),
+    Mutant("nocm L.Delta pairing sign of B", "src/seshadri/lattice.py",
+           "A - 2 * B + C", "A + 2 * B + C", "killed"),
+    Mutant("rank-4 L.Delta pairing sign of b0", "src/seshadri/lattice.py",
+           "A + C + b0,", "A + C - b0,", "killed"),
+    Mutant("rank-4 L.Sigma pairing sign of t b0", "src/seshadri/lattice.py",
+           "A + C + t * b0 - b1", "A + C - t * b0 - b1", "killed"),
+    Mutant("rank-4 L.Sigma pairing sign of b1", "src/seshadri/lattice.py",
+           "A + C + t * b0 - b1", "A + C + t * b0 + b1", "killed"),
     # the ampleness gate and the sampler
     Mutant("ample_square with f1 >= 0", "src/seshadri/lattice.py",
            "square if f1 > 0 and", "square if f1 >= 0 and",

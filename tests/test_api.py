@@ -107,8 +107,8 @@ def test_a_non_surface_raises_type_error(name, value):
         SURFACE_ENTRIES[name](value)
 
 
-#: The functions that read a curve tuple (a pair on nocm), each with a
-#: valid tuple.
+#: The functions that read a curve tuple (a pair, or `class_to_pair`'s class,
+#: on nocm), each with a valid tuple.
 TUPLE_ENTRIES = {
     "cm.invariants": (lambda t: cm.invariants(t, Surface.CM_GAUSSIAN), (1, 0, 0, 0)),
     "cm.tuple_gcd": (lambda t: cm.tuple_gcd(t, Surface.CM_GAUSSIAN), (1, 0, 0, 0)),
@@ -119,6 +119,8 @@ TUPLE_ENTRIES = {
     "cm.degree_value": (lambda t: cm.degree_value(ns_class(Surface.CM_GAUSSIAN, (1, 1, 1, 1)), t),
                         (1, 0, 0, 0)),
     "nocm.degree": (lambda t: nocm.degree(AMPLE_NOCM, t), (1, 0)),
+    "nocm.curve_class": (nocm.curve_class, (2, 1)),
+    "nocm.class_to_pair": (nocm.class_to_pair, (6, 3, -2)),
 }
 
 

@@ -320,6 +320,14 @@ def test_reduce_examples():
     assert invariants(red, GAUSS) == (1, 1, 0, 1)
 
 
+@pytest.mark.parametrize("t", [[1, 0, 0, 0], (True, 0, 0, 0), [0, 1, True, 0]],
+                         ids=["list", "bool", "list-bool"])
+def test_reduce_tuple_returns_a_tuple_of_ints(t):
+    # D = 1 returns the tuple as read with `operator.index`, not the input
+    red = reduce_tuple(t, GAUSS)
+    assert red == tuple(map(int, t)) and [type(v) for v in red] == [int] * 4
+
+
 @given(st.sampled_from([GAUSS, EISEN]), primitive4)
 @settings(max_examples=150, deadline=None)
 def test_reduce_tuple_identities(surface, t):

@@ -89,6 +89,18 @@ def test_canonical_pair_rejects_bad_input():
         canonical_pair(2, 4)
     assert canonical_pair(-1, 2) == (1, -2)
     assert canonical_pair(0, -1) == (0, 1)
+    # a float, even an integral one, is no pair: `TypeError` before the (0, 0) test
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        canonical_pair(0.0, 0.0)
+
+
+@pytest.mark.parametrize("pair,expected", [((True, 0), (1, 0)), ((0, True), (0, 1)),
+                                           ((True, -2), (1, -2))],
+                         ids=["true-0", "0-true", "true-minus-2"])
+def test_canonical_pair_reads_ints(pair, expected):
+    # read with `operator.index`: a bool comes back as its int
+    got = canonical_pair(*pair)
+    assert got == expected and [type(v) for v in got] == [int, int]
 
 
 @pytest.mark.parametrize(
