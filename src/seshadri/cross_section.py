@@ -17,9 +17,12 @@ last convergent of q/S.  For e >= 1, |q/S - c/s| < 1/s^2, so c/s is a
 convergent or an intermediate fraction (h2 + j h1) / (t2 + j t1),
 1 <= j <= a, of the continued fraction of q/S (Legendre; Hardy & Wright,
 ch. X), already in lowest terms.  Along one level e = A - j B falls and s
-rises linearly in j, so e s is concave and the j breaking the bound form one
-exact integer window, which the walk skips: O(1) work per partial quotient,
-O(log q) in all, instead of a walk over every s up to S/sqrt(2).
+rises linearly in j, so e s is concave in j (its j^2 coefficient, -B t1, is
+negative): the j breaking the bound form one interval, and the kept j a
+prefix and a suffix of 1..a.  The walk goes up from j = 1 to the first j
+breaking it, walks hi down from a while j = hi keeps it, and goes on at
+hi + 1: O(1) product tests per partial quotient and per candidate, instead
+of a walk over every s up to S/sqrt(2).
 
 `cross_section` makes the candidates and builds the hull in one pass, with
 no candidate list: Delta (s = 0), F1 (the first level's j = 1, e s = p),
@@ -136,18 +139,17 @@ def cross_section(lam) -> CrossSection:
     h2, t2, h1, t1 = 1, 0, 0, 1
     A, B = S, q
     for a in _partial_quotients(S, q):
-        # j is skipped iff (B t1) j^2 + (B t2 - A t1) j + M - A t2 <= 0,
-        # iff |2 B t1 j + f| <= isqrt(disc)
-        u, f = 2 * B * t1, B * t2 - A * t1
-        disc = f * f - 2 * u * (M - A * t2)
-        if disc < 0:  # no j is skipped
-            lo = hi = a + 1
-        else:
-            r = isqrt(disc)
-            lo, hi = -((f + r) // u), (r - f) // u
-        j = 1 if lo > 1 else max(hi + 1, 1)
+        j = 1
         while j <= a:
             c, s = h2 + j * h1, t2 + j * t1
+            if (A - j * B) * s >= M:
+                hi = a  # j is the first skipped j; hi walks down to the last
+                while (A - hi * B) * (t2 + hi * t1) < M:
+                    hi -= 1
+                if hi == a:
+                    break
+                j = hi + 1
+                c, s = h2 + j * h1, t2 + j * t1
             d = s - c
             k, b = s * s, q * d * d + p * c * c
             if k <= k0:
@@ -161,8 +163,6 @@ def cross_section(lam) -> CrossSection:
             hull.append((k, b, (c, d)))
             k0, b0 = k, b
             j += 1
-            if j == lo:
-                j = hi + 1
         h2, t2, h1, t1 = h1, t1, h2 + a * h1, t2 + a * t1
         A, B = B, A - a * B
 

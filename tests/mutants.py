@@ -46,6 +46,8 @@ class Mutant(NamedTuple):
 KERNELS = "src/seshadri/kernels.py"
 NOCM = "src/seshadri/nocm.py"
 CLI = "src/seshadri/cli.py"
+XS = "src/seshadri/cross_section.py"
+TAIL_WALK = "while (A - hi * B) * (t2 + hi * t1) < M:"
 DET_CHECK = '''    if x * x + t * x * y + y * y != 1:
         raise ArithmeticError(f"reduced basis {f1}, {f2} is not unimodular")
 '''
@@ -113,8 +115,16 @@ MUTANTS = (
     Mutant("oracle mirror taken at t0 + 1", "src/seshadri/oracle.py",
            "found.append((t - 1, *x[1:]))", "found.append((t + 1, *x[1:]))", "killed"),
     # the cross-section
-    Mutant("cross-section order guard disabled", "src/seshadri/cross_section.py",
-           "if k <= k0:", "if False:", "killed"),
+    Mutant("cross-section order guard disabled", XS, "if k <= k0:", "if False:", "killed"),
+    Mutant("cross-section tail walk removed", XS, TAIL_WALK, "while False:", "killed"),
+    # a line with e s = M lies strictly above the envelope, so the sections
+    # stay equal; the pinned candidate count moves
+    Mutant("cross-section keeps e s = M on the way up", XS,
+           "if (A - j * B) * s >= M:", "if (A - j * B) * s > M:", "killed"),
+    # a level whose only skipped j ties M walks hi on below 0 and never ends:
+    # killed by the timeout
+    Mutant("cross-section keeps e s = M on the way down", XS,
+           TAIL_WALK, TAIL_WALK.replace("< M", "<= M"), "killed"),
     # the CLI's parse
     Mutant("cli.main without the standalone-`--` guard", CLI,
            'if argv and "--" not in argv else None', "if argv else None",

@@ -194,16 +194,17 @@ def test_internal_error_exits_70(capsys, monkeypatch):
 def test_out_of_order_candidates_raise(capsys, monkeypatch):
     # The hull takes the candidates in one pass by increasing c + d and
     # refuses any other order instead of building a wrong envelope: a
-    # partial quotient of -3 after the first turns the convergents back, so
-    # c + d falls.  (Without the check this input ends at the vanishing
-    # check; a -2 there would send the next level over a huge window.)
+    # partial quotient of -2 after the first turns the convergents back, so
+    # c + d falls to 0 at the next level's first j.  (Without the check this
+    # input ends at the vanishing check, as a -3 there does with it: -3 gives
+    # that j an e s above the bound, so the walk skips it.)
     partial_quotients = xs._partial_quotients
 
-    def with_minus_three(n, d):
+    def with_minus_two(n, d):
         first, *rest = partial_quotients(n, d)
-        return [first, -3, *rest]
+        return [first, -2, *rest]
 
-    monkeypatch.setattr(xs, "_partial_quotients", with_minus_three)
+    monkeypatch.setattr(xs, "_partial_quotients", with_minus_two)
     with pytest.raises(ArithmeticError, match="out of order"):
         xs.cross_section(Fraction(8, 11))
     code, out, err = run_cli(capsys, "cross-section", "--lambda", "8/11")

@@ -1,11 +1,13 @@
+import math
 import random
 from bisect import bisect_left
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from scan_references import _lin_window, envelope_curves, two_pass_section
+from scan_references import _lin_window, count_loop_passes, envelope_curves, two_pass_section
 
+import seshadri.cross_section as xs
 from seshadri.cross_section import CrossSection, Segment, cross_section
 from seshadri.lattice import Surface, ns_class
 from seshadri.nocm import GENERATOR_PAIRS, seshadri_constant
@@ -138,6 +140,73 @@ DEEP_RATIO_SETS = {
     "fibonacci_q_up_to_10_200": lambda: _fibonacci_ratios(step=25),
     "q_10_40": lambda: DEEP_RATIOS,
 }
+
+
+def _benchmark_ratios():
+    """300 seeded p/q with q in the `cross-section` benchmark's [10^3, 3 10^4]."""
+    rng = random.Random(15)
+    ratios = set()
+    while len(ratios) < 300:
+        q = rng.randint(10**3, 3 * 10**4)
+        ratios.add(F(rng.randint(1, q), q))
+    return sorted(ratios)
+
+
+def _counting_isqrt(counts):
+    """`math.isqrt` whose result, and that plus an int, count the comparisons
+    made with them in counts["tests"], and which counts its calls in
+    counts["isqrt"].  `x < M` for an int x calls the subclass's reflected
+    method first, so every e s test against M is counted."""
+
+    def counted(compare):
+        def method(self, other):
+            counts["tests"] += 1
+            return compare(self, other)
+        return method
+
+    class Bound(int):
+        __lt__, __le__, __gt__, __ge__ = map(
+            counted, (int.__lt__, int.__le__, int.__gt__, int.__ge__))
+
+        def __add__(self, other):
+            return Bound(int(self) + other)
+
+    def isqrt(n):
+        counts["isqrt"] += 1
+        return Bound(math.isqrt(n))
+
+    return isqrt
+
+
+#: The work of the walk over each set: (partial quotients, candidates, hull
+#: pops, e s tests).  The candidates and pops are those of the per-level
+#: window the two-ended walk replaced.  Below q = 60, e s = M at some tested
+#: j for 3% of the ratios, so a tie taken for kept moves the candidates.
+WALK_WORK = {
+    "q_up_to_60": (_small_ratios, (4951, 5540, 958, 9263)),
+    "benchmark_q_and_deep": (lambda: [*_benchmark_ratios(), *DEEP_RATIOS], (2662, 2854, 577, 5242)),
+}
+
+
+@pytest.mark.parametrize("ratios, work", WALK_WORK.values(), ids=WALK_WORK)
+def test_walk_work_pinned(monkeypatch, ratios, work):
+    ratios = ratios()
+
+    def run():
+        for lam in ratios:
+            cross_section(lam)
+
+    counts = {"tests": 0, "isqrt": 0}
+    monkeypatch.setattr(xs, "isqrt", _counting_isqrt(counts))
+    passes = [
+        count_loop_passes(xs._partial_quotients, "quotients.append(a)", run),
+        count_loop_passes(cross_section, "d = s - c", run),
+        count_loop_passes(cross_section, "del hull[-1], starts[-1]", run),
+    ]
+    counts.update(tests=0, isqrt=0)
+    run()
+    assert (*passes, counts["tests"]) == work
+    assert counts["isqrt"] == len(ratios)
 
 
 def _assert_matches_linear_walk(ratios):
