@@ -7,10 +7,12 @@ L . N_{c,d} is the class's binary quadratic form (`lattice._class_form`).
 The constant is its minimum over primitive vectors, and the submaximal
 curves are its short primitive vectors.  Both come from one Lagrange-Gauss
 reduction (Cohen, GTM 138, ch. 5) and one exact `isqrt` window in its
-unimodular basis, which needs no gcd: O(log coeff) steps per call.  The
-only import is `lattice`, whose `_require_nocm` is the surface check.  Pairs
-and classes are read with `operator.index`.  The tests keep the paper's
-formula, a scan over s = c + d in sorted coefficients, as the reference.
+unimodular basis, which needs no gcd: O(log coeff) steps.  `_reduced` holds
+one class, the last one accepted, with its L^2 and reduced form, so
+`seshadri_constant` then `submaximal_curves` on it reduce once.  The only
+import is `lattice`, whose `_require_nocm` is the surface check.  Pairs and
+classes are read with `operator.index`.  The tests keep the paper's formula,
+a scan over s = c + d in sorted coefficients, as the reference.
 """
 from __future__ import annotations
 
@@ -113,6 +115,27 @@ def _curves_up_to(form: tuple[int, ...], threshold: int) -> frozenset[Pair]:
     return frozenset(found)
 
 
+_last: tuple = (object(), None)  # (class, result); the sentinel is no class
+
+
+def _reduced(L: NSClass) -> tuple[int, tuple[int, ...]]:
+    """L^2 and the reduced degree form of an ample nocm class.
+
+    Keeps the last class that passed both gates, keyed by identity, which is
+    exact: an `NSClass` is frozen, and the stored reference keeps its id from
+    being reused.  A class that fails a gate is never stored, so it raises on
+    every call."""
+    global _last
+    last, out = _last
+    if last is L:
+        return out
+    square = require_ample(L)
+    _require_nocm(L.surface)
+    out = square, _reduce(_class_form(L.surface, L.coeffs))
+    _last = L, out
+    return out
+
+
 def seshadri_constant(L: NSClass) -> SeshadriResult:
     """The Seshadri constant of an ample class and all computing curves.
 
@@ -120,9 +143,7 @@ def seshadri_constant(L: NSClass) -> SeshadriResult:
     which is the first entry of its reduced form; the witnesses are the
     canonical pairs of the primitive vectors attaining it, in a frozenset.
     """
-    require_ample(L)
-    _require_nocm(L.surface)
-    form = _reduce(_class_form(L.surface, L.coeffs))
+    form = _reduced(L)[1]
     return SeshadriResult(form[0], _curves_up_to(form, form[0]))
 
 
@@ -131,9 +152,7 @@ def submaximal_curves(L: NSClass, weak: bool = False) -> frozenset[Pair]:
 
     Comparisons are made on squares, so no irrational arithmetic occurs.
     """
-    square = require_ample(L)
-    _require_nocm(L.surface)
+    square, form = _reduced(L)
     # deg^2 <= square (resp. <) for positive integer degrees, as one bound
-    form = _reduce(_class_form(L.surface, L.coeffs))
     return _curves_up_to(form, isqrt(square if weak else square - 1))
 

@@ -12,14 +12,15 @@ def random_ample_classes(
 ) -> list[NSClass]:
     """`count` pseudo-random ample classes with |coefficients| <= bound.
 
-    Raises TypeError if `surface` is not a `Surface`, or if `count` or
-    `coeff_bound` is not an integer (read with `operator.index`, as
-    `ns_class` reads coefficients), and ValueError if `coeff_bound` < 1 (the
-    box then holds no ample class, and the rejection loop would never end)
-    or `count` < 0.  `count` = 0 gives [].
+    The same arguments give the same list.  Raises TypeError if `surface` is
+    not a `Surface`, or if `count`, `coeff_bound` or `seed` is not an integer
+    (read with `operator.index`, as `ns_class` reads coefficients; a `None`
+    seed would read the clock), and ValueError if `coeff_bound` < 1 (the box
+    then holds no ample class, and the rejection loop would never end) or
+    `count` < 0.  `count` = 0 gives [].
     """
     _require_surface(surface)
-    count, coeff_bound = index(count), index(coeff_bound)
+    count, coeff_bound, seed = index(count), index(coeff_bound), index(seed)
     if coeff_bound < 1:
         raise ValueError(f"coefficient bound must be at least 1, got {coeff_bound}")
     if count < 0:

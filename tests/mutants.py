@@ -8,12 +8,18 @@ replaces `old`, which must occur exactly once in `file`.  `expected` is
 the code.  `versions` names the Python versions on which a "killed" entry
 must be killed; empty means every version.
 
-The runner extracts HEAD with `git archive` into a temporary directory,
-applies each mutant there in turn (the file is restored after it), runs the
-Tier-1 suite with `-x -q -p no:cacheprovider`, and reports the mutant as
-killed, with the first failing test, as survived or as equivalent.  It
-exits 1 when an `old` text does not occur exactly once or a "killed" entry
-survives on a version it names, and it changes no file of the repository.
+The runner extracts HEAD with `git archive` into a temporary directory and
+first runs the Tier-1 suite there unmutated: if that fails, it prints the
+first failing test and exits 1 before any mutant runs, since every mutant
+would then read as killed.  It then applies each mutant in turn (the file is
+restored after it), runs the Tier-1 suite with `-x -q -p no:cacheprovider`,
+and reports the mutant as killed, with the first failing test, as survived
+or as equivalent.  Each mutant run is stopped after max(120, 5 x the
+unmutated run's wall time) seconds and reported as killed by the timeout,
+so a mutant that only makes the suite several times slower counts as
+killed too.  It exits 1 when an `old` text does not occur exactly once or a
+"killed" entry survives on a version it names, and it changes no file of
+the repository.
 A surviving mutant costs a full Tier-1 run, so this is a CI job of its own;
 pytest does not collect this file.  A change that adds a guard or a
 proof-backed shortcut adds its mutant here.
@@ -26,12 +32,14 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "no:cacheprovider"]
-TIMEOUT_S = 900
+MIN_TIMEOUT_S = 120
+TIMEOUT_FACTOR = 5
 
 
 class Mutant(NamedTuple):
@@ -81,6 +89,12 @@ MUTANTS = (
     Mutant("nocm window's low end + 1", NOCM,
            "range(-((B + w) // A), ", "range(-((B + w) // A) + 1, ", "killed"),
     Mutant("nocm window's high end - 1", NOCM, "(w - B) // A + 1)", "(w - B) // A)", "killed"),
+    # the one-class memo: a hit on any class, no store, no surface check
+    Mutant("nocm memo hit on any slot", NOCM, "    if last is L:", "    if last is not None:",
+           "killed"),
+    Mutant("nocm memo never stored", NOCM, "    _last = L, out\n", "", "killed"),
+    Mutant("nocm memo miss without the surface check", NOCM,
+           "    _require_nocm(L.surface)\n    out = square,", "    out = square,", "killed"),
     Mutant("nocm e1 sign rule p >= 0", NOCM,
            "(p, r) if p > 0 or (p == 0 and r > 0) else", "(p, r) if p >= 0 else", "killed"),
     Mutant("nocm negative discriminant clamped to 0", NOCM,
@@ -179,7 +193,13 @@ def _first_failure(output: str) -> str:
     return "no failing test named"
 
 
-def _run(tree: Path, mutant: Mutant) -> tuple[str, str]:
+def _tier1(tree: Path, timeout: float | None = None) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _run(tree: Path, mutant: Mutant, timeout: float) -> tuple[str, str]:
     """Apply `mutant` in `tree`, run Tier-1 and restore the file: the
     verdict ("killed", "survived" or "error") and a detail."""
     path = tree / mutant.file
@@ -188,12 +208,10 @@ def _run(tree: Path, mutant: Mutant) -> tuple[str, str]:
     if count != 1:
         return "error", f"old text occurs {count} times in {mutant.file}"
     path.write_text(source.replace(mutant.old, mutant.new))
-    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
-                              capture_output=True, text=True, timeout=TIMEOUT_S)
+        done = _tier1(tree, timeout)
     except subprocess.TimeoutExpired:
-        return "killed", f"timed out after {TIMEOUT_S} s"
+        return "killed", f"timed out after {timeout:.0f} s"
     finally:
         path.write_text(source)
     if done.returncode == 0:
@@ -209,8 +227,18 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         _extract_head(tree)
+        start = time.perf_counter()
+        baseline = _tier1(tree)
+        wall = time.perf_counter() - start
+        if baseline.returncode != 0:
+            print(f"unmutated Tier-1 failed (exit {baseline.returncode}): "
+                  f"{_first_failure(baseline.stdout)}")
+            return 1
+        timeout = max(MIN_TIMEOUT_S, TIMEOUT_FACTOR * wall)
+        print(f"unmutated Tier-1 passed in {wall:.0f} s; timeout per mutant {timeout:.0f} s",
+              flush=True)
         for mutant in MUTANTS:
-            verdict, detail = _run(tree, mutant)
+            verdict, detail = _run(tree, mutant, timeout)
             binding = not mutant.versions or version in mutant.versions
             if verdict == "survived" and mutant.expected != "killed":
                 verdict, detail = "equivalent", mutant.expected.partition(": ")[2]

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import threading
 from itertools import product
 from math import gcd, isqrt
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -14,7 +19,8 @@ from scan_references import (
     paper_submaximal_curves,
 )
 from seshadri import nocm, oracle
-from seshadri.lattice import Surface, _class_form, intersect, is_ample, ns_class, self_intersection
+from seshadri.lattice import (NSClass, Surface, _class_form, intersect, is_ample, ns_class,
+                              self_intersection)
 from seshadri.nocm import (
     canonical_pair,
     class_to_pair,
@@ -313,8 +319,9 @@ def test_matches_paper_formula_seeded(bound):
         _assert_matches_paper_formula(L)
 
 
-def test_ampleness_checked_once_per_call(monkeypatch):
-    # L^2 comes from the one ampleness check, not from a second pass
+def test_ampleness_checked_once_per_class(monkeypatch):
+    # L^2 comes from the one ampleness check, not from a second pass, and a
+    # second call on the same object reuses it; an equal copy is gated again
     import seshadri.lattice
     from seshadri import nocm
 
@@ -333,7 +340,10 @@ def test_ampleness_checked_once_per_call(monkeypatch):
     assert seshadri_constant(L).value == 4
     assert calls == [L]
     assert submaximal_curves(L, weak=True) == {(1, 0), (3, 1)}
-    assert calls == [L, L]
+    assert calls == [L]
+    L2 = ns_class(Surface.NO_CM, (45, 15, -11))
+    assert submaximal_curves(L2, weak=True) == {(1, 0), (3, 1)}
+    assert calls == [L, L2] and calls[1] is L2
 
 
 def reduced_forms(max_square):
@@ -417,3 +427,91 @@ def test_reduction_steps_are_pinned():
             nocm._reduce(form)
 
     assert count_loop_passes(nocm._reduce, "if C < A:", run) == 1623
+
+
+def _results(L):
+    return seshadri_constant(L), submaximal_curves(L, weak=True), submaximal_curves(L, weak=False)
+
+
+def _fresh_results(L):
+    # each function on its own equal copy, so no call reuses another's reduction
+    return tuple(f(NSClass(L.surface, L.coeffs)) for f in (
+        seshadri_constant, lambda M: submaximal_curves(M, weak=True),
+        lambda M: submaximal_curves(M, weak=False)))
+
+
+def test_one_reduction_per_class_across_both_functions(monkeypatch):
+    calls = [0]
+    reduce = nocm._reduce
+
+    def counted(form):
+        calls[0] += 1
+        return reduce(form)
+
+    monkeypatch.setattr(nocm, "_reduce", counted)
+    classes = [L for bound in (8, 10**4, 10**12)
+               for L in random_ample_classes(Surface.NO_CM, 300, bound, seed=bound % 991)]
+    for i, L in enumerate(classes, 1):
+        _results(L)
+        assert calls[0] == i, L
+
+
+def test_interleaved_classes_and_equal_copies_match_a_fresh_run():
+    L1, L2 = random_ample_classes(Surface.NO_CM, 2, 10**6, seed=5)
+    copies = [NSClass(L.surface, L.coeffs) for L in (L1, L2)]
+    expected = {L.coeffs: _fresh_results(L) for L in (L1, L2)}
+    # one object each, passed twice in a row, so a class stored before its
+    # gates would be a hit
+    bad = ((ns_class(Surface.NO_CM, (1, 1, -5)), ValueError, "^not ample: "),
+           (ns_class(Surface.CM_GAUSSIAN, (1, 1, 0, 0)), ValueError,
+            "^surface mismatch: expected the nocm surface$"),
+           (None, TypeError, "^expected an NSClass, got NoneType$"))
+    for L in (L1, L2, L1, L2, *copies, *copies, L1, copies[1]):
+        assert _results(L) == expected[L.coeffs], L
+        # a hit on L leaves every gate in place for the next class
+        assert seshadri_constant(L) == expected[L.coeffs][0]
+        for M, error, message in bad:
+            for call in (seshadri_constant, submaximal_curves, seshadri_constant):
+                with pytest.raises(error, match=message):
+                    call(M)
+
+
+@pytest.mark.parametrize("call", ["seshadri_constant(None)", "submaximal_curves(None)"])
+def test_first_call_on_none_raises_type_error(call):
+    # in a child process, so that this is the module's first call: the
+    # empty memo slot must not match None
+    code = (
+        "from seshadri.nocm import seshadri_constant, submaximal_curves\n"
+        "try:\n"
+        f"    {call}\n"
+        "except TypeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(nocm.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout == "expected an NSClass, got NoneType\n"
+
+
+def test_threads_sharing_the_memo_get_the_serial_results():
+    classes = [L for bound in (8, 10**4, 10**12, 10**40)
+               for L in random_ample_classes(Surface.NO_CM, 500, bound, seed=bound % 983)]
+    serial = [_fresh_results(L) for L in classes]
+    got = [None] * 4
+
+    def run(k):
+        got[k] = [_results(L) for L in classes]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(results == serial for results in got)

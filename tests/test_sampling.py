@@ -94,11 +94,13 @@ def test_stream_matches_randrange_reference(surface, bound):
         assert drawn == _reference_stream(surface, 3, bound, seed), seed
 
 
-@pytest.mark.parametrize("count,bound", [(2.5, 8), (0.1, 8), (2, 8.0)])
-def test_non_integer_count_or_bound_raises_type_error(count, bound):
-    # 2.5 used to give 3 classes, 0.1 one class, and 8.0 an AttributeError
+@pytest.mark.parametrize("count,bound,seed", [(2.5, 8, 0), (0.1, 8, 0), (2, 8.0, 0),
+                                              (2, 8, None), (2, 8, "7"), (2, 8, 1.5)])
+def test_non_integer_count_or_bound_raises_type_error(count, bound, seed):
+    # 2.5 used to give 3 classes, 0.1 one class, and 8.0 an AttributeError;
+    # a None seed drew a new list on each call, "7" and 1.5 were hashed
     with pytest.raises(TypeError):
-        random_ample_classes(Surface.NO_CM, count, bound, seed=0)
+        random_ample_classes(Surface.NO_CM, count, bound, seed=seed)
 
 
 @pytest.mark.parametrize("bound", [0, -3])
