@@ -511,7 +511,8 @@ def test_threads_sharing_the_memo_get_the_serial_results():
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert all(results == serial for results in got)
