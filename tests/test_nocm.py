@@ -434,10 +434,12 @@ def _results(L):
 
 
 def _fresh_results(L):
-    # each function on its own equal copy, so no call reuses another's reduction
-    return tuple(f(NSClass(L.surface, L.coeffs)) for f in (
-        seshadri_constant, lambda M: submaximal_curves(M, weak=True),
-        lambda M: submaximal_curves(M, weak=False)))
+    # each call on its own equal copy, so no call reuses another's reduction
+    def copy():
+        return NSClass(L.surface, L.coeffs)
+
+    return (seshadri_constant(copy()), submaximal_curves(copy(), weak=True),
+            submaximal_curves(copy(), weak=False))
 
 
 def test_one_reduction_per_class_across_both_functions(monkeypatch):
